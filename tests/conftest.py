@@ -1,5 +1,7 @@
 """Shared helpers: scenario text builders used across the test modules."""
 
+import random
+
 from macsim.scenario import parse_scenario
 
 
@@ -27,3 +29,35 @@ def single_cell(n_senders, packet_bytes, seed, duration_us, variant="dcf",
 
 def parse(text):
     return parse_scenario(text)
+
+
+def jittered_grid(side, seed, duration_us, variant="dcf"):
+    """side x side grid, 10 m spacing, +-2 m jitter, hear 15 m, sense 25 m.
+
+    Diagonal and two-hop neighbours sit inside sense range but outside hear
+    range, so the grid has both hidden and exposed terminals.  Every node on
+    one colour of the checkerboard sends to its right or lower neighbour.
+    """
+    rng = random.Random(seed)
+    lines = ["[sim]", "seed = %d" % seed, "duration_us = %d" % duration_us,
+             "[nodes]"]
+    for r in range(side):
+        for c in range(side):
+            lines.append("%d = %.2f %.2f" % (r * side + c,
+                                             10 * c + rng.uniform(-2, 2),
+                                             10 * r + rng.uniform(-2, 2)))
+    lines += ["[links]", "hear_range = 15", "sense_range = 25",
+              "base_fer_high = 0", "[mac]", "variant = %s" % variant,
+              "rts_threshold = 500", "[flows]"]
+    fid = 0
+    for r in range(side):
+        for c in range(side):
+            if (r + c) % 2:
+                continue
+            dst = r * side + c + 1 if c + 1 < side else (r + 1) * side + c
+            if dst >= side * side:
+                dst = r * side + c - 1
+            fid += 1
+            lines.append("%d = %d %d backlogged %d"
+                         % (fid, r * side + c, dst, rng.randint(500, 1500)))
+    return "\n".join(lines) + "\n"
