@@ -78,7 +78,11 @@ def main(argv=None):
 
     if args.command == "run":
         s = _load(args.scenario, args.seed)
-        result = harness.run(s, trace=args.trace is not None)
+        try:
+            result = harness.run(s, trace=args.trace is not None)
+        except ScenarioError as e:
+            sys.stderr.write("%s: %s\n" % (args.scenario, e))
+            sys.exit(2)
         _emit(metrics_mod.format_csv({s.variant: result.metrics}), args.out)
         if args.trace is not None:
             with open(args.trace, "w") as fh:

@@ -3,9 +3,15 @@
 Time is kept in integer microseconds throughout the simulator.  Events with
 equal timestamps dispatch in insertion order (a sequence counter breaks heap
 ties), so a run is fully determined by the scenario and the seed.
+
+The queue is a heap of `(time, seq, event)` tuples, as in SimPy's
+`Environment.schedule`: seq is unique, so tuple comparison settles every
+ordering on the first two integers, in C, and never compares two Events.
+Cancelling an Event only marks it; the loop skips it when it surfaces.
+Every event goes through `Simulator.schedule`.
 """
 
-import heapq
+from heapq import heappop, heappush
 
 MASK64 = (1 << 64) - 1
 
@@ -17,11 +23,10 @@ class SchedulingError(Exception):
 class Event:
     """A scheduled occurrence.  Keep the handle to cancel it."""
 
-    __slots__ = ("time", "seq", "kind", "target", "fn", "cancelled")
+    __slots__ = ("time", "kind", "target", "fn", "cancelled")
 
-    def __init__(self, time, seq, kind, target, fn):
+    def __init__(self, time, kind, target, fn):
         self.time = time
-        self.seq = seq
         self.kind = kind
         self.target = target  # node id, or "-" for the medium/engine
         self.fn = fn
@@ -29,9 +34,6 @@ class Event:
 
     def cancel(self):
         self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Simulator:
@@ -57,9 +59,9 @@ class Simulator:
             raise SchedulingError(
                 "schedule at t=%d before clock t=%d (%s)" % (time, self.now, kind)
             )
-        ev = Event(time, self._seq, kind, target, fn)
+        ev = Event(time, kind, target, fn)
+        heappush(self._queue, (time, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._queue, ev)
         return ev
 
     def schedule_in(self, delay, kind, target, fn):
@@ -71,15 +73,16 @@ class Simulator:
             raise SchedulingError("run_until(%d) before clock t=%d" % (t_end, self.now))
         count = 0
         q = self._queue
-        while q and q[0].time <= t_end:
-            ev = heapq.heappop(q)
+        while q and q[0][0] <= t_end:
+            time, _, ev = heappop(q)
             if ev.cancelled:
                 continue
-            self.now = ev.time
-            self.trace(ev.target, ev.kind)
+            self.now = time
+            if self.trace_lines is not None:
+                self.trace(ev.target, ev.kind)
             ev.fn()
-            self.dispatched += 1
             count += 1
+        self.dispatched += count
         self.now = t_end
         return count
 

@@ -64,6 +64,7 @@ def build(s, variant=None, trace=False):
 
     macs = {}
     pcf_flags = None
+    dfs_scaling = _dfs_scaling(s)
     for nid in node_ids:
         ov = s.node_overrides.get(nid, {})
         vname = variant or ov.get("variant", s.variant)
@@ -90,7 +91,7 @@ def build(s, variant=None, trace=False):
             ica=flags["ica"],
             categories=cats,
             dfs_phi=ov.get("phi", 1.0),
-            dfs_scaling=_dfs_scaling(s),
+            dfs_scaling=dfs_scaling,
             est_phi=ov.get("est_phi", s.mac.get("est_phi", 0.5)),
         )
         for key, dst in (("mild_factor", "mild_factor"),

@@ -284,8 +284,9 @@ class MacNode:
                 loser.timer = None
                 loser.cw = ext.edcf_expand_cw(loser.cw, loser.pf, loser.cw_max)
                 loser.backoff_slots = dcf.draw_backoff(loser.cw, self.rng)
-            self.sim.trace(self.node_id, "virtual_collision",
-                           "winner=cat%d" % winner.index)
+            if self.sim.trace_lines is not None:
+                self.sim.trace(self.node_id, "virtual_collision",
+                               "winner=cat%d" % winner.index)
             if winner is not cat:
                 return
         self._start_exchange(cat)
@@ -444,7 +445,8 @@ class MacNode:
         cat = self._cur_cat
         elem = self._chain[self._chain_idx]
         pkt = elem.packet
-        self.sim.trace(self.node_id, "tx_fail", "%s pkt=%d" % (kind, pkt.pid))
+        if self.sim.trace_lines is not None:
+            self.sim.trace(self.node_id, "tx_fail", "%s pkt=%d" % (kind, pkt.pid))
         if self.rate_policy == "arf" and kind == "ack":
             rate_mod.arf_on_result(self.arf, False, self.sim.now)
         cat.retry_count += 1
@@ -457,7 +459,8 @@ class MacNode:
             if self.recorder is not None:
                 self.recorder.on_drop(pkt)
                 self.recorder.on_sender_done(pkt)  # keep backlogged sources fed
-            self.sim.trace(self.node_id, "drop", "pkt=%d" % pkt.pid)
+            if self.sim.trace_lines is not None:
+                self.sim.trace(self.node_id, "drop", "pkt=%d" % pkt.pid)
         cat.backoff_slots = dcf.draw_backoff(cat.cw, self.rng)
         cat.ready_time = self.sim.now
         self._finish_exchange()
@@ -687,8 +690,9 @@ class MacNode:
             if self.recorder is not None:
                 self.recorder.on_delivered(frame.flow_id, frame.packet_id,
                                            ent["total"] * 8)
-            self.sim.trace(self.node_id, "deliver",
-                           "flow=%d pkt=%d" % (frame.flow_id, frame.packet_id))
+            if self.sim.trace_lines is not None:
+                self.sim.trace(self.node_id, "deliver",
+                               "flow=%d pkt=%d" % (frame.flow_id, frame.packet_id))
             return True
         return False
 
@@ -790,8 +794,9 @@ class MacNode:
         if not sizes:
             self._ica_fallback(reservation_end)
             return
-        self.sim.trace(self.node_id, "ica_exposed",
-                       "window_end=%d frags=%d" % (st.window_end, len(sizes)))
+        if self.sim.trace_lines is not None:
+            self.sim.trace(self.node_id, "ica_exposed",
+                           "window_end=%d frags=%d" % (st.window_end, len(sizes)))
         self.phase = ICA_WINDOW
         self._ica_sizes = sizes
         self._ica_packet = head
@@ -847,7 +852,8 @@ class MacNode:
 
     def _ica_abort(self):
         self._timer = None
-        self.sim.trace(self.node_id, "ica_abort", "")
+        if self.sim.trace_lines is not None:
+            self.sim.trace(self.node_id, "ica_abort", "")
         self._ica_close()
 
     def _ica_close(self):

@@ -5,12 +5,23 @@ interval at every node in range.  Sensing (energy detection, blocks access)
 reaches `sense_range`; decoding reaches `hear_range`.  Outcomes are resolved
 when a transmission ends, from the set of audible transmissions it overlapped
 at each hearer.
+
+Node positions never change after `harness.build`, so who senses and hears
+a sender, and at what power, is static.  The medium asks the Topology once
+per sender, on that sender's first transmission, and keeps the answer: a
+reach list of (node id, MacNode, hears) for every node in sense range,
+sorted by node id (hear range never exceeds sense range, so it covers the
+hearers too), and a cache of received power per (sender, hearer).  Moving a
+node after the first transmission would leave both stale.
 """
+
+from operator import attrgetter
 
 from . import phy
 from .frames import CONTROL_KINDS, DATA, DATA_CF_ACK, ACK, frame_airtime
 
 _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
+_TXID = attrgetter("txid")
 
 
 class _Tx:
@@ -83,6 +94,8 @@ class Medium:
         self._next_txid = 0
         self.stats = MediumStats()
         self.pending_fire = {}  # node id -> access timer deadline (genie mode)
+        self._reach_of = {}  # sender id -> [(node id, MacNode, hears)], by id
+        self._power_of = {}  # (sender id, hearer id) -> received power
         self._quality_stream = None
         if quality is not None and quality.dwell_us > 0 and quality.matrix is not None:
             from .engine import RandomStream
@@ -112,6 +125,32 @@ class Medium:
         return any(t == fire_time and n < node_id
                    for n, t in self.pending_fire.items() if n != node_id)
 
+    # -- static reach tables --
+
+    def reach(self, sender_id):
+        """(node id, MacNode, hears) for every node sensing `sender_id`, by id."""
+        reach = self._reach_of.get(sender_id)
+        if reach is None:
+            topo = self.topology
+            reach = self._reach_of[sender_id] = [
+                (other, self.macs[other], topo.can_hear(sender_id, other))
+                for other in sorted(self.macs)
+                if topo.can_sense(sender_id, other)]
+            # Every power _resolve reads is a hearer's, so it is cached here.
+            for other, _, hears in reach:
+                if hears:
+                    self.power(sender_id, other)
+        return reach
+
+    def power(self, sender_id, hearer_id):
+        """Received power of `sender_id` at `hearer_id`, cached per pair."""
+        key = (sender_id, hearer_id)
+        p = self._power_of.get(key)
+        if p is None:
+            p = self._power_of[key] = self.topology.received_power(
+                sender_id, hearer_id)
+        return p
+
     # -- transmission lifecycle --
 
     def transmit(self, sender_id, frame, rate, on_end=None):
@@ -121,27 +160,28 @@ class Medium:
         tx = _Tx(self._next_txid, sender_id, frame, rate, sim.now, sim.now + air)
         self._next_txid += 1
         self.stats.total_transmissions += 1
-        sim.trace(sender_id, "tx_start", "%s->%s %s len=%d rate=%s dur=%d" % (
-            sender_id, frame.dst, frame.kind, frame.payload_bytes, rate,
-            frame.duration))
+        if sim.trace_lines is not None:
+            sim.trace(sender_id, "tx_start", "%s->%s %s len=%d rate=%s dur=%d" % (
+                sender_id, frame.dst, frame.kind, frame.payload_bytes, rate,
+                frame.duration))
 
-        topo = self.topology
-        for other in sorted(self.macs):
-            if other == sender_id:
-                continue
-            if topo.can_hear(sender_id, other):
-                tx.overlaps[other] = set()
-                for t2 in self.active.values():
-                    if other in t2.overlaps:
-                        t2.overlaps[other].add(tx)
-                        tx.overlaps[other].add(t2)
+        # Per node in id order: overlaps first, then the busy edge, so the
+        # events the edge schedules keep their order.
+        active = self.active.values()
+        for other, mac, hears in self.reach(sender_id):
+            if hears:
+                mine = tx.overlaps[other] = set()
+                for t2 in active:
+                    theirs = t2.overlaps.get(other)
+                    if theirs is not None:
+                        theirs.add(tx)
+                        mine.add(t2)
                     if t2.sender == other:
                         tx.self_busy.add(other)
-            if topo.can_sense(sender_id, other):
-                self.macs[other].on_sense_enter()
+            mac.on_sense_enter()
 
         # Half-duplex: anything already in flight is lost at this sender.
-        for t2 in self.active.values():
+        for t2 in active:
             if sender_id in t2.overlaps:
                 t2.self_busy.add(sender_id)
 
@@ -153,10 +193,12 @@ class Medium:
         del self.active[tx.txid]
         if on_end is not None:
             on_end()
-        for hearer in sorted(tx.overlaps):
+        sim = self.sim
+        for hearer in tx.overlaps:  # filled in id order by transmit
             outcome = self._resolve(tx, hearer)
-            self.sim.trace(hearer, "rx", "%s from %s %s" % (
-                outcome, tx.sender, tx.frame.kind))
+            if sim.trace_lines is not None:
+                sim.trace(hearer, "rx", "%s from %s %s" % (
+                    outcome, tx.sender, tx.frame.kind))
             if outcome == phy.RECEIVED:
                 self.macs[hearer].on_frame(tx.frame, tx.rate, tx.start)
             elif outcome == phy.COLLIDED and hearer == tx.frame.dst:
@@ -167,18 +209,17 @@ class Medium:
                     self.stats.ack_collisions += 1
             elif outcome == phy.ERRORED and hearer == tx.frame.dst:
                 self.stats.errored += 1
-        topo = self.topology
-        for other in sorted(self.macs):
-            if other != tx.sender and topo.can_sense(tx.sender, other):
-                self.macs[other].on_sense_exit()
+        for _, mac, _ in self.reach(tx.sender):
+            mac.on_sense_exit()
 
     def _resolve(self, tx, hearer):
         if hearer in tx.self_busy:
             return phy.NOT_HEARD
         others = tx.overlaps[hearer]
         if others:
-            group = [tx, *sorted(others, key=lambda t: t.txid)]
-            powers = [self.topology.received_power(t.sender, hearer) for t in group]
+            group = [tx, *sorted(others, key=_TXID)]
+            cache = self._power_of  # every t in group reaches hearer
+            powers = [cache[t.sender, hearer] for t in group]
             starts = [(t.start,) for t in group]
             winner = phy.resolve_capture(starts, powers, self.capture_ratio)
             if winner != 0:

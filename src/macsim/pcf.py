@@ -128,7 +128,8 @@ class PointCoordinator:
 
     def _on_poll_timeout(self):
         self._timer = None
-        self.sim.trace(self.mac.node_id, "poll_silent", "")
+        if self.sim.trace_lines is not None:
+            self.sim.trace(self.mac.node_id, "poll_silent", "")
         self.state = _POLLING
         self._next_poll()
 
@@ -136,8 +137,9 @@ class PointCoordinator:
         frame = Frame(CF_END, self.mac.node_id, BROADCAST,
                       payload_bytes=CF_END_BYTES)
         self.state = _CP
-        self.sim.trace(self.mac.node_id, "cf_end",
-                       "polled=%d" % self._polled)
+        if self.sim.trace_lines is not None:
+            self.sim.trace(self.mac.node_id, "cf_end",
+                           "polled=%d" % self._polled)
         self.mac._transmit(frame, 1)
 
     # -- carrier-sense hooks from the owning MacNode -------------------------

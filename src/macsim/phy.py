@@ -162,11 +162,11 @@ def resolve_capture(candidates, powers, capture_ratio):
     ratio AND it started no later than every other overlapping transmission
     (preamble capture).
     """
-    strongest = max(range(len(powers)), key=lambda i: powers[i])
-    rest = sum(p for i, p in enumerate(powers) if i != strongest)
+    strongest = powers.index(max(powers))  # first of equal maxima
+    rest = sum(powers[:strongest] + powers[strongest + 1:])
     if rest > 0 and powers[strongest] < capture_ratio * rest:
         return None
     s_start = candidates[strongest][0]
-    if any(candidates[i][0] < s_start for i in range(len(candidates)) if i != strongest):
+    if any(c[0] < s_start for c in candidates):
         return None
     return strongest

@@ -74,6 +74,7 @@ class Scenario:
     edcf_cats: list = field(default_factory=list)  # (aifs, pf, cw_min, cw_max)
     pcf: dict = None
     flows: list = field(default_factory=list)
+    key_lines: dict = field(default_factory=dict)  # (section, key) -> line
 
     def stop_of(self, flow):
         return self.duration_us if flow.stop_us < 0 else flow.stop_us
@@ -128,6 +129,7 @@ def parse_scenario(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        s.key_lines[(section, key)] = lineno
         if section == "sim":
             _parse_sim(s, key, value, lineno)
         elif section == "nodes":
@@ -298,7 +300,10 @@ def _parse_flow(s, key, value, lineno):
 
 def _validate(s):
     if s.duration_us <= 0:
-        raise ScenarioError("duration_us must be positive")
+        _err(s.key_lines[("sim", "duration_us")], "duration_us must be positive")
+    if s.metric_window_us <= 0:
+        _err(s.key_lines[("sim", "metric_window_us")],
+             "metric_window_us must be positive")
     if not s.positions:
         raise ScenarioError("no nodes defined")
     if s.sense_range < 0:

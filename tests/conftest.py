@@ -1,8 +1,22 @@
 """Shared helpers: scenario text builders used across the test modules."""
 
+import os
 import random
 
 from macsim.scenario import parse_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenarios")
+
+
+def shipped(name, duration_us, variant=None):
+    """scenarios/<name>.txt cut to duration_us, with `variant` if one is given."""
+    with open(os.path.join(SCENARIOS, name + ".txt")) as fh:
+        s = parse_scenario(fh.read())
+    s.duration_us = duration_us
+    if variant is not None:
+        s.variant = variant
+    return s
 
 
 def single_cell(n_senders, packet_bytes, seed, duration_us, variant="dcf",

@@ -14,13 +14,10 @@ import hashlib
 import os
 
 import pytest
-from conftest import jittered_grid
+from conftest import SCENARIOS, jittered_grid, shipped
 
 from macsim import harness, metrics
 from macsim.scenario import parse_scenario
-
-SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "scenarios")
 
 # (scenario, variant override or None, duration_us) -> (csv, trace) sha256.
 # "grid" is conftest.jittered_grid(5, seed=7): the only case whose sense
@@ -61,11 +58,7 @@ def run_digests(name, variant, duration_us):
     if name == "grid":
         s = parse_scenario(jittered_grid(5, 7, duration_us))
     else:
-        with open(os.path.join(SCENARIOS, name + ".txt")) as fh:
-            s = parse_scenario(fh.read())
-    s.duration_us = duration_us
-    if variant is not None:
-        s.variant = variant
+        s = shipped(name, duration_us, variant)
     result = harness.run(s, trace=True)
     csv = metrics.format_csv({s.variant: result.metrics})
     trace = "\n".join(result.trace_lines) + "\n"

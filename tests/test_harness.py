@@ -140,6 +140,27 @@ def test_cli_scenario_error_exit_2(tmp_path):
     assert "line 2" in res.stderr
 
 
+def test_cli_run_build_error_exit_2(tmp_path):
+    # Parses, but harness.build rejects edcf without an [edcf] section.
+    bad = tmp_path / "edcf.txt"
+    bad.write_text(single_cell(1, 800, seed=1, duration_us=1000,
+                               variant="dcf+edcf"))
+    res = _cli(["run", str(bad)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "needs an [edcf] section" in res.stderr
+
+
+def test_cli_run_zero_metric_window_exit_2(tmp_path):
+    bad = tmp_path / "window.txt"
+    bad.write_text(single_cell(1, 800, seed=1, duration_us=1000,
+                               sim_lines=["metric_window_us = 0"]))
+    res = _cli(["run", str(bad)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "line 4: metric_window_us must be positive" in res.stderr
+
+
 def test_cli_missing_file_exit_2(tmp_path):
     res = _cli(["run", str(tmp_path / "nope.txt")])
     assert res.returncode == 2

@@ -123,6 +123,11 @@ def test_capture_stronger_but_late_loses():
     assert resolve_capture([(5,), (0,)], [1.0, 0.05], 10.0) is None
 
 
+def test_capture_tie_goes_to_first_candidate():
+    # With a ratio below 1 an equal-power tie can capture; the first wins.
+    assert resolve_capture([(0,), (0,), (0,)], [0.5, 1.0, 1.0], 0.5) == 1
+
+
 # -- link quality process ---------------------------------------------------
 
 def test_validate_matrix_rejects_bad_rows():

@@ -132,6 +132,17 @@ def test_duration_must_be_positive():
                   "duration_us")
 
 
+def test_duration_error_names_its_line():
+    _expect_error(MINIMAL.replace("duration_us = 1000", "duration_us = 0"),
+                  "line 2")
+
+
+@pytest.mark.parametrize("window", ["0", "-5"])
+def test_metric_window_must_be_positive(window):
+    text = MINIMAL.replace("[nodes]", "metric_window_us = %s\n[nodes]" % window)
+    _expect_error(text, "line 3: metric_window_us must be positive")
+
+
 def test_sense_range_defaults_to_hear_range():
     s = parse_scenario(MINIMAL + "[links]\nhear_range = 25\n")
     assert s.sense_range == 25
