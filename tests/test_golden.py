@@ -14,14 +14,16 @@ import hashlib
 import os
 
 import pytest
-from conftest import SCENARIOS, jittered_grid, shipped
+from conftest import SCENARIOS, jittered_grid, shipped, single_cell
 
 from macsim import harness, metrics
 from macsim.scenario import parse_scenario
 
 # (scenario, variant override or None, duration_us) -> (csv, trace) sha256.
 # "grid" is conftest.jittered_grid(5, seed=7): the only case whose sense
-# range is wider than its hear range.
+# range is wider than its hear range.  "dense" is conftest.single_cell with
+# 30 backlogged senders and RTS/CTS: up to 6-way overlaps and hundreds of
+# captured receptions, so it pins the medium's collision resolution.
 GOLDEN = {
     ("single_cell", None, 2_000_000): (
         "3a54a7c2cc95f9466a57f9e8ba13259a21a3ce6dd122b9c7e80699c6cdf44e2c",
@@ -50,13 +52,22 @@ GOLDEN = {
     ("grid", None, 300_000): (
         "0940183edcf1679bc4cf9f887912fa031105124fbc31eb7c2f3ea4586013d919",
         "cc395753bccdf8c717d97de460264453873f6c1f11abbf7faba372eeaac51939"),
+    ("dense", None, 100_000): (
+        "2867c81646a14afdd8712745c0b5d1515d1ee3ca479e0c559351d9f0d26f5fd1",
+        "7e4ec2a512f8d9bdcc3d7c51b5c4f124ba843b36ec2a01834722e129e4303759"),
 }
+
+# Generated cases: not files under scenarios/.
+GENERATED = {"grid", "dense"}
 
 
 def run_digests(name, variant, duration_us):
     """(csv sha256, trace sha256) of one run, as `macsim run --trace` writes."""
     if name == "grid":
         s = parse_scenario(jittered_grid(5, 7, duration_us))
+    elif name == "dense":
+        s = parse_scenario(single_cell(30, 1200, seed=3, duration_us=duration_us,
+                                       mac_lines=["rts_threshold = 500"]))
     else:
         s = shipped(name, duration_us, variant)
     result = harness.run(s, trace=True)
@@ -68,7 +79,7 @@ def run_digests(name, variant, duration_us):
 
 def test_every_shipped_scenario_is_pinned():
     shipped = {f[:-4] for f in os.listdir(SCENARIOS) if f.endswith(".txt")}
-    assert shipped == {name for name, _, _ in GOLDEN} - {"grid"}
+    assert shipped == {name for name, _, _ in GOLDEN} - GENERATED
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN, key=str),
