@@ -156,17 +156,21 @@ class MacNode:
         return (self.sense_count == 0 and not self.self_tx
                 and self.nav_until <= self.sim.now)
 
+    # The two carrier-sense edges run once per node in range of every
+    # transmission, so they test _virtually_idle inline: the first sensed
+    # frame makes an idle node busy, and the last one ending may idle it.
     def on_sense_enter(self):
-        was_idle = self._virtually_idle()
         self.sense_count += 1
-        if was_idle:
+        if (self.sense_count == 1 and not self.self_tx
+                and self.nav_until <= self.sim.now):
             self._on_busy_edge()
         if self.pcf is not None:
             self.pcf.on_sense_enter()
 
     def on_sense_exit(self):
         self.sense_count -= 1
-        if self._virtually_idle():
+        if (self.sense_count == 0 and not self.self_tx
+                and self.nav_until <= self.sim.now):
             self._on_idle_edge()
         if self.pcf is not None:
             self.pcf.on_sense_exit()

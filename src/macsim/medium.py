@@ -2,31 +2,39 @@
 
 Propagation delay is zero, so a transmission occupies the same [start, end)
 interval at every node in range.  Sensing (energy detection, blocks access)
-reaches `sense_range`; decoding reaches `hear_range`.  Outcomes are resolved
-when a transmission ends, from the set of audible transmissions it overlapped
-at each hearer.
+reaches `sense_range`; decoding reaches `hear_range`.
+
+Each transmission keeps one concurrency list: every frame that was on the
+air at some point during it, in txid order.  Outcomes are resolved when a
+transmission ends, in one pass over the sender's hearers in id order:
+
+- a hearer that sent one of the concurrent frames loses it (half duplex);
+- a hearer that can hear none of the concurrent senders receives it, unless
+  the frame error draw fails;
+- otherwise the frame collides if any audible concurrent frame started
+  earlier or is strictly stronger at that hearer, and else goes to the
+  capture rule (`phy.resolve_capture`) with the audible frames in txid order.
 
 Node positions never change after `harness.build`, so who senses and hears
 a sender, and at what power, is static.  The medium asks the Topology once
 per sender, on that sender's first transmission, and keeps the answer: a
 reach list of (node id, MacNode, hears) for every node in sense range,
 sorted by node id (hear range never exceeds sense range, so it covers the
-hearers too), and a cache of received power per (sender, hearer).  Moving a
-node after the first transmission would leave both stale.
+hearers too), the set of node ids that hear the sender, and a cache of
+received power per (sender, hearer).  Moving a node after the first
+transmission would leave all three stale.
 """
-
-from operator import attrgetter
 
 from . import phy
 from .frames import CONTROL_KINDS, DATA, DATA_CF_ACK, ACK, frame_airtime
+from .phy import COLLIDED, ERRORED, NOT_HEARD, RECEIVED
 
 _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
-_TXID = attrgetter("txid")
 
 
 class _Tx:
     __slots__ = ("txid", "sender", "frame", "rate", "start", "end",
-                 "overlaps", "self_busy")
+                 "concurrent")
 
     def __init__(self, txid, sender, frame, rate, start, end):
         self.txid = txid
@@ -35,10 +43,10 @@ class _Tx:
         self.rate = rate
         self.start = start
         self.end = end
-        # hearer id -> set of overlapping _Tx audible at that hearer
-        self.overlaps = {}
-        # hearers that were mid-transmission at some point during our airtime
-        self.self_busy = set()
+        # (txid, sender, start) of every frame on the air at some point
+        # during this one, in txid order; plain tuples, so no _Tx holds
+        # another alive.
+        self.concurrent = []
 
 
 class MediumStats:
@@ -95,6 +103,7 @@ class Medium:
         self.stats = MediumStats()
         self.pending_fire = {}  # node id -> access timer deadline (genie mode)
         self._reach_of = {}  # sender id -> [(node id, MacNode, hears)], by id
+        self._hears_of = {}  # sender id -> frozenset of the node ids hearing it
         self._power_of = {}  # (sender id, hearer id) -> received power
         self._quality_stream = None
         if quality is not None and quality.dwell_us > 0 and quality.matrix is not None:
@@ -128,7 +137,11 @@ class Medium:
     # -- static reach tables --
 
     def reach(self, sender_id):
-        """(node id, MacNode, hears) for every node sensing `sender_id`, by id."""
+        """(node id, MacNode, hears) for every node sensing `sender_id`, by id.
+
+        The first call for a sender also records its hear set and caches its
+        power at each hearer.
+        """
         reach = self._reach_of.get(sender_id)
         if reach is None:
             topo = self.topology
@@ -136,7 +149,9 @@ class Medium:
                 (other, self.macs[other], topo.can_hear(sender_id, other))
                 for other in sorted(self.macs)
                 if topo.can_sense(sender_id, other)]
-            # Every power _resolve reads is a hearer's, so it is cached here.
+            self._hears_of[sender_id] = frozenset(
+                other for other, _, hears in reach if hears)
+            # Every power _end reads is a hearer's, so it is cached here.
             for other, _, hears in reach:
                 if hears:
                     self.power(sender_id, other)
@@ -165,25 +180,14 @@ class Medium:
                 sender_id, frame.dst, frame.kind, frame.payload_bytes, rate,
                 frame.duration))
 
-        # Per node in id order: overlaps first, then the busy edge, so the
-        # events the edge schedules keep their order.
-        active = self.active.values()
-        for other, mac, hears in self.reach(sender_id):
-            if hears:
-                mine = tx.overlaps[other] = set()
-                for t2 in active:
-                    theirs = t2.overlaps.get(other)
-                    if theirs is not None:
-                        theirs.add(tx)
-                        mine.add(t2)
-                    if t2.sender == other:
-                        tx.self_busy.add(other)
+        # Each frame on the air overlaps the new one, and the reverse.
+        mine = tx.concurrent
+        entry = (tx.txid, sender_id, tx.start)
+        for t2 in self.active.values():  # txid order
+            mine.append((t2.txid, t2.sender, t2.start))
+            t2.concurrent.append(entry)
+        for _, mac, _ in self.reach(sender_id):
             mac.on_sense_enter()
-
-        # Half-duplex: anything already in flight is lost at this sender.
-        for t2 in active:
-            if sender_id in t2.overlaps:
-                t2.self_busy.add(sender_id)
 
         self.active[tx.txid] = tx
         sim.schedule(tx.end, "tx_end", sender_id, lambda: self._end(tx, on_end))
@@ -194,49 +198,67 @@ class Medium:
         if on_end is not None:
             on_end()
         sim = self.sim
-        for hearer in tx.overlaps:  # filled in id order by transmit
-            outcome = self._resolve(tx, hearer)
-            if sim.trace_lines is not None:
+        tracing = sim.trace_lines is not None
+        stats = self.stats
+        frame, sender, start = tx.frame, tx.sender, tx.start
+        dst = frame.dst
+        kind = frame.kind
+        # Without a quality process, or for a control frame exempt from
+        # errors, the frame error rate is 0 at every hearer: no draw.
+        fer_free = self.quality is None or (kind in CONTROL_KINDS
+                                            and not self.control_fer)
+        concurrent = tx.concurrent
+        if concurrent:
+            hears_of = self._hears_of
+            busy = {s for _, s, _ in concurrent}
+            others = [(txid, s, st, hears_of[s]) for txid, s, st in concurrent]
+            power = self._power_of  # every audible sender reaches its hearer
+        for hearer, mac, hears in self._reach_of[sender]:  # by id
+            if not hears:
+                continue
+            if concurrent and hearer in busy:
+                outcome = NOT_HEARD  # half duplex: it was sending
+            elif concurrent and (
+                    audible := [o for o in others if hearer in o[3]]):
+                # The capture rule fails outright if another frame started
+                # first or is strictly stronger: only the rest need it.
+                p0 = power[sender, hearer]
+                outcome = COLLIDED
+                for _, s, st, _ in audible:
+                    if st < start or power[s, hearer] > p0:
+                        break
+                else:
+                    powers = [p0] + [power[o[1], hearer] for o in audible]
+                    starts = [(start,)] + [(o[2],) for o in audible]
+                    if phy.resolve_capture(starts, powers,
+                                           self.capture_ratio) == 0:
+                        outcome = RECEIVED  # captured: no error draw
+            elif fer_free:
+                outcome = RECEIVED
+            else:
+                fer = self._fer(tx, hearer)
+                outcome = (ERRORED if fer > 0.0 and mac.rng.bernoulli(fer)
+                           else RECEIVED)
+            if tracing:
                 sim.trace(hearer, "rx", "%s from %s %s" % (
-                    outcome, tx.sender, tx.frame.kind))
-            if outcome == phy.RECEIVED:
-                self.macs[hearer].on_frame(tx.frame, tx.rate, tx.start)
-            elif outcome == phy.COLLIDED and hearer == tx.frame.dst:
-                self.stats.collided_transmissions += 1
-                self.stats.record_collision(
-                    tx.txid, [t.txid for t in tx.overlaps[hearer]])
-                if tx.frame.kind == ACK:
-                    self.stats.ack_collisions += 1
-            elif outcome == phy.ERRORED and hearer == tx.frame.dst:
-                self.stats.errored += 1
-        for _, mac, _ in self.reach(tx.sender):
+                    outcome, sender, kind))
+            if outcome == RECEIVED:
+                mac.on_frame(frame, tx.rate, start)
+            elif hearer == dst:
+                if outcome == COLLIDED:
+                    stats.collided_transmissions += 1
+                    stats.record_collision(tx.txid, [o[0] for o in audible])
+                    if kind == ACK:
+                        stats.ack_collisions += 1
+                elif outcome == ERRORED:
+                    stats.errored += 1
+        for _, mac, _ in self._reach_of[sender]:
             mac.on_sense_exit()
 
-    def _resolve(self, tx, hearer):
-        if hearer in tx.self_busy:
-            return phy.NOT_HEARD
-        others = tx.overlaps[hearer]
-        if others:
-            group = [tx, *sorted(others, key=_TXID)]
-            cache = self._power_of  # every t in group reaches hearer
-            powers = [cache[t.sender, hearer] for t in group]
-            starts = [(t.start,) for t in group]
-            winner = phy.resolve_capture(starts, powers, self.capture_ratio)
-            if winner != 0:
-                return phy.COLLIDED
-            # fall through: captured cleanly, no further error draw
-            return phy.RECEIVED
-        fer = self._fer(tx, hearer)
-        if fer > 0.0 and self.macs[hearer].rng.bernoulli(fer):
-            return phy.ERRORED
-        return phy.RECEIVED
-
     def _fer(self, tx, hearer):
+        """Frame error rate at `hearer`, given a quality process and a frame
+        that errors can hit."""
         kind = tx.frame.kind
-        if kind in CONTROL_KINDS and not self.control_fer:
-            return 0.0
-        if self.quality is None:
-            return 0.0
         q = self.quality.state(tx.sender, hearer)
         if kind in (DATA, DATA_CF_ACK) and tx.rate > phy.MAX_RATE_FOR_QUALITY[q]:
             return 1.0

@@ -1,10 +1,16 @@
-"""Medium reach tables and trace-off runs."""
+"""Medium reach tables, trace-off runs, and equivalence with a reference
+medium that resolves each hearer from its own overlap set."""
+
+from operator import attrgetter
 
 import pytest
 from conftest import jittered_grid, shipped
+from hypothesis import given, settings, strategies as st
 
-from macsim import harness, metrics
+from macsim import harness, metrics, phy
 from macsim.engine import Simulator
+from macsim.frames import ACK, CONTROL_KINDS, DATA, DATA_CF_ACK, frame_airtime
+from macsim.medium import Medium
 from macsim.scenario import parse_scenario
 
 
@@ -64,3 +70,180 @@ def test_untraced_run_builds_no_trace_strings(monkeypatch, name, duration_us,
     untraced = recorder.finalize(s.duration_us, medium.stats)
     assert (metrics.format_csv({s.variant: untraced})
             == metrics.format_csv({s.variant: traced.metrics}))
+
+
+# -- reference medium --------------------------------------------------------
+
+_TXID = attrgetter("txid")
+
+
+class _RefTx:
+    __slots__ = ("txid", "sender", "frame", "rate", "start", "end",
+                 "overlaps", "self_busy")
+
+    def __init__(self, txid, sender, frame, rate, start, end):
+        self.txid = txid
+        self.sender = sender
+        self.frame = frame
+        self.rate = rate
+        self.start = start
+        self.end = end
+        # hearer id -> set of overlapping _RefTx audible at that hearer
+        self.overlaps = {}
+        # hearers that were mid-transmission at some point during our airtime
+        self.self_busy = set()
+
+
+class ReferenceMedium(Medium):
+    """The medium as it was before concurrency lists: one overlap set per
+    hearer per transmission, and one `_resolve` call per hearer."""
+
+    def transmit(self, sender_id, frame, rate, on_end=None):
+        sim = self.sim
+        air = frame_airtime(frame, rate)
+        tx = _RefTx(self._next_txid, sender_id, frame, rate, sim.now,
+                    sim.now + air)
+        self._next_txid += 1
+        self.stats.total_transmissions += 1
+        if sim.trace_lines is not None:
+            sim.trace(sender_id, "tx_start", "%s->%s %s len=%d rate=%s dur=%d" % (
+                sender_id, frame.dst, frame.kind, frame.payload_bytes, rate,
+                frame.duration))
+
+        active = self.active.values()
+        for other, mac, hears in self.reach(sender_id):
+            if hears:
+                mine = tx.overlaps[other] = set()
+                for t2 in active:
+                    theirs = t2.overlaps.get(other)
+                    if theirs is not None:
+                        theirs.add(tx)
+                        mine.add(t2)
+                    if t2.sender == other:
+                        tx.self_busy.add(other)
+            mac.on_sense_enter()
+
+        for t2 in active:
+            if sender_id in t2.overlaps:
+                t2.self_busy.add(sender_id)
+
+        self.active[tx.txid] = tx
+        sim.schedule(tx.end, "tx_end", sender_id, lambda: self._end(tx, on_end))
+        return tx.end
+
+    def _end(self, tx, on_end):
+        del self.active[tx.txid]
+        if on_end is not None:
+            on_end()
+        sim = self.sim
+        for hearer in tx.overlaps:
+            outcome = self._resolve(tx, hearer)
+            if sim.trace_lines is not None:
+                sim.trace(hearer, "rx", "%s from %s %s" % (
+                    outcome, tx.sender, tx.frame.kind))
+            if outcome == phy.RECEIVED:
+                self.macs[hearer].on_frame(tx.frame, tx.rate, tx.start)
+            elif outcome == phy.COLLIDED and hearer == tx.frame.dst:
+                self.stats.collided_transmissions += 1
+                self.stats.record_collision(
+                    tx.txid, [t.txid for t in tx.overlaps[hearer]])
+                if tx.frame.kind == ACK:
+                    self.stats.ack_collisions += 1
+            elif outcome == phy.ERRORED and hearer == tx.frame.dst:
+                self.stats.errored += 1
+        for _, mac, _ in self.reach(tx.sender):
+            mac.on_sense_exit()
+
+    def _resolve(self, tx, hearer):
+        if hearer in tx.self_busy:
+            return phy.NOT_HEARD
+        others = tx.overlaps[hearer]
+        if others:
+            group = [tx, *sorted(others, key=_TXID)]
+            cache = self._power_of
+            powers = [cache[t.sender, hearer] for t in group]
+            starts = [(t.start,) for t in group]
+            winner = phy.resolve_capture(starts, powers, self.capture_ratio)
+            if winner != 0:
+                return phy.COLLIDED
+            return phy.RECEIVED
+        fer = self._fer(tx, hearer)
+        if fer > 0.0 and self.macs[hearer].rng.bernoulli(fer):
+            return phy.ERRORED
+        return phy.RECEIVED
+
+    def _fer(self, tx, hearer):
+        kind = tx.frame.kind
+        if kind in CONTROL_KINDS and not self.control_fer:
+            return 0.0
+        if self.quality is None:
+            return 0.0
+        q = self.quality.state(tx.sender, hearer)
+        if kind in (DATA, DATA_CF_ACK) and tx.rate > phy.MAX_RATE_FOR_QUALITY[q]:
+            return 1.0
+        return phy.frame_error_prob(tx.frame.payload_bytes, self.base_fer[q])
+
+
+_FADING = ("0.5 0.5 0 0  0.25 0.5 0.25 0  0 0.25 0.5 0.25  0 0 0.5 0.5")
+
+
+@st.composite
+def small_scenarios(draw):
+    """3-12 nodes in a 40 m square, hear range <= sense range, and
+    backlogged or CBR flows over a few tens of milliseconds."""
+    n = draw(st.integers(3, 12))
+    hear = draw(st.integers(10, 40))
+    lines = ["[sim]", "seed = %d" % draw(st.integers(0, 10_000)),
+             "duration_us = %d" % draw(st.integers(20_000, 60_000)),
+             "capture_ratio = %s" % draw(st.sampled_from(["0.5", "1", "10"])),
+             "control_fer = %d" % draw(st.booleans()), "[nodes]"]
+    for i in range(n):
+        x, y = draw(st.tuples(st.integers(0, 400), st.integers(0, 400)))
+        lines.append("%d = %.1f %.1f" % (i, x / 10, y / 10))
+    lines += ["[links]", "hear_range = %d" % hear,
+              "sense_range = %d" % (hear + draw(st.integers(0, 30))),
+              # Mostly HIGH: below it, 11 Mbps DATA frames always error.
+              "initial_quality = %s" % draw(st.sampled_from(
+                  ["HIGH", "HIGH", "HIGH", "MID", "BAD"])),
+              "base_fer_high = %s" % draw(st.sampled_from(["0", "0.05"]))]
+    if draw(st.booleans()):
+        lines += ["dwell_us = %d" % draw(st.integers(1_000, 20_000)),
+                  "matrix = " + _FADING]
+    lines += ["[mac]",
+              "variant = %s" % draw(st.sampled_from(
+                  ["dcf", "dcf+2way", "dcf+oar", "dcf+arf"])),
+              "rts_threshold = %d" % draw(st.sampled_from([0, 500, 3000])),
+              "[flows]"]
+    for fid in range(1, draw(st.integers(2, 2 * n)) + 1):
+        src = draw(st.integers(0, n - 1))
+        dst = draw(st.integers(0, n - 2))
+        dst += dst >= src
+        size = draw(st.integers(50, 1500))
+        if draw(st.booleans()):
+            lines.append("%d = %d %d backlogged %d" % (fid, src, dst, size))
+        else:
+            lines.append("%d = %d %d cbr %d %d" % (
+                fid, src, dst, size, draw(st.integers(50_000, 2_000_000))))
+    return "\n".join(lines) + "\n"
+
+
+def _output(text):
+    """CSV text and trace lines of one traced run."""
+    s = parse_scenario(text)
+    result = harness.run(s, trace=True)
+    return metrics.format_csv({s.variant: result.metrics}), result.trace_lines
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_scenarios())
+def test_one_pass_resolution_matches_reference(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "Medium", ReferenceMedium)
+        want_csv, want_trace = _output(text)
+    csv, trace = _output(text)
+    assert csv == want_csv
+    # Report the first differing line: a diff of whole traces is slow.
+    first = next((i for i, (a, b) in enumerate(zip(trace, want_trace))
+                  if a != b), min(len(trace), len(want_trace)))
+    assert trace[first:first + 1] == want_trace[first:first + 1]
+    assert len(trace) == len(want_trace)
