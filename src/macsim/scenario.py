@@ -249,17 +249,22 @@ def _parse_edcf(s, key, value, lineno):
     parts = value.split()
     if len(parts) != 4:
         _err(lineno, "category needs 'aifs_us pf cw_min cw_max'")
-    s.edcf_cats.append((_parse_num(parts[0], lineno, int),
-                        _parse_num(parts[1], lineno, float),
-                        _parse_num(parts[2], lineno, int),
-                        _parse_num(parts[3], lineno, int)))
+    cat = (_parse_num(parts[0], lineno, int),
+           _parse_num(parts[1], lineno, float),
+           _parse_num(parts[2], lineno, int),
+           _parse_num(parts[3], lineno, int))
+    if min(cat[2:]) < 1:
+        _err(lineno, "category cw_min and cw_max must be >= 1")
+    s.edcf_cats.append(cat)
 
 
 def _parse_pcf(pcf, key, value, lineno):
     if key not in _PCF_KEYS:
         _err(lineno, "unknown [pcf] key %r" % key)
     if key == "pollable":
-        pcf["pollable"] = [int(v) for v in value.split()]
+        pcf["pollable"] = [_parse_num(v, lineno, int) for v in value.split()]
+        if not pcf["pollable"]:
+            _err(lineno, "pollable needs at least one node id")
     else:
         pcf[key] = _parse_num(value, lineno, int)
 
@@ -304,6 +309,9 @@ def _validate(s):
     if s.metric_window_us <= 0:
         _err(s.key_lines[("sim", "metric_window_us")],
              "metric_window_us must be positive")
+    for key in ("cw_min", "cw_max"):
+        if s.mac.get(key, 1) < 1:
+            _err(s.key_lines[("mac", key)], "%s must be >= 1" % key)
     if not s.positions:
         raise ScenarioError("no nodes defined")
     if s.sense_range < 0:
@@ -330,6 +338,11 @@ def _validate(s):
         for nid in [s.pcf["coordinator"], *s.pcf["pollable"]]:
             if nid not in s.positions:
                 raise ScenarioError("[pcf] references unknown node %d" % nid)
+        if s.pcf["cfp_max_us"] + s.pcf["cp_min_us"] > s.pcf["superframe_us"]:
+            _err(s.key_lines[("pcf", "cp_min_us")],
+                 "cfp_max_us %d + cp_min_us %d exceeds superframe_us %d"
+                 % (s.pcf["cfp_max_us"], s.pcf["cp_min_us"],
+                    s.pcf["superframe_us"]))
 
 
 def variant_flags(variant):

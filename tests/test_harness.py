@@ -1,11 +1,12 @@
 """Harness wiring and the command-line interface."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import single_cell
+from conftest import SCENARIOS, single_cell
 from macsim import harness
 from macsim.metrics import CSV_HEADER, format_csv
 from macsim.scenario import ScenarioError, parse_scenario
@@ -159,6 +160,33 @@ def test_cli_run_zero_metric_window_exit_2(tmp_path):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "line 4: metric_window_us must be positive" in res.stderr
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("pollable = 1 2", "pollable = x", "line 21: expected int, got 'x'"),
+    ("cp_min_us = 20000", "cp_min_us = 40000",
+     "line 24: cfp_max_us 30000 + cp_min_us 40000 exceeds superframe_us 60000"),
+])
+def test_cli_run_bad_pcf_exit_2(tmp_path, old, new, message):
+    with open(os.path.join(SCENARIOS, "pcf_infra.txt")) as fh:
+        text = fh.read()
+    assert old in text
+    bad = tmp_path / "pcf.txt"
+    bad.write_text(text.replace(old, new))
+    res = _cli(["run", str(bad)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert message in res.stderr
+
+
+def test_cli_run_zero_cw_min_exit_2(tmp_path):
+    bad = tmp_path / "cw.txt"
+    bad.write_text(single_cell(2, 800, seed=1, duration_us=100_000,
+                               mac_lines=["cw_min = 0"]))
+    res = _cli(["run", str(bad)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "line 13: cw_min must be >= 1" in res.stderr
 
 
 def test_cli_missing_file_exit_2(tmp_path):

@@ -1,6 +1,9 @@
 """Scenario text parsing and validation."""
 
+import os
+
 import pytest
+from conftest import SCENARIOS
 
 from macsim.scenario import (BACKLOGGED, CBR, ScenarioError, parse_scenario,
                              variant_flags)
@@ -141,6 +144,43 @@ def test_duration_error_names_its_line():
 def test_metric_window_must_be_positive(window):
     text = MINIMAL.replace("[nodes]", "metric_window_us = %s\n[nodes]" % window)
     _expect_error(text, "line 3: metric_window_us must be positive")
+
+
+def _pcf_infra(old, new):
+    """scenarios/pcf_infra.txt with one line replaced, and that line's number."""
+    with open(os.path.join(SCENARIOS, "pcf_infra.txt")) as fh:
+        lines = fh.read().split("\n")
+    i = lines.index(old)
+    lines[i] = new
+    return "\n".join(lines), i + 1
+
+
+def test_pcf_pollable_must_be_integers():
+    text, line = _pcf_infra("pollable = 1 2", "pollable = 1 x")
+    _expect_error(text, "line %d: expected int, got 'x'" % line)
+
+
+def test_pcf_pollable_must_name_a_node():
+    text, line = _pcf_infra("pollable = 1 2", "pollable =")
+    _expect_error(text, "line %d: pollable needs at least one node id" % line)
+
+
+def test_pcf_periods_must_fit_the_superframe():
+    text, line = _pcf_infra("cp_min_us = 20000", "cp_min_us = 40000")
+    _expect_error(text, "line %d: cfp_max_us 30000 + cp_min_us 40000 exceeds "
+                  "superframe_us 60000" % line)
+
+
+@pytest.mark.parametrize("key", ["cw_min", "cw_max"])
+def test_contention_window_bounds_must_be_positive(key):
+    _expect_error(MINIMAL + "[mac]\n%s = 0\n" % key,
+                  "line 9: %s must be >= 1" % key)
+
+
+@pytest.mark.parametrize("cat", ["50 2 0 8", "50 2 4 0"])
+def test_edcf_contention_window_bounds_must_be_positive(cat):
+    _expect_error(MINIMAL + "[edcf]\ncat0 = %s\n" % cat,
+                  "line 9: category cw_min and cw_max must be >= 1")
 
 
 def test_sense_range_defaults_to_hear_range():
