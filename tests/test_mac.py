@@ -199,19 +199,25 @@ def test_backoff_freezes_while_peer_occupies_medium():
     r = _run(single_cell(2, 1500, seed=6, duration_us=500_000,
                          mac_lines=["rts_threshold = 500"]), trace=True)
     assert r.metrics.collision_fraction < 0.2
-    busy_until = 0
-    overlaps = 0
+    busy_start = busy_until = 0  # the frame on the air that ends last
+    overlaps = same_slot = 0
     for t, node, detail in _tx_starts(r.trace_lines):
         if t < busy_until:
             overlaps += 1
+            same_slot += t == busy_start
         air = {"RTS": RTS_AIR, "CTS": CTS_AIR, "ACK": ACK_AIR}.get(
             detail.split()[1], None)
         if air is None:
             air = 1283  # DATA at 11 Mbps
-        busy_until = max(busy_until, t + air)
-    # Collisions are possible (equal backoff draws) but must be rare and
-    # every overlap must be a genuine same-slot collision, not a sensing bug.
-    assert overlaps == r.metrics.collision_events * 2 or overlaps <= 2 * r.metrics.collision_events
+        if t + air > busy_until:
+            busy_start, busy_until = t, t + air
+    # Collisions are possible (equal backoff draws) but must be rare, and
+    # every overlap must be a genuine same-slot collision, not a sensing bug:
+    # it starts in the same microsecond as the frame it overlaps, and each
+    # one is a collision event of its own.
+    assert overlaps > 0
+    assert same_slot == overlaps
+    assert overlaps == r.metrics.collision_events
 
 
 def test_oar_burst_carries_multiple_packets_per_cts():
