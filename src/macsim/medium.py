@@ -27,7 +27,6 @@ transmission would leave all three stale.
 
 from . import phy
 from .frames import CONTROL_KINDS, DATA, DATA_CF_ACK, ACK, frame_airtime
-from .phy import COLLIDED, ERRORED, NOT_HEARD, RECEIVED
 
 _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
 
@@ -217,13 +216,13 @@ class Medium:
             if not hears:
                 continue
             if concurrent and hearer in busy:
-                outcome = NOT_HEARD  # half duplex: it was sending
+                outcome = phy.NOT_HEARD  # half duplex: it was sending
             elif concurrent and (
                     audible := [o for o in others if hearer in o[3]]):
                 # The capture rule fails outright if another frame started
                 # first or is strictly stronger: only the rest need it.
                 p0 = power[sender, hearer]
-                outcome = COLLIDED
+                outcome = phy.COLLIDED
                 for _, s, st, _ in audible:
                     if st < start or power[s, hearer] > p0:
                         break
@@ -232,25 +231,25 @@ class Medium:
                     starts = [(start,)] + [(o[2],) for o in audible]
                     if phy.resolve_capture(starts, powers,
                                            self.capture_ratio) == 0:
-                        outcome = RECEIVED  # captured: no error draw
+                        outcome = phy.RECEIVED  # captured: no error draw
             elif fer_free:
-                outcome = RECEIVED
+                outcome = phy.RECEIVED
             else:
                 fer = self._fer(tx, hearer)
-                outcome = (ERRORED if fer > 0.0 and mac.rng.bernoulli(fer)
-                           else RECEIVED)
+                outcome = (phy.ERRORED if fer > 0.0 and mac.rng.bernoulli(fer)
+                           else phy.RECEIVED)
             if tracing:
                 sim.trace(hearer, "rx", "%s from %s %s" % (
                     outcome, sender, kind))
-            if outcome == RECEIVED:
+            if outcome == phy.RECEIVED:
                 mac.on_frame(frame, tx.rate, start)
             elif hearer == dst:
-                if outcome == COLLIDED:
+                if outcome == phy.COLLIDED:
                     stats.collided_transmissions += 1
                     stats.record_collision(tx.txid, [o[0] for o in audible])
                     if kind == ACK:
                         stats.ack_collisions += 1
-                elif outcome == ERRORED:
+                elif outcome == phy.ERRORED:
                     stats.errored += 1
         for _, mac, _ in self._reach_of[sender]:
             mac.on_sense_exit()
