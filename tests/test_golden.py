@@ -24,6 +24,9 @@ from macsim.scenario import parse_scenario
 # range is wider than its hear range.  "dense" is conftest.single_cell with
 # 30 backlogged senders and RTS/CTS: up to 6-way overlaps and hundreds of
 # captured receptions, so it pins the medium's collision resolution.
+# "edcf" is a six-sender cell where every sender runs two EDCF categories,
+# each with its own access timer: it pins the freezing and resuming of
+# several backoffs per node, and virtual collisions between them.
 GOLDEN = {
     ("single_cell", None, 2_000_000): (
         "3a54a7c2cc95f9466a57f9e8ba13259a21a3ce6dd122b9c7e80699c6cdf44e2c",
@@ -55,10 +58,13 @@ GOLDEN = {
     ("dense", None, 100_000): (
         "2867c81646a14afdd8712745c0b5d1515d1ee3ca479e0c559351d9f0d26f5fd1",
         "7e4ec2a512f8d9bdcc3d7c51b5c4f124ba843b36ec2a01834722e129e4303759"),
+    ("edcf", None, 300_000): (
+        "6da890fd4615f45a931c09bc4945ccbce0418f165b2500a93440c7af3f7809eb",
+        "19135777622f217a5b878dc605fe0a49f4ed48a0d609f64d98d938956a0db825"),
 }
 
 # Generated cases: not files under scenarios/.
-GENERATED = {"grid", "dense"}
+GENERATED = {"grid", "dense", "edcf"}
 
 
 def run_digests(name, variant, duration_us):
@@ -68,6 +74,14 @@ def run_digests(name, variant, duration_us):
     elif name == "dense":
         s = parse_scenario(single_cell(30, 1200, seed=3, duration_us=duration_us,
                                        mac_lines=["rts_threshold = 500"]))
+    elif name == "edcf":
+        text = single_cell(6, 600, seed=5, duration_us=duration_us,
+                           variant="dcf+edcf", mac_lines=["rts_threshold = 800"],
+                           flow_kind="backlogged 600 cat=0")
+        text += "".join("%d = %d 0 backlogged 900 cat=1\n" % (6 + i, i)
+                        for i in range(1, 7))
+        text += "[edcf]\ncat0 = 50 2.0 8 64\ncat1 = 70 2.0 16 256\n"
+        s = parse_scenario(text)
     else:
         s = shipped(name, duration_us, variant)
     result = harness.run(s, trace=True)
