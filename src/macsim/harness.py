@@ -6,7 +6,7 @@ from .engine import Simulator
 from .mac import AccessCategory, MacNode, Packet
 from .medium import Medium
 from .metrics import Recorder
-from .pcf import PointCoordinator
+from .pcf import PointCoordinator, min_cp_us
 from .phy import LinkQualityProcess, Topology
 from .scenario import BACKLOG_DEPTH, BACKLOGGED, CBR, ScenarioError, variant_flags
 
@@ -112,10 +112,18 @@ def build(s, variant=None, trace=False):
                                  "pcf" in (variant or s.variant).split("+")):
         if s.pcf is None:
             raise ScenarioError("pcf variant needs a [pcf] section")
-        pc = PointCoordinator(macs[s.pcf["coordinator"]], s.pcf["pollable"],
+        pc_mac = macs[s.pcf["coordinator"]]
+        data_rate = s.mac.get("data_rate", 11)
+        # The floor depends on the coordinator's MAC parameters, so it is
+        # checked here rather than in scenario._validate.
+        floor = min_cp_us(pc_mac.params, pc_mac.params.frag_threshold, data_rate)
+        if s.pcf["cp_min_us"] < floor:
+            scn_mod._err(s.key_lines[("pcf", "cp_min_us")],
+                         "cp_min_us %d below the %d us needed for one full "
+                         "exchange" % (s.pcf["cp_min_us"], floor))
+        pc = PointCoordinator(pc_mac, s.pcf["pollable"],
                               s.pcf["superframe_us"], s.pcf["cfp_max_us"],
-                              s.pcf["cp_min_us"],
-                              data_rate=s.mac.get("data_rate", 11))
+                              s.pcf["cp_min_us"], data_rate=data_rate)
         pc.start()
 
     _pid = [0]

@@ -166,6 +166,8 @@ def test_cli_run_zero_metric_window_exit_2(tmp_path):
     ("pollable = 1 2", "pollable = x", "line 21: expected int, got 'x'"),
     ("cp_min_us = 20000", "cp_min_us = 40000",
      "line 24: cfp_max_us 30000 + cp_min_us 40000 exceeds superframe_us 60000"),
+    ("cp_min_us = 20000", "cp_min_us = 100",
+     "line 24: cp_min_us 100 below the 7423 us needed for one full exchange"),
 ])
 def test_cli_run_bad_pcf_exit_2(tmp_path, old, new, message):
     with open(os.path.join(SCENARIOS, "pcf_infra.txt")) as fh:

@@ -5,6 +5,7 @@ import os
 import pytest
 from conftest import SCENARIOS
 
+from macsim import harness
 from macsim.scenario import (BACKLOGGED, CBR, ScenarioError, parse_scenario,
                              variant_flags)
 
@@ -169,6 +170,17 @@ def test_pcf_periods_must_fit_the_superframe():
     text, line = _pcf_infra("cp_min_us = 20000", "cp_min_us = 40000")
     _expect_error(text, "line %d: cfp_max_us 30000 + cp_min_us 40000 exceeds "
                   "superframe_us 60000" % line)
+
+
+def test_pcf_contention_period_below_floor_names_its_line():
+    # The floor comes from the coordinator's MAC parameters, so the scenario
+    # parses and harness.build rejects it.
+    text, line = _pcf_infra("cp_min_us = 20000", "cp_min_us = 100")
+    s = parse_scenario(text)
+    with pytest.raises(ScenarioError) as exc:
+        harness.build(s)
+    assert str(exc.value) == ("line %d: cp_min_us 100 below the 7423 us "
+                              "needed for one full exchange" % line)
 
 
 @pytest.mark.parametrize("key", ["cw_min", "cw_max"])
