@@ -8,7 +8,15 @@ The queue is a heap of `(time, seq, event)` tuples, as in SimPy's
 `Environment.schedule`: seq is unique, so tuple comparison settles every
 ordering on the first two integers, in C, and never compares two Events.
 Cancelling an Event only marks it; the loop skips it when it surfaces.
-Every event goes through `Simulator.schedule`.
+
+An Event's own `(time, seq)` is its dispatch key; its heap entry may carry
+an older, smaller key (the lazy-key rule).  `Simulator.reschedule` moves a
+pending Event later by rewriting its key in place, without a new entry.
+When an entry surfaces whose seq is not the Event's, the loop pushes the
+Event again under its own key, or drops the entry if the Event is
+cancelled.  An Event has at most one heap entry, and it never dispatches
+before its key, so every Event dispatches in exactly the order that
+cancelling it and scheduling a new one would give.
 """
 
 from heapq import heappop, heappush
@@ -21,16 +29,23 @@ class SchedulingError(Exception):
 
 
 class Event:
-    """A scheduled occurrence.  Keep the handle to cancel it."""
+    """A scheduled occurrence.  Keep the handle to cancel or reschedule it.
 
-    __slots__ = ("time", "kind", "target", "fn", "cancelled")
+    `(time, seq)` is the dispatch key.  `queued` is the time of the Event's
+    heap entry, which is never later than `time`, or None when it has none
+    (it dispatched, or its cancelled entry was dropped).
+    """
 
-    def __init__(self, time, kind, target, fn):
+    __slots__ = ("time", "seq", "kind", "target", "fn", "cancelled", "queued")
+
+    def __init__(self, time, seq, kind, target, fn):
         self.time = time
+        self.seq = seq
         self.kind = kind
         self.target = target  # node id, or "-" for the medium/engine
         self.fn = fn
         self.cancelled = False
+        self.queued = time
 
     def cancel(self):
         self.cancelled = True
@@ -59,9 +74,32 @@ class Simulator:
             raise SchedulingError(
                 "schedule at t=%d before clock t=%d (%s)" % (time, self.now, kind)
             )
-        ev = Event(time, kind, target, fn)
-        heappush(self._queue, (time, self._seq, ev))
-        self._seq += 1
+        seq = self._seq
+        ev = Event(time, seq, kind, target, fn)
+        heappush(self._queue, (time, seq, ev))
+        self._seq = seq + 1
+        return ev
+
+    def reschedule(self, ev, time):
+        """Move `ev` to `time`, pending whether or not it was cancelled.
+
+        Same as `ev.cancel()` then `schedule(time, ev.kind, ev.target,
+        ev.fn)`, and returns the handle to keep.  That is `ev` itself
+        unless `time` is earlier than its heap entry: then `ev` stays
+        cancelled and a new Event takes its place.
+        """
+        queued = ev.queued
+        if time < self.now or (queued is not None and time < queued):
+            ev.cancelled = True
+            return self.schedule(time, ev.kind, ev.target, ev.fn)  # raises if past
+        seq = self._seq
+        self._seq = seq + 1
+        ev.time = time
+        ev.seq = seq
+        ev.cancelled = False
+        if queued is None:
+            ev.queued = time
+            heappush(self._queue, (time, seq, ev))
         return ev
 
     def schedule_in(self, delay, kind, target, fn):
@@ -74,9 +112,15 @@ class Simulator:
         count = 0
         q = self._queue
         while q and q[0][0] <= t_end:
-            time, _, ev = heappop(q)
+            time, seq, ev = heappop(q)
             if ev.cancelled:
+                ev.queued = None
                 continue
+            if seq != ev.seq:  # stale entry: requeue under the Event's key
+                ev.queued = ev.time
+                heappush(q, (ev.time, ev.seq, ev))
+                continue
+            ev.queued = None
             self.now = time
             if self.trace_lines is not None:
                 self.trace(ev.target, ev.kind)

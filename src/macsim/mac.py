@@ -59,7 +59,8 @@ class AccessCategory:
         self.queue = deque()
         self.backoff_slots = None  # None = draw before next arm
         self.retry_count = 0
-        self.timer = None
+        self.timer = None  # the pending access Event, or None
+        self.fire_ev = None  # the access Event last armed, kept for reuse
         self.count_start = 0  # reference instant for consumed-slot arithmetic
         self.ready_time = 0
 
@@ -120,7 +121,7 @@ class MacNode:
         self.self_tx = False
         self.nav_until = 0
         self.nav_xid = -1
-        self._nav_event = None
+        self._nav_event = None  # the NAV expiry Event last armed, kept for reuse
         self.idle_since = 0
 
         # Exchange state.
@@ -186,58 +187,76 @@ class MacNode:
         if self._virtually_idle():
             self._on_idle_edge()
 
+    # set_nav runs for nearly every overheard frame, and mostly extends a
+    # pending NAV, so the expiry Event is moved with Simulator.reschedule
+    # rather than cancelled and scheduled anew; it keeps its heap entry
+    # unless the NAV moves earlier.
     def set_nav(self, until, xid=-1, replace=False):
         now = self.sim.now
+        nav = self.nav_until
         if replace and xid == self.nav_xid:
-            new = max(until, now)
+            new = until if until > now else now
+        elif until > nav:
+            new = until
+        elif nav > now:
+            return
         else:
-            new = max(self.nav_until, until)
-            if new == self.nav_until and self.nav_until > now:
-                return
-        was_idle = self._virtually_idle()
+            new = nav
+        was_idle = self.sense_count == 0 and not self.self_tx and nav <= now
         self.nav_until = new
         self.nav_xid = xid
-        if self._nav_event is not None:
-            self._nav_event.cancel()
-            self._nav_event = None
+        ev = self._nav_event
         if new > now:
             if was_idle:
                 self._on_busy_edge()
-            self._nav_event = self.sim.schedule(
-                new, "nav_expiry", self.node_id, self._on_nav_expiry)
+            if ev is None:
+                self._nav_event = self.sim.schedule(
+                    new, "nav_expiry", self.node_id, self._on_nav_expiry)
+            else:
+                self._nav_event = self.sim.reschedule(ev, new)
+        elif ev is not None:
+            ev.cancel()
 
     def _on_nav_expiry(self):
-        self._nav_event = None
         if self._virtually_idle():
             self._on_idle_edge()
 
+    # A busy edge freezes each pending backoff: it banks the slots counted
+    # so far and cancels the access Event, which stays on the category as
+    # `fire_ev`.  The next idle edge revives it with Simulator.reschedule.
+    # The remaining slots count from that idle edge, which is no earlier
+    # than this busy edge, so the revived time is never earlier than the
+    # cancelled one and the Event keeps its heap entry.
     def _on_busy_edge(self):
         now = self.sim.now
         for cat in self.cats:
-            if cat.timer is not None:
-                if cat.timer.time == now:
+            ev = cat.timer
+            if ev is not None:
+                if ev.time == now:
                     continue  # same-slot decision already taken; let it fire
                 elapsed = now - (cat.count_start + cat.aifs_us)
-                consumed = max(0, elapsed // self.params.slot_us)
-                cat.backoff_slots = max(0, cat.backoff_slots - consumed)
-                cat.timer.cancel()
+                slots = cat.backoff_slots
+                if elapsed > 0:
+                    slots -= elapsed // self.params.slot_us
+                cat.backoff_slots = slots if slots > 0 else 0
+                ev.cancel()
                 cat.timer = None
-        self.medium.pending_fire.pop(self.node_id, None)
+        if self.medium.genie_tiebreak:
+            self.medium.pending_fire.pop(self.node_id, None)
         self.idle_since = None
 
+    # Every caller has just tested that the node is virtually idle.
     def _on_idle_edge(self):
-        self.idle_since = self.sim.now
-        self._arm_all()
+        now = self.idle_since = self.sim.now
+        if self.phase != IDLE:
+            return
+        for cat in self.cats:
+            if cat.timer is None and cat.queue:
+                self._arm_now(cat, now)
 
     # ------------------------------------------------------------------
     # access arming
     # ------------------------------------------------------------------
-
-    def _arm_all(self):
-        if self.phase != IDLE or not self._virtually_idle():
-            return
-        for cat in self.cats:
-            self._arm(cat)
 
     def _arm(self, cat):
         if cat.timer is not None or not cat.queue:
@@ -246,14 +265,28 @@ class MacNode:
             return
         if self.idle_since is None:
             return
-        if cat.backoff_slots is None:
-            cat.backoff_slots = self._draw_backoff(cat)
-        start = max(self.idle_since, cat.ready_time)
+        self._arm_now(cat, self.sim.now)
+
+    def _arm_now(self, cat, now):
+        """Schedule `cat`'s access Event: AIFS plus its backoff slots after
+        the later of the idle edge and the category's ready time."""
+        slots = cat.backoff_slots
+        if slots is None:
+            slots = cat.backoff_slots = self._draw_backoff(cat)
+        start = self.idle_since
+        if cat.ready_time > start:
+            start = cat.ready_time
         cat.count_start = start
-        fire = start + cat.aifs_us + cat.backoff_slots * self.params.slot_us
-        fire = max(fire, self.sim.now)
-        cat.timer = self.sim.schedule(fire, "access_fire", self.node_id,
-                                      lambda c=cat: self._on_access_fire(c))
+        fire = start + cat.aifs_us + slots * self.params.slot_us
+        if fire < now:
+            fire = now
+        ev = cat.fire_ev
+        if ev is None:
+            ev = self.sim.schedule(fire, "access_fire", self.node_id,
+                                   lambda c=cat: self._on_access_fire(c))
+        else:
+            ev = self.sim.reschedule(ev, fire)
+        cat.timer = cat.fire_ev = ev
         if self.medium.genie_tiebreak:
             self.medium.pending_fire[self.node_id] = fire
 
@@ -268,10 +301,11 @@ class MacNode:
 
     def _on_access_fire(self, cat):
         cat.timer = None
-        self.medium.pending_fire.pop(self.node_id, None)
-        if self.medium.genie_defers(self.node_id, self.sim.now):
-            cat.backoff_slots = 0
-            return
+        if self.medium.genie_tiebreak:
+            self.medium.pending_fire.pop(self.node_id, None)
+            if self.medium.genie_defers(self.node_id, self.sim.now):
+                cat.backoff_slots = 0
+                return
         cat.backoff_slots = None
         # Virtual collision between this node's own categories.
         ready = [cat]
@@ -566,7 +600,6 @@ class MacNode:
         self.nav_xid = -1
         if self._nav_event is not None:
             self._nav_event.cancel()
-            self._nav_event = None
         if self._virtually_idle():
             self._on_idle_edge()
 

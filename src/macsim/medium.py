@@ -125,9 +125,9 @@ class Medium:
 
         A transmission that already started at this exact instant also wins
         the slot (its owner's timer has dispatched and left the registry).
+        The registry is kept only with `genie_tiebreak` on, and only then is
+        this called.
         """
-        if not self.genie_tiebreak:
-            return False
         if any(t.start == fire_time for t in self.active.values()):
             return True
         return any(t == fire_time and n < node_id

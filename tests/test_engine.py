@@ -1,7 +1,11 @@
-"""Event loop and PRNG contracts."""
+"""Event loop and PRNG contracts, and `Simulator.reschedule` against a
+reference that cancels the Event and schedules a new one."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_medium import _output, small_scenarios
 
+from macsim import harness
 from macsim.engine import RandomStream, SchedulingError, Simulator
 
 
@@ -72,6 +76,166 @@ def test_trace_line_format():
     sim.schedule(7, "kind", 3, lambda: None)
     sim.run_until(7)
     assert sim.trace_lines == ["7\t3\tkind\t"]
+
+
+# -- reschedule ---------------------------------------------------------------
+
+class ReferenceSimulator(Simulator):
+    """`reschedule` as it is specified: cancel, then schedule a new Event."""
+
+    def reschedule(self, ev, time):
+        ev.cancel()
+        return self.schedule(time, ev.kind, ev.target, ev.fn)
+
+
+def test_reschedule_later_reuses_the_heap_entry():
+    sim = Simulator()
+    sim.enable_trace()
+    ev = sim.schedule(10, "moved", 0, lambda: None)
+    sim.schedule(20, "before", 0, lambda: None)
+    assert sim.reschedule(ev, 20) is ev
+    sim.schedule(20, "after", 0, lambda: None)
+    assert len(sim._queue) == 3
+    assert (ev.time, ev.queued) == (20, 10)
+    assert sim.run_until(15) == 0
+    assert (ev.time, ev.queued) == (20, 20)  # the stale entry was requeued
+    assert sim.run_until(20) == 3
+    assert [line.split("\t")[2] for line in sim.trace_lines] == [
+        "before", "moved", "after"]
+
+
+def test_reschedule_earlier_than_the_entry_returns_a_new_handle():
+    sim = Simulator()
+    hits = []
+    ev = sim.schedule(20, "t", 0, lambda: hits.append(sim.now))
+    new = sim.reschedule(ev, 10)
+    assert new is not ev
+    assert ev.cancelled and not new.cancelled
+    assert (new.kind, new.target, new.fn) == (ev.kind, ev.target, ev.fn)
+    sim.run_until(30)
+    assert hits == [10]
+
+
+def test_reschedule_revives_a_cancelled_event_whose_entry_surfaced():
+    sim = Simulator()
+    hits = []
+    ev = sim.schedule(10, "t", 0, lambda: hits.append(sim.now))
+    ev.cancel()
+    assert sim.run_until(15) == 0
+    assert ev.queued is None and not sim._queue
+    assert sim.reschedule(ev, 20) is ev
+    assert not ev.cancelled and ev.queued == 20
+    assert sim.run_until(30) == 1
+    assert hits == [20]
+
+
+def test_reschedule_a_dispatched_event_runs_it_again():
+    sim = Simulator()
+    hits = []
+    ev = sim.schedule(10, "t", 0, lambda: hits.append(sim.now))
+    sim.run_until(10)
+    assert ev.queued is None
+    assert sim.reschedule(ev, 25) is ev
+    sim.run_until(30)
+    assert hits == [10, 25]
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, ReferenceSimulator])
+@pytest.mark.parametrize("pending", [True, False])
+def test_reschedule_into_the_past_fails_loudly(sim_cls, pending):
+    sim = sim_cls()
+    ev = sim.schedule(20 if pending else 5, "t", 0, lambda: None)
+    sim.run_until(10)
+    with pytest.raises(SchedulingError):
+        sim.reschedule(ev, 9)
+    assert ev.cancelled
+
+
+# One operation on a Simulator under test: ("schedule", delay, action),
+# ("cancel", handle), ("reschedule", handle, delay) or ("run", delay).  A
+# scheduled event applies its action when it first dispatches, so operations
+# also run inside the loop, between entries of the same instant.
+_INNER_OPS = st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 30), st.none()),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("reschedule"), st.integers(0, 63), st.integers(-3, 30)),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 30),
+              st.one_of(st.none(), _INNER_OPS)),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("reschedule"), st.integers(0, 63), st.integers(-3, 30)),
+    st.tuples(st.just("run"), st.integers(0, 20)),
+)
+
+
+class _Driver:
+    """Applies operations to one Simulator and logs what they did."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        sim.enable_trace()
+        self.handles = []
+        self.log = []
+
+    def apply(self, op):
+        sim = self.sim
+        if op[0] == "schedule":
+            ident = len(self.handles)
+            self.handles.append(sim.schedule(
+                sim.now + op[1], "e%d" % ident, ident, self._callback(op[2])))
+        elif op[0] == "run":
+            self.log.append(("ran", sim.run_until(sim.now + op[1])))
+        elif self.handles:
+            i = op[1] % len(self.handles)
+            if op[0] == "cancel":
+                self.handles[i].cancel()
+                return
+            try:
+                self.handles[i] = sim.reschedule(self.handles[i],
+                                                 sim.now + op[2])
+            except SchedulingError:
+                self.log.append(("past", i))
+
+    def _callback(self, action):
+        todo = [action]  # applied once: an event may dispatch again
+
+        def fn():
+            if todo[0] is not None:
+                self.apply(todo.pop())
+                todo.append(None)
+        return fn
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_OPS, max_size=60))
+def test_reschedule_matches_cancel_and_schedule(ops):
+    want, got = _Driver(ReferenceSimulator()), _Driver(Simulator())
+    for op in ops + [("run", 1000)]:
+        want.apply(op)
+        got.apply(op)
+    # Trace lines are "time, target, kind" of every dispatch, in order.
+    assert got.sim.trace_lines == want.sim.trace_lines
+    assert got.log == want.log
+    assert got.sim.now == want.sim.now
+    assert [h.time for h in got.handles] == [h.time for h in want.handles]
+    assert [h.cancelled for h in got.handles] == [
+        h.cancelled for h in want.handles]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_scenarios())
+def test_runs_match_the_reference_reschedule(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "Simulator", ReferenceSimulator)
+        want_csv, want_trace = _output(text)
+    csv, trace = _output(text)
+    assert csv == want_csv
+    # Report the first differing line: a diff of whole traces is slow.
+    first = next((i for i, (a, b) in enumerate(zip(trace, want_trace))
+                  if a != b), min(len(trace), len(want_trace)))
+    assert trace[first:first + 1] == want_trace[first:first + 1]
+    assert len(trace) == len(want_trace)
 
 
 # -- RandomStream -----------------------------------------------------------
