@@ -81,7 +81,8 @@ class Simulator:
         return ev
 
     def reschedule(self, ev, time):
-        """Move `ev` to `time`, pending whether or not it was cancelled.
+        """Make `ev` pending at `time`, whether it was pending, cancelled or
+        dispatched.
 
         Same as `ev.cancel()` then `schedule(time, ev.kind, ev.target,
         ev.fn)`, and returns the handle to keep.  That is `ev` itself

@@ -114,8 +114,9 @@ def build(s, variant=None, trace=False):
             raise ScenarioError("pcf variant needs a [pcf] section")
         pc_mac = macs[s.pcf["coordinator"]]
         data_rate = s.mac.get("data_rate", 11)
-        # The floor depends on the coordinator's MAC parameters, so it is
-        # checked here rather than in scenario._validate.
+        # The CP must fit one worst-case exchange.  The floor depends on the
+        # coordinator's MAC parameters, so it is checked here rather than in
+        # scenario._validate.
         floor = min_cp_us(pc_mac.params, pc_mac.params.frag_threshold, data_rate)
         if s.pcf["cp_min_us"] < floor:
             scn_mod._err(s.key_lines[("pcf", "cp_min_us")],

@@ -46,11 +46,6 @@ class PointCoordinator:
             raise ValueError(
                 "cfp_max %d + cp_min %d exceeds superframe %d"
                 % (cfp_max_us, cp_min_us, superframe_us))
-        floor = min_cp_us(mac.params, mac.params.frag_threshold, data_rate)
-        if cp_min_us < floor:
-            raise ValueError(
-                "cp_min %d below the %d us needed for one full exchange"
-                % (cp_min_us, floor))
         self.mac = mac
         self.sim = mac.sim
         self.pollable = list(pollable)
