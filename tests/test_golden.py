@@ -26,7 +26,10 @@ from macsim.scenario import parse_scenario
 # captured receptions, so it pins the medium's collision resolution.
 # "edcf" is a six-sender cell where every sender runs two EDCF categories,
 # each with its own access timer: it pins the freezing and resuming of
-# several backoffs per node, and virtual collisions between them.
+# several backoffs per node, and virtual collisions between them.  The
+# mild and est cases pin the two backoff schemes no shipped scenario runs;
+# oar+est is the only one whose estimator snoops CTS frames that carry a
+# receiver-selected rate.
 GOLDEN = {
     ("single_cell", None, 2_000_000): (
         "3a54a7c2cc95f9466a57f9e8ba13259a21a3ce6dd122b9c7e80699c6cdf44e2c",
@@ -61,6 +64,18 @@ GOLDEN = {
     ("edcf", None, 300_000): (
         "6da890fd4615f45a931c09bc4945ccbce0418f165b2500a93440c7af3f7809eb",
         "19135777622f217a5b878dc605fe0a49f4ed48a0d609f64d98d938956a0db825"),
+    ("single_cell", "dcf+mild", 2_000_000): (
+        "6e41c3f90123276af5940669d15d7d27d51b8326a8bd05840d3145435108887e",
+        "5883eb19c0c6594a7440c1f6907e8097911ed6fa9e9f8abef6997c910dc4f710"),
+    ("single_cell", "dcf+est", 2_000_000): (
+        "27f1bd40896b0b8d3be71eba65fa3f8bc525663570ee2124f8e952adc05955b7",
+        "753fb318c17e6911c789cfaa9f9aea22929ffe8ccf4587362f3b7c55ac6acf1d"),
+    ("fading_rate", "dcf+arf+mild", 2_000_000): (
+        "e81100b901d89381c6bee77ca356c2affc050856269ea3e346538d135bbf729d",
+        "02105aa4173a21a681b14d12a4f692c5a27a82cf8d29bfdabde944137568776d"),
+    ("fading_rate", "dcf+oar+est", 2_000_000): (
+        "4c909c85aad7acf61be85a0b672b7a01a70aa57fd11a5c2b1b005807a13712a4",
+        "4d53395f7524f1de0a9dfe9bd7236a7581b82228edde8ef4b46f7f87b22c577c"),
 }
 
 # Generated cases: not files under scenarios/.
