@@ -72,7 +72,12 @@ def main(argv=None):
         parser.error("a command is required (run, compare, validate)")
 
     if args.command == "validate":
-        _load(args.scenario)
+        s = _load(args.scenario)
+        try:
+            harness.build(s)  # checks that need the built nodes' parameters
+        except ScenarioError as e:
+            sys.stderr.write("%s: %s\n" % (args.scenario, e))
+            sys.exit(2)
         print("ok")
         return 0
 

@@ -1,4 +1,4 @@
-"""DCF building blocks: contention window arithmetic, backoff, NAV, fragmentation.
+"""DCF building blocks: contention window arithmetic, backoff, fragmentation.
 
 The stateful channel-access machine lives in mac.py; everything here is a
 pure function so the rules can be tested in isolation.
@@ -16,8 +16,6 @@ RETRY_LIMIT = 7
 # Default 802.11b timing [us]; scenarios may override.
 SLOT_US = 20
 SIFS_US = 10
-PIFS_US = SIFS_US + SLOT_US
-DIFS_US = SIFS_US + 2 * SLOT_US
 
 
 @dataclass
@@ -53,11 +51,6 @@ def draw_backoff(cw, stream):
     if cw < 1:
         raise ValueError("cw must be >= 1")
     return stream.uniform_int(0, cw - 1)
-
-
-def nav_merge(nav_until, heard_duration, now):
-    """NAV only ever extends; a shorter overheard reservation cannot shrink it."""
-    return max(nav_until, now + heard_duration)
 
 
 def should_use_rts(payload_bytes, rts_threshold):

@@ -6,9 +6,8 @@ transmission sized to end exactly when the primary DATA ends, so the two
 link-level ACKs cannot garble each other.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dcf import MacParams
 from .frames import ACK_AIR, CTS_AIR
 from .phy import airtime
 
@@ -28,23 +27,6 @@ def dcfplus_ack_duration(reverse_bytes, rate, sifs_us):
 
 # -- EDCF -------------------------------------------------------------------
 
-@dataclass
-class EdcfCategory:
-    """One traffic category: its own queue, AIFS, window bounds and PF."""
-
-    index: int = 0
-    aifs_us: int = 50
-    pf: float = 2.0
-    cw_min: int = 16
-    cw_max: int = 256
-
-    def validate(self, difs_us):
-        if self.aifs_us < difs_us:
-            raise ValueError(
-                "category %d: AIFS %d below DIFS %d" % (self.index, self.aifs_us,
-                                                        difs_us))
-
-
 def edcf_expand_cw(cw, pf, cw_max):
     """Virtual-collision loser: window grows by the persistence factor."""
     return min(int(round(cw * pf)), cw_max)
@@ -60,19 +42,15 @@ def edcf_pick_winner(ready):
 
 @dataclass
 class IcaState:
-    rts_sender: int = -1
     rts_duration: int = 0
     rts_end: int = -1  # when the overheard RTS left the air [us]
     xid: int = -1
-    exposed: bool = False
     window_end: int = -1  # primary DATA end instant E [us]
 
     def clear(self):
-        self.rts_sender = -1
         self.rts_duration = 0
         self.rts_end = -1
         self.xid = -1
-        self.exposed = False
         self.window_end = -1
 
 

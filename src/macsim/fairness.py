@@ -1,12 +1,16 @@
 """Fairness machinery: MILD backoff, throughput-estimation backoff, SCFQ/DFS.
 
-The SCFQ oracle is a centralized reference scheduler used to check that the
-distributed backoff mapping reproduces the same medium-access order when
-collisions and randomization are switched off.
+harness.build picks one backoff scheme object per node: `Beb`, `Mild`, `Est`
+or `Dfs`.  The SCFQ oracle is a centralized reference scheduler used to
+check that the distributed backoff mapping reproduces the same medium-access
+order when collisions and randomization are switched off.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+
+from . import dcf
+from .frames import ACK_AIR
 
 MILD_FACTOR = 1.5
 EST_WINDOW_US = 100_000
@@ -24,12 +28,12 @@ def share_cw_on_hear(local_cw, advertised_cw):
     return advertised_cw
 
 
-def fairness_index(shares, throughputs, worst_pair=True):
-    """Pairwise min/max ratio of share-normalized throughputs.
+def fairness_index(shares, throughputs):
+    """Worst-pair min/max ratio of share-normalized throughputs.
 
-    Equation as typeset is ambiguous between the worst pair and the best
-    pair; `worst_pair=True` (default) reports the worst, which is the reading
-    consistent with maximizing the index toward 1.
+    The equation as typeset is ambiguous between the worst pair and the best
+    pair; the worst pair is the reading consistent with maximizing the index
+    toward 1.
     """
     if len(shares) != len(throughputs) or len(shares) < 2:
         raise ValueError("need matching share/throughput vectors of length >= 2")
@@ -38,42 +42,7 @@ def fairness_index(shares, throughputs, worst_pair=True):
     if all(w == 0 for w in throughputs):
         raise ValueError("fairness index undefined when all throughputs are zero")
     norm = [w / p for w, p in zip(throughputs, shares)]
-    if worst_pair:
-        return min(norm) / max(norm)
-    best = 0.0
-    for i in range(len(norm)):
-        for j in range(i + 1, len(norm)):
-            lo, hi = sorted((norm[i], norm[j]))
-            best = max(best, lo / hi if hi > 0 else 0.0)
-    return best
-
-
-@dataclass
-class TrafficEstimate:
-    """Sliding-window byte counters: own acked traffic vs snooped neighbours."""
-
-    window_us: int = EST_WINDOW_US
-    _own: list = field(default_factory=list)  # (time_us, bits)
-    _others: list = field(default_factory=list)
-
-    def note_own(self, now, bits):
-        self._own.append((now, bits))
-
-    def note_others(self, now, bits):
-        self._others.append((now, bits))
-
-    def _prune(self, now):
-        cutoff = now - self.window_us
-        self._own = [e for e in self._own if e[0] >= cutoff]
-        self._others = [e for e in self._others if e[0] >= cutoff]
-
-    def w_self(self, now):
-        self._prune(now)
-        return sum(b for _, b in self._own)
-
-    def w_others(self, now):
-        self._prune(now)
-        return sum(b for _, b in self._others)
+    return min(norm) / max(norm)
 
 
 def estimation_backoff_update(cw, w_self, w_others, phi_self, cw_min=16, cw_max=256):
@@ -149,3 +118,121 @@ def dfs_backoff(length_bits, phi, scaling, stream=None, compress_threshold=None)
         b = compress_threshold + int(
             compress_threshold * math.log2(b / compress_threshold))
     return b
+
+
+class Beb:
+    """Binary exponential backoff, the DCF rule, and the base of every
+    backoff scheme.
+
+    The mac calls `draw` for a fresh backoff, `on_success` after each acked
+    DATA frame, `on_failure` after each missed CTS or ACK, `on_transmit` for
+    each frame it sends, `on_hear` for each frame it receives and
+    `on_overhear_cts` for each CTS addressed to another node.
+    """
+
+    def draw(self, cat, rng):
+        return dcf.draw_backoff(cat.cw, rng)
+
+    def on_success(self, mac, cat, bits):
+        cat.cw = cat.cw_min
+
+    def on_failure(self, mac, cat):
+        cat.cw = dcf.cw_after(cat.cw, dcf.FAILURE, cat.cw_min, cat.cw_max)
+
+    def on_transmit(self, mac, frame):
+        pass
+
+    def on_hear(self, mac, frame):
+        pass
+
+    def on_overhear_cts(self, mac, frame):
+        pass
+
+
+class Mild(Beb):
+    """MACAW: multiplicative increase, linear decrease, and a window that
+    every frame advertises and every hearer copies."""
+
+    def __init__(self, factor=MILD_FACTOR):
+        self.factor = factor
+
+    def on_success(self, mac, cat, bits):
+        cat.cw = mild_update(cat.cw, False, self.factor, cat.cw_min, cat.cw_max)
+
+    def on_failure(self, mac, cat):
+        cat.cw = mild_update(cat.cw, True, self.factor, cat.cw_min, cat.cw_max)
+
+    def on_transmit(self, mac, frame):
+        frame.adv_cw = mac.cats[0].cw
+
+    def on_hear(self, mac, frame):
+        if frame.adv_cw > 0 and frame.src != mac.node_id:
+            cat = mac.cats[0]
+            cat.cw = share_cw_on_hear(cat.cw, frame.adv_cw)
+
+
+class Est(Beb):
+    """Throughput-estimation backoff over a sliding window of the node's own
+    acked bits and the bits it infers from snooped CTS frames."""
+
+    def __init__(self, phi=0.5, window_us=EST_WINDOW_US):
+        self.phi = phi
+        self.window_us = window_us
+        self._own = deque()  # (time_us, bits), oldest first
+        self._others = deque()
+
+    def note_own(self, now, bits):
+        self._own.append((now, bits))
+
+    def note_others(self, now, bits):
+        self._others.append((now, bits))
+
+    def _prune(self, now):
+        cutoff = now - self.window_us
+        for samples in (self._own, self._others):
+            while samples and samples[0][0] < cutoff:
+                samples.popleft()
+
+    def w_self(self, now):
+        self._prune(now)
+        return sum(b for _, b in self._own)
+
+    def w_others(self, now):
+        self._prune(now)
+        return sum(b for _, b in self._others)
+
+    def on_success(self, mac, cat, bits):
+        self.on_failure(mac, cat)  # the same window update, before our bits
+        self.note_own(mac.sim.now, bits)
+
+    def on_failure(self, mac, cat):
+        now = mac.sim.now
+        cat.cw = estimation_backoff_update(
+            cat.cw, self.w_self(now), self.w_others(now), self.phi,
+            cat.cw_min, cat.cw_max)
+
+    def on_overhear_cts(self, mac, frame):
+        # A CTS not involving us reveals a data exchange and its length.
+        if frame.src != mac.node_id:
+            data_air = frame.duration - 2 * mac.params.sifs_us - ACK_AIR
+            rate = frame.selected_rate or mac.fixed_rate
+            bits = max(0, (data_air - 192)) * rate
+            if bits > 0:
+                self.note_others(mac.sim.now, bits)
+
+
+class Dfs(Beb):
+    """Distributed fair scheduling: a first attempt backs off in proportion
+    to its packet length over the node's share; retries use the DCF window."""
+
+    def __init__(self, phi=1.0, scaling=1.0, randomize=True, compress=None):
+        self.phi = phi
+        self.scaling = scaling
+        self.randomize = randomize
+        self.compress = compress
+
+    def draw(self, cat, rng):
+        if cat.retry_count:
+            return dcf.draw_backoff(cat.cw, rng)
+        return dfs_backoff(cat.queue[0].remaining * 8, self.phi, self.scaling,
+                           rng if self.randomize else None, self.compress)

@@ -1,6 +1,6 @@
 """MAC frame model and duration arithmetic shared by every variant."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .phy import airtime
 
@@ -41,7 +41,7 @@ CTS_AIR = control_airtime(CTS_BYTES)
 ACK_AIR = control_airtime(ACK_BYTES)
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     kind: str
     src: int
@@ -56,6 +56,8 @@ class Frame:
     packet_id: int = -1
     flow_id: int = -1
     xid: int = -1
+    frag_offset: int = 0  # DATA: byte offset of this payload in its packet
+    standalone: int = 0  # DATA: a whole packet, not to be reassembled
     # Variant extension fields.
     tentative_rate: float = 0.0  # RBAR, on RTS
     selected_rate: float = 0.0  # RBAR, on CTS

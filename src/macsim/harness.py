@@ -1,6 +1,6 @@
 """Wire a Scenario into a live simulation: nodes, medium, traffic, metrics."""
 
-from . import scenario as scn_mod
+from . import fairness, rate, scenario as scn_mod
 from .dcf import MacParams
 from .engine import Simulator
 from .mac import AccessCategory, MacNode, Packet
@@ -40,11 +40,30 @@ def _node_params(s, nid):
     return MacParams(**kw)
 
 
-def _dfs_scaling(s):
-    if "dfs_scaling" in s.mac:
-        return s.mac["dfs_scaling"]
-    max_bits = max((f.packet_bytes * 8 for f in s.flows), default=12000)
-    return 16.0 / max_bits  # max-size packet at phi=1 maps to cw_min slots
+def _rate_scheme(name, s, fixed_rate):
+    if name == "arf":
+        return rate.Arf(fixed_rate, s.mac.get("arf_timer_us", rate.ARF_TIMER_US))
+    if name == "rbar":
+        return rate.Rbar(fixed_rate)
+    if name == "oar":
+        return rate.Oar(fixed_rate, s.mac.get("oar_ref_bytes", rate.OAR_REF_BYTES))
+    return rate.FixedRate(fixed_rate)
+
+
+def _backoff_scheme(name, s, ov):
+    if name == "mild":
+        return fairness.Mild(s.mac.get("mild_factor", fairness.MILD_FACTOR))
+    if name == "est":
+        return fairness.Est(ov.get("est_phi", s.mac.get("est_phi", 0.5)),
+                            s.mac.get("est_window_us", fairness.EST_WINDOW_US))
+    if name == "dfs":
+        # By default a max-size packet at phi=1 maps to cw_min slots.
+        max_bits = max((f.packet_bytes * 8 for f in s.flows), default=12000)
+        return fairness.Dfs(ov.get("phi", 1.0),
+                            s.mac.get("dfs_scaling", 16.0 / max_bits),
+                            s.mac.get("dfs_random", True),
+                            s.mac.get("dfs_compress"))
+    return fairness.Beb()
 
 
 def build(s, variant=None, trace=False):
@@ -63,8 +82,7 @@ def build(s, variant=None, trace=False):
                         s.metric_window_us)
 
     macs = {}
-    pcf_flags = None
-    dfs_scaling = _dfs_scaling(s)
+    any_pcf = False
     for nid in node_ids:
         ov = s.node_overrides.get(nid, {})
         vname = variant or ov.get("variant", s.variant)
@@ -79,37 +97,23 @@ def build(s, variant=None, trace=False):
             cats = []
             for i, (aifs, pf, cw_min, cw_max) in enumerate(s.edcf_cats):
                 if aifs < params.difs_us:
-                    raise ScenarioError(
-                        "category %d AIFS %d below DIFS %d"
-                        % (i, aifs, params.difs_us))
+                    scn_mod._err(s.key_lines[("edcf", "cat%d" % i)],
+                                 "category %d AIFS %d below DIFS %d"
+                                 % (i, aifs, params.difs_us))
                 cats.append(AccessCategory(i, aifs, pf, cw_min, cw_max))
-        kw = dict(
-            fixed_rate=ov.get("data_rate", s.mac.get("data_rate", 11)),
-            rate_policy=flags["rate_policy"],
-            cw_policy=flags["cw_policy"],
-            dcfplus=flags["dcfplus"],
-            ica=flags["ica"],
-            categories=cats,
-            dfs_phi=ov.get("phi", 1.0),
-            dfs_scaling=dfs_scaling,
-            est_phi=ov.get("est_phi", s.mac.get("est_phi", 0.5)),
-        )
-        for key, dst in (("mild_factor", "mild_factor"),
-                         ("est_window_us", "est_window_us"),
-                         ("dfs_compress", "dfs_compress"),
-                         ("dfs_random", "dfs_random"),
-                         ("arf_timer_us", "arf_timer_us"),
-                         ("oar_ref_bytes", "oar_ref_bytes"),
-                         ("ica_cts_timeout_us", "ica_cts_timeout_us")):
-            if key in s.mac:
-                kw[dst] = s.mac[key]
-        macs[nid] = MacNode(sim, medium, nid, params=params, seed=s.seed,
-                            recorder=recorder, **kw)
-        if flags["pcf"]:
-            pcf_flags = flags
+        fixed_rate = ov.get("data_rate", s.mac.get("data_rate", 11))
+        macs[nid] = MacNode(
+            sim, medium, nid, params=params, seed=s.seed,
+            fixed_rate=fixed_rate,
+            rate_scheme=_rate_scheme(flags["rate_policy"], s, fixed_rate),
+            backoff_scheme=_backoff_scheme(flags["cw_policy"], s, ov),
+            dcfplus=flags["dcfplus"], ica=flags["ica"], categories=cats,
+            ica_cts_timeout_us=s.mac.get("ica_cts_timeout_us"),
+            recorder=recorder)
+        any_pcf = any_pcf or flags["pcf"]
 
-    if pcf_flags is not None or (s.pcf is not None and
-                                 "pcf" in (variant or s.variant).split("+")):
+    if any_pcf or (s.pcf is not None
+                   and "pcf" in (variant or s.variant).split("+")):
         if s.pcf is None:
             raise ScenarioError("pcf variant needs a [pcf] section")
         pc_mac = macs[s.pcf["coordinator"]]

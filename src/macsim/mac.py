@@ -2,21 +2,21 @@
 
 One MacNode runs one or more access categories (plain DCF is the
 single-category special case, which is what makes the EDCF trace-equivalence
-property hold by construction).  Rate adaptation, fairness backoff policies
-and the DCF+/ICA extensions hang off small hook points rather than separate
-state machines, so every variant shares the same timing skeleton.
+property hold by construction).  Each node holds one rate scheme (rate.py)
+and one backoff scheme (fairness.py), chosen at build time and called
+through a fixed set of hooks; those and the DCF+/ICA extensions hang off the
+same timing skeleton rather than separate state machines.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from dataclasses import dataclass
 
 from . import dcf, ext, fairness, rate as rate_mod
 from .dcf import MacParams
 from .engine import RandomStream
-from .frames import (ACK, ACK_AIR, ACK_BYTES, BEACON, BROADCAST, CF_ACK,
-                     CF_POLL, CF_END, CTS, CTS_AIR, CTS_BYTES, DATA,
-                     DATA_CF_ACK, RTS, RTS_AIR, RTS_BYTES, Frame,
-                     frame_airtime)
+from .frames import (ACK, ACK_AIR, ACK_BYTES, BEACON, CF_ACK, CF_POLL,
+                     CF_END, CTS, CTS_AIR, CTS_BYTES, DATA, DATA_CF_ACK, RTS,
+                     RTS_BYTES, Frame)
 from .phy import airtime
 
 IDLE = "idle"
@@ -65,26 +65,18 @@ class AccessCategory:
         self.ready_time = 0
 
 
-class _ChainElem:
-    __slots__ = ("packet", "size", "mf", "fragno", "standalone")
-
-    def __init__(self, packet, size, mf, fragno, standalone=0):
-        self.packet = packet
-        self.size = size
-        self.mf = mf
-        self.fragno = fragno
-        self.standalone = standalone
+# One DATA frame of an exchange's chain: `size` bytes of `packet`, its
+# more-fragments flag and fragment number, and whether it is a whole packet
+# the receiver must not reassemble.
+_ChainElem = namedtuple("_ChainElem", "packet size mf fragno standalone",
+                        defaults=(0,))
 
 
 class MacNode:
     def __init__(self, sim, medium, node_id, params=None, seed=0,
-                 fixed_rate=11, rate_policy="fixed", cw_policy="beb",
+                 fixed_rate=11, rate_scheme=None, backoff_scheme=None,
                  dcfplus=False, ica=False, categories=None,
-                 mild_factor=fairness.MILD_FACTOR, est_phi=0.5,
-                 est_window_us=fairness.EST_WINDOW_US,
-                 dfs_phi=1.0, dfs_scaling=1.0, dfs_random=True,
-                 dfs_compress=None, arf_timer_us=rate_mod.ARF_TIMER_US,
-                 oar_ref_bytes=2304, ica_cts_timeout_us=None, recorder=None):
+                 ica_cts_timeout_us=None, recorder=None):
         self.sim = sim
         self.medium = medium
         self.node_id = node_id
@@ -93,22 +85,11 @@ class MacNode:
         self.recorder = recorder
 
         self.fixed_rate = fixed_rate
-        self.rate_policy = rate_policy
-        self.cw_policy = cw_policy
+        self.rate_scheme = rate_scheme or rate_mod.FixedRate(fixed_rate)
+        self.backoff_scheme = backoff_scheme or fairness.Beb()
         self.dcfplus = dcfplus
         self.ica_enabled = ica
         self.ica_cts_timeout_us = ica_cts_timeout_us
-        self.mild_factor = mild_factor
-        self.est_phi = est_phi
-        self.estimate = fairness.TrafficEstimate(est_window_us)
-        self.dfs_phi = dfs_phi
-        self.dfs_scaling = dfs_scaling
-        self.dfs_random = dfs_random
-        self.dfs_compress = dfs_compress
-        self.oar_ref_bytes = oar_ref_bytes
-        self.arf = rate_mod.ArfState(current_rate=fixed_rate, timer_us=arf_timer_us)
-        self.last_selected = fixed_rate  # RBAR tentative rate memory
-        self.last_tentative = fixed_rate
 
         if categories:
             self.cats = categories
@@ -184,8 +165,7 @@ class MacNode:
 
     def _clear_self_tx(self):
         self.self_tx = False
-        if self._virtually_idle():
-            self._on_idle_edge()
+        self._maybe_idle_edge()
 
     # set_nav runs for nearly every overheard frame, and mostly extends a
     # pending NAV, so the expiry Event is moved with Simulator.reschedule
@@ -211,13 +191,15 @@ class MacNode:
                 self._on_busy_edge()
             if ev is None:
                 self._nav_event = self.sim.schedule(
-                    new, "nav_expiry", self.node_id, self._on_nav_expiry)
+                    new, "nav_expiry", self.node_id, self._maybe_idle_edge)
             else:
                 self._nav_event = self.sim.reschedule(ev, new)
         elif ev is not None:
             ev.cancel()
 
-    def _on_nav_expiry(self):
+    # Runs when the NAV expires, and after anything else that may have left
+    # the node virtually idle.
+    def _maybe_idle_edge(self):
         if self._virtually_idle():
             self._on_idle_edge()
 
@@ -272,7 +254,7 @@ class MacNode:
         the later of the idle edge and the category's ready time."""
         slots = cat.backoff_slots
         if slots is None:
-            slots = cat.backoff_slots = self._draw_backoff(cat)
+            slots = cat.backoff_slots = self.backoff_scheme.draw(cat, self.rng)
         start = self.idle_since
         if cat.ready_time > start:
             start = cat.ready_time
@@ -289,15 +271,6 @@ class MacNode:
         cat.timer = cat.fire_ev = ev
         if self.medium.genie_tiebreak:
             self.medium.pending_fire[self.node_id] = fire
-
-    def _draw_backoff(self, cat):
-        if self.cw_policy == "dfs" and cat.retry_count == 0:
-            head = cat.queue[0]
-            stream = self.rng if self.dfs_random else None
-            return fairness.dfs_backoff(head.remaining * 8, self.dfs_phi,
-                                        self.dfs_scaling, stream,
-                                        self.dfs_compress)
-        return dcf.draw_backoff(cat.cw, self.rng)
 
     def _on_access_fire(self, cat):
         cat.timer = None
@@ -337,41 +310,25 @@ class MacNode:
         self._next_xid += 1
         return self._next_xid
 
-    def _pick_rate(self):
-        if self.rate_policy == "arf":
-            return rate_mod.arf_current_rate(self.arf, self.sim.now)
-        if self.rate_policy in ("rbar", "oar"):
-            return self.last_selected
-        return self.fixed_rate
-
     def _build_chain(self, cat, data_rate):
-        """Chain of DATA frames for this attempt, from the head of the queue."""
+        """Chain of DATA frames for this attempt, from the head of the queue:
+        the rate scheme's burst of whole packets, else the head's fragments."""
+        frag_threshold = self.params.frag_threshold
+        burst = self.rate_scheme.burst(cat.queue, data_rate, frag_threshold)
+        if burst is not None:
+            last = len(burst) - 1
+            return [_ChainElem(pkt, pkt.remaining, 1 if i < last else 0, 0,
+                               standalone=1)
+                    for i, pkt in enumerate(burst)]
         head = cat.queue[0]
-        p = self.params
-        if self.rate_policy == "oar" and head.remaining <= p.frag_threshold:
-            n = rate_mod.oar_burst_len(data_rate)
-            n = rate_mod.oar_cap_burst(n, head.remaining, data_rate,
-                                       self.oar_ref_bytes)
-            burst = [head]
-            for pkt in list(cat.queue)[1:]:
-                if len(burst) >= n or pkt.dst != head.dst:
-                    break
-                burst.append(pkt)
-            chain = [
-                _ChainElem(pkt, pkt.remaining,
-                           1 if i < len(burst) - 1 else 0, 0, standalone=1)
-                for i, pkt in enumerate(burst)
-            ]
-            return chain
-        plan = dcf.fragment_plan(head.remaining, p.frag_threshold)
+        plan = dcf.fragment_plan(head.remaining, frag_threshold)
         return [_ChainElem(head, size, mf, head.next_frag + i)
                 for i, (size, mf, _n) in enumerate(plan)]
 
     def _start_exchange(self, cat):
         p = self.params
         self._cur_cat = cat
-        self._data_rate = self._pick_rate()
-        self.last_tentative = self._data_rate
+        self._data_rate = self.rate_scheme.pick(self.sim.now)
         self._chain = self._build_chain(cat, self._data_rate)
         self._chain_idx = 0
         self._xid = self._new_xid()
@@ -381,7 +338,7 @@ class MacNode:
                    + airtime(first.size, self._data_rate) + ACK_AIR)
             frame = Frame(RTS, self.node_id, first.packet.dst, duration=dur,
                           payload_bytes=RTS_BYTES, xid=self._xid)
-            if self.rate_policy in ("rbar", "oar"):
+            if self.rate_scheme.receiver_picks:
                 frame.tentative_rate = self._data_rate
                 frame.size = first.size
                 frame.nframes = len(self._chain)
@@ -400,14 +357,12 @@ class MacNode:
     def _on_cts(self, frame):
         self._cancel_timer()
         p = self.params
+        # Only a receiver-picks scheme's RTS gets a selected rate back.  The
+        # scheme keeps it, and the chain is rebuilt for it: a burst's length
+        # depends on the rate, a fragment plan does not.
         if frame.selected_rate:
-            self._data_rate = frame.selected_rate
-            if self.rate_policy in ("rbar", "oar"):
-                self.last_selected = frame.selected_rate
-                if self.rate_policy == "oar":
-                    self._chain = self._build_chain(self._cur_cat,
-                                                    self._data_rate)
-                    self._chain_idx = 0
+            self._data_rate = self.rate_scheme.rate = frame.selected_rate
+            self._chain = self._build_chain(self._cur_cat, self._data_rate)
         self.phase = AWAIT_ACK
         self.sim.schedule_in(p.sifs_us, "send_data", self.node_id,
                              self._send_chain_elem)
@@ -425,11 +380,12 @@ class MacNode:
                       fragment_number=elem.fragno,
                       retry=1 if self._cur_cat.retry_count > 0 else 0,
                       packet_id=elem.packet.pid, flow_id=elem.packet.flow_id,
-                      xid=self._xid, size=elem.packet.size)
-        frame.frag_offset = elem.packet.offset
-        frame.standalone = elem.standalone
-        if self._chain_idx == 0 and self.rate_policy in ("rbar", "oar") \
-                and rate_mod.rbar_needs_rsh(self.last_tentative, self._data_rate):
+                      xid=self._xid, size=elem.packet.size,
+                      frag_offset=elem.packet.offset,
+                      standalone=elem.standalone)
+        rs = self.rate_scheme
+        if self._chain_idx == 0 and rs.receiver_picks \
+                and rate_mod.rbar_needs_rsh(rs.tentative, self._data_rate):
             frame.rsh = 1
         self._transmit(frame, self._data_rate, self._after_data)
 
@@ -447,10 +403,8 @@ class MacNode:
         pkt.remaining -= elem.size
         pkt.next_frag += 1
         cat.retry_count = 0
-        self._cw_on_success(cat)
-        if self.rate_policy == "arf":
-            rate_mod.arf_on_result(self.arf, True, self.sim.now)
-        self.estimate.note_own(self.sim.now, elem.size * 8)
+        self.backoff_scheme.on_success(self, cat, elem.size * 8)
+        self.rate_scheme.on_result(True, self.sim.now)
         if pkt.remaining == 0 or elem.standalone:
             self._complete_packet(cat, pkt)
         self._chain_idx += 1
@@ -475,8 +429,7 @@ class MacNode:
         self.phase = IDLE
         self._chain = None
         self._cur_cat = None
-        if self._virtually_idle():
-            self._on_idle_edge()
+        self._maybe_idle_edge()
 
     def _on_failure(self, kind):
         self._timer = None
@@ -485,10 +438,10 @@ class MacNode:
         pkt = elem.packet
         if self.sim.trace_lines is not None:
             self.sim.trace(self.node_id, "tx_fail", "%s pkt=%d" % (kind, pkt.pid))
-        if self.rate_policy == "arf" and kind == "ack":
-            rate_mod.arf_on_result(self.arf, False, self.sim.now)
+        if kind == "ack":
+            self.rate_scheme.on_result(False, self.sim.now)
         cat.retry_count += 1
-        self._cw_on_failure(cat)
+        self.backoff_scheme.on_failure(self, cat)
         if cat.retry_count > self.params.retry_limit:
             if pkt in cat.queue:
                 cat.queue.remove(pkt)
@@ -503,39 +456,12 @@ class MacNode:
         cat.ready_time = self.sim.now
         self._finish_exchange()
 
-    # -- contention-window policies ------------------------------------
-
-    def _cw_on_success(self, cat):
-        if self.cw_policy == "mild":
-            cat.cw = fairness.mild_update(cat.cw, False, self.mild_factor,
-                                          cat.cw_min, cat.cw_max)
-        elif self.cw_policy == "est":
-            self._est_update(cat)
-        else:  # beb, dfs
-            cat.cw = cat.cw_min
-
-    def _cw_on_failure(self, cat):
-        if self.cw_policy == "mild":
-            cat.cw = fairness.mild_update(cat.cw, True, self.mild_factor,
-                                          cat.cw_min, cat.cw_max)
-        elif self.cw_policy == "est":
-            self._est_update(cat)
-        else:  # beb, dfs: binary exponential backoff for retransmissions
-            cat.cw = dcf.cw_after(cat.cw, dcf.FAILURE, cat.cw_min, cat.cw_max)
-
-    def _est_update(self, cat):
-        now = self.sim.now
-        cat.cw = fairness.estimation_backoff_update(
-            cat.cw, self.estimate.w_self(now), self.estimate.w_others(now),
-            self.est_phi, cat.cw_min, cat.cw_max)
-
     # ------------------------------------------------------------------
     # transmit helper
     # ------------------------------------------------------------------
 
     def _transmit(self, frame, rate, after=None):
-        if self.cw_policy == "mild":
-            frame.adv_cw = self.cats[0].cw
+        self.backoff_scheme.on_transmit(self, frame)
         self._set_self_tx()
 
         def on_end():
@@ -555,13 +481,7 @@ class MacNode:
     # ------------------------------------------------------------------
 
     def on_frame(self, frame, rate, start):
-        if self.cw_policy == "mild" and frame.adv_cw > 0 \
-                and frame.src != self.node_id:
-            self.cats[0].cw = fairness.share_cw_on_hear(self.cats[0].cw,
-                                                        frame.adv_cw)
-        if self.pcf is not None:
-            self.pcf.on_frame(frame)
-
+        self.backoff_scheme.on_hear(self, frame)
         kind = frame.kind
         if kind == RTS:
             if frame.dst == self.node_id:
@@ -600,8 +520,7 @@ class MacNode:
         self.nav_xid = -1
         if self._nav_event is not None:
             self._nav_event.cancel()
-        if self._virtually_idle():
-            self._on_idle_edge()
+        self._maybe_idle_edge()
 
     def _overhear(self, frame):
         if frame.duration > 0 or frame.xid == self.nav_xid:
@@ -614,23 +533,14 @@ class MacNode:
             self._ica_timer.cancel()
             self._ica_timer = None
             self.ica.clear()
-        # Estimation snooping: a CTS not involving us reveals a data exchange.
-        if self.cw_policy == "est" and frame.src != self.node_id:
-            p = self.params
-            data_air = frame.duration - 2 * p.sifs_us - ACK_AIR
-            rate_est = frame.selected_rate or self.fixed_rate
-            bits = max(0, (data_air - 192)) * rate_est
-            if bits > 0:
-                self.estimate.note_others(self.sim.now, bits)
+        self.backoff_scheme.on_overhear_cts(self, frame)
         self._overhear(frame)
 
     def _overhear_rts(self, frame):
         if self.ica_enabled and self.phase == IDLE:
-            self.ica.rts_sender = frame.src
             self.ica.rts_duration = frame.duration
             self.ica.rts_end = self.sim.now
             self.ica.xid = frame.xid
-            self.ica.exposed = False
             if self._ica_timer is not None:
                 self._ica_timer.cancel()
             p = self.params
@@ -665,17 +575,14 @@ class MacNode:
         else:
             cts.duration = max(0, frame.duration - p.sifs_us - CTS_AIR)
         self.sim.schedule_in(p.sifs_us, "send_cts", self.node_id,
-                             lambda: self._respond(cts))
+                             lambda: self._transmit(cts, 1))
         # Stay quiet while the exchange we just enabled runs.
         self.set_nav(self.sim.now + p.sifs_us + CTS_AIR + cts.duration,
                      frame.xid, replace=True)
 
-    def _respond(self, frame):
-        self._transmit(frame, 1)
-
     def _on_data(self, frame):
         p = self.params
-        delivered = self._reassemble(frame)
+        self._reassemble(frame)
         if frame.kind == DATA_CF_ACK:
             return  # contention-free response; the poll loop carries on
         ack = Frame(ACK, self.node_id, frame.src, payload_bytes=ACK_BYTES,
@@ -697,24 +604,19 @@ class MacNode:
                 self.phase = DCFP_WAIT_CTS
                 self._quiet_peer = frame.src
 
-        def send_ack():
-            self._transmit(ack, 1, self._after_own_ack(ack))
-
-        self.sim.schedule_in(p.sifs_us, "send_ack", self.node_id, send_ack)
+        self.sim.schedule_in(p.sifs_us, "send_ack", self.node_id,
+                             lambda: self._transmit(ack, 1, self._after_own_ack))
         if ack.duration > 0 and self.phase != DCFP_WAIT_CTS:
             # More fragments follow; keep quiet for the rest of the burst.
             self.set_nav(self.sim.now + p.sifs_us + ACK_AIR + ack.duration,
                          frame.xid, replace=True)
-        del delivered
 
-    def _after_own_ack(self, ack):
-        def cb():
-            if self.phase == DCFP_WAIT_CTS:
-                p = self.params
-                self._timer = self.sim.schedule_in(
-                    p.sifs_us + CTS_AIR + p.slot_us, "dcfp_cts_timeout",
-                    self.node_id, self._dcfp_abort)
-        return cb
+    def _after_own_ack(self):
+        if self.phase == DCFP_WAIT_CTS:
+            p = self.params
+            self._timer = self.sim.schedule_in(
+                p.sifs_us + CTS_AIR + p.slot_us, "dcfp_cts_timeout",
+                self.node_id, self._dcfp_abort)
 
     def _reassemble(self, frame):
         key = (frame.src, frame.packet_id)
@@ -730,8 +632,6 @@ class MacNode:
             if self.sim.trace_lines is not None:
                 self.sim.trace(self.node_id, "deliver",
                                "flow=%d pkt=%d" % (frame.flow_id, frame.packet_id))
-            return True
-        return False
 
     # -- DCF+ ------------------------------------------------------------
 
@@ -771,9 +671,7 @@ class MacNode:
         frame = Frame(DATA, self.node_id, pkt.dst,
                       duration=p.sifs_us + ACK_AIR, payload_bytes=pkt.size,
                       packet_id=pkt.pid, flow_id=pkt.flow_id, xid=cts.xid,
-                      size=pkt.size)
-        frame.frag_offset = 0
-        frame.standalone = 1
+                      size=pkt.size, standalone=1)
 
         def send():
             self._transmit(frame, self.fixed_rate, self._dcfp_after_rev)
@@ -797,13 +695,9 @@ class MacNode:
 
     def _dcfp_abort(self):
         self._timer = None
-        self.phase = IDLE
         self._quiet_peer = None
         self._dcfp_packet = None
-        self._chain = None
-        self._cur_cat = None
-        if self._virtually_idle():
-            self._on_idle_edge()
+        self._finish_exchange()
 
     # -- ICA -------------------------------------------------------------
 
@@ -811,7 +705,6 @@ class MacNode:
         self._ica_timer = None
         p = self.params
         st = self.ica
-        st.exposed = True
         st.window_end = ext.ica_primary_data_end(st.rts_end, st.rts_duration,
                                                  p.sifs_us)
         reservation_end = st.rts_end + st.rts_duration
@@ -860,9 +753,8 @@ class MacNode:
                       duration=p.sifs_us + ACK_AIR, payload_bytes=size,
                       more_fragments=mf, fragment_number=pkt.next_frag,
                       packet_id=pkt.pid, flow_id=pkt.flow_id,
-                      xid=self._new_xid(), size=pkt.size)
-        frame.frag_offset = pkt.offset
-        frame.standalone = 0
+                      xid=self._new_xid(), size=pkt.size,
+                      frag_offset=pkt.offset)
         self._ica_cur_size = size
 
         def after():
@@ -894,14 +786,11 @@ class MacNode:
         self._ica_close()
 
     def _ica_close(self):
-        end = self._ica_reservation_end
-        self.phase = IDLE
         self._ica_sizes = None
         self.ica.clear()
         self.cats[0].ready_time = self.sim.now
-        self.set_nav(end)
-        if self._virtually_idle():
-            self._on_idle_edge()
+        self.set_nav(self._ica_reservation_end)
+        self._finish_exchange()
 
     # -- PCF responder ---------------------------------------------------
 
@@ -912,9 +801,8 @@ class MacNode:
             pkt = cat.queue[0]
             resp = Frame(DATA_CF_ACK, self.node_id, pkt.dst,
                          payload_bytes=pkt.remaining, packet_id=pkt.pid,
-                         flow_id=pkt.flow_id, size=pkt.size)
-            resp.frag_offset = pkt.offset
-            resp.standalone = 1
+                         flow_id=pkt.flow_id, size=pkt.size,
+                         frag_offset=pkt.offset, standalone=1)
 
             def done():
                 pkt.remaining = 0

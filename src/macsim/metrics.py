@@ -176,8 +176,3 @@ def format_csv(table):
                 m.collision_events, m.total_transmissions,
                 m.collision_fraction, m.fairness_mean))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(table, path):
-    with open(path, "w") as fh:
-        fh.write(format_csv(table))

@@ -51,7 +51,6 @@ class PointCoordinator:
         self.pollable = list(pollable)
         self.superframe_us = superframe_us
         self.cfp_max_us = cfp_max_us
-        self.cp_min_us = cp_min_us
         self.data_rate = data_rate
         self.pos = 0  # round-robin cursor, persists across superframes
         self.state = _OFF
@@ -157,6 +156,3 @@ class PointCoordinator:
         elif self.state == _IN_RESPONSE:
             self.state = _POLLING
             self._schedule_next_poll()
-
-    def on_frame(self, frame):
-        pass  # polling progress is carrier-driven; frames need no handling

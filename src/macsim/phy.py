@@ -21,14 +21,6 @@ _US_PER_BYTE = {
 
 RATES = (1, 2, 5.5, 11)  # the four rows of the 802.11b rate table
 
-# Modulation/coding labels for the four rates (CCK = Complementary Code Keying).
-RATE_SPECS = {
-    1: ("Barker", "BPSK"),
-    2: ("Barker", "QPSK"),
-    5.5: ("CCK", "QPSK"),
-    11: ("CCK", "QPSK"),
-}
-
 # Link quality states, ordered worst to best.
 BAD, LOW, MID, HIGH = 0, 1, 2, 3
 QUALITY_NAMES = ("BAD", "LOW", "MID", "HIGH")
@@ -63,15 +55,6 @@ def frame_error_prob(payload_bytes, base_fer, base_size=FER_BASE_SIZE):
     if base_fer == 0.0:
         return 0.0
     return min(1.0, base_fer * 2.0 ** ((payload_bytes - base_size) / 300.0))
-
-
-def shannon_capacity(bandwidth_hz, snr):
-    """Channel capacity B*log2(1+SNR) in bits per second."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    if snr < 0:
-        raise ValueError("snr must be non-negative")
-    return bandwidth_hz * math.log2(1.0 + snr)
 
 
 @dataclass

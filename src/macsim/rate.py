@@ -3,10 +3,11 @@
 ARF is sender-side and result-driven; RBAR lets the receiver pick the rate
 during the RTS/CTS exchange; OAR extends RBAR with multi-packet bursts under
 the fragmentation mechanism, bounded so a burst never holds the channel
-longer than one maximum-size packet at the base rate.
+longer than one maximum-size packet at the base rate.  harness.build picks
+one scheme object per node: `FixedRate`, `Arf`, `Rbar` or `Oar`.
 """
 
-from dataclasses import dataclass, field
+from itertools import islice
 
 from . import phy
 from .phy import RATES, airtime
@@ -15,6 +16,7 @@ BASE_RATE = 2  # Mbps; 802.11b base rate anchoring OAR's temporal fairness
 
 ARF_UP_AFTER = 10  # consecutive successes before stepping up
 ARF_TIMER_US = 60_000  # recovery timer default
+OAR_REF_BYTES = 2304  # default burst budget: one max-size 802.11 MSDU
 
 
 def _step(rate, delta):
@@ -22,58 +24,117 @@ def _step(rate, delta):
     return RATES[max(0, min(len(RATES) - 1, i))]
 
 
-@dataclass
-class ArfState:
-    current_rate: float = 11
-    consecutive_successes: int = 0
-    consecutive_failures: int = 0
-    recovery_deadline: int = -1  # [us]; -1 = no timer running
-    just_upgraded: bool = False
-    timer_us: int = ARF_TIMER_US
+class FixedRate:
+    """No adaptation: every attempt goes out at the node's configured rate.
 
-
-def arf_current_rate(state, now):
-    """Rate for the next attempt; an expired recovery timer probes one step up."""
-    if state.recovery_deadline >= 0 and now >= state.recovery_deadline:
-        state.recovery_deadline = -1
-        if state.current_rate != RATES[-1]:
-            state.current_rate = _step(state.current_rate, +1)
-            state.just_upgraded = True
-            state.consecutive_successes = 0
-            state.consecutive_failures = 0
-    return state.current_rate
-
-
-def arf_on_result(state, acked, now):
-    """Update ARF after a data transmission attempt; returns the next rate.
-
-    First missed ACK retries at the same rate; the second steps down and arms
-    the recovery timer.  Ten straight successes step up; a failure right after
-    an upgrade steps straight back down.
+    The base of every rate scheme.  The mac asks `pick` for each new
+    exchange's rate, reports each DATA attempt's outcome to `on_result`, and
+    asks `burst` whether to send several queued packets under one exchange.
+    A scheme with `receiver_picks` set puts the picked rate on its RTS as a
+    tentative rate and keeps the rate the receiver selects on its CTS.
     """
-    if acked:
-        state.consecutive_failures = 0
-        state.consecutive_successes += 1
-        state.just_upgraded = False
-        if (state.consecutive_successes >= ARF_UP_AFTER
-                and state.current_rate != RATES[-1]):
-            state.current_rate = _step(state.current_rate, +1)
-            state.consecutive_successes = 0
-            state.just_upgraded = True
-            state.recovery_deadline = -1
-    else:
-        state.consecutive_successes = 0
-        state.consecutive_failures += 1
-        if state.just_upgraded:
-            state.current_rate = _step(state.current_rate, -1)
-            state.just_upgraded = False
-            state.consecutive_failures = 0
-            state.recovery_deadline = now + state.timer_us
-        elif state.consecutive_failures >= 2:
-            state.current_rate = _step(state.current_rate, -1)
-            state.consecutive_failures = 0
-            state.recovery_deadline = now + state.timer_us
-    return state.current_rate
+
+    receiver_picks = False
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def pick(self, now):
+        return self.rate
+
+    def on_result(self, acked, now):
+        pass
+
+    def burst(self, queue, rate, frag_threshold):
+        """Packets from the head of `queue` to send as one burst, or None."""
+        return None
+
+
+class Arf(FixedRate):
+    """Auto Rate Fallback: sender-side and result-driven."""
+
+    def __init__(self, rate, timer_us=ARF_TIMER_US):
+        self.rate = rate
+        self.consecutive_successes = 0
+        self.consecutive_failures = 0
+        self.recovery_deadline = -1  # [us]; -1 = no timer running
+        self.just_upgraded = False
+        self.timer_us = timer_us
+
+    def pick(self, now):
+        """Rate for the next attempt; an expired recovery timer probes one step up."""
+        if self.recovery_deadline >= 0 and now >= self.recovery_deadline:
+            self.recovery_deadline = -1
+            if self.rate != RATES[-1]:
+                self.rate = _step(self.rate, +1)
+                self.just_upgraded = True
+                self.consecutive_successes = 0
+                self.consecutive_failures = 0
+        return self.rate
+
+    def on_result(self, acked, now):
+        """Update after a data transmission attempt; returns the next rate.
+
+        First missed ACK retries at the same rate; the second steps down and
+        arms the recovery timer.  Ten straight successes step up; a failure
+        right after an upgrade steps straight back down.
+        """
+        if acked:
+            self.consecutive_failures = 0
+            self.consecutive_successes += 1
+            self.just_upgraded = False
+            if (self.consecutive_successes >= ARF_UP_AFTER
+                    and self.rate != RATES[-1]):
+                self.rate = _step(self.rate, +1)
+                self.consecutive_successes = 0
+                self.just_upgraded = True
+                self.recovery_deadline = -1
+        else:
+            self.consecutive_successes = 0
+            self.consecutive_failures += 1
+            if self.just_upgraded or self.consecutive_failures >= 2:
+                self.rate = _step(self.rate, -1)
+                self.just_upgraded = False
+                self.consecutive_failures = 0
+                self.recovery_deadline = now + self.timer_us
+        return self.rate
+
+
+class Rbar(FixedRate):
+    """Receiver-based auto rate: each exchange starts at the rate the
+    receiver last selected (`rate`), which rides on the RTS as `tentative`."""
+
+    receiver_picks = True
+
+    def __init__(self, rate):
+        self.rate = rate
+        self.tentative = rate
+
+    def pick(self, now):
+        self.tentative = self.rate
+        return self.rate
+
+
+class Oar(Rbar):
+    """Opportunistic auto rate: RBAR plus bursts of whole packets whose
+    airtime stays within one `ref_bytes` packet at the base rate."""
+
+    def __init__(self, rate, ref_bytes=OAR_REF_BYTES):
+        super().__init__(rate)
+        self.ref_bytes = ref_bytes
+
+    def burst(self, queue, rate, frag_threshold):
+        head = queue[0]
+        if head.remaining > frag_threshold:
+            return None
+        n = oar_cap_burst(oar_burst_len(rate), head.remaining, rate,
+                          self.ref_bytes)
+        burst = [head]
+        for pkt in islice(queue, 1, None):
+            if len(burst) >= n or pkt.dst != head.dst:
+                break
+            burst.append(pkt)
+        return burst
 
 
 # Receiver-side rate choice: quality state -> highest sustainable rate.
@@ -99,17 +160,3 @@ def oar_cap_burst(n, packet_bytes, rate, ref_bytes, base=BASE_RATE):
     while n > 1 and n * airtime(packet_bytes, rate) > cap:
         n -= 1
     return n
-
-
-def oar_mark_burst(frames):
-    """Set more_fragments on all but the last; zero every fragment number.
-
-    Receivers keep defragmentation disabled for these, so each frame stands
-    alone as a packet.
-    """
-    if len({f.dst for f in frames}) > 1:
-        raise ValueError("OAR burst must target a single destination")
-    for i, f in enumerate(frames):
-        f.more_fragments = 1 if i < len(frames) - 1 else 0
-        f.fragment_number = 0
-    return frames

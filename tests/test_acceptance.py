@@ -10,7 +10,6 @@ import random
 import time
 
 from macsim import harness
-from macsim.dcf import nav_merge
 from macsim.engine import RandomStream
 from macsim.fairness import scfq_oracle
 from macsim.frames import ACK_AIR, CTS_AIR, RTS_AIR
@@ -272,6 +271,20 @@ def test_criterion_11_single_sender_closed_form():
            % (got, oracle, rel * 100))
 
 
+def _nav_after(nav_until, heard_duration, now=100):
+    """NAV of node 1 in a built two-node cell after it holds `nav_until` and
+    then hears a reservation of `heard_duration` at `now`."""
+    sim, _, macs, _ = harness.build(parse_scenario(
+        "[sim]\nduration_us = 1000\n[nodes]\n0 = 0 0\n1 = 1 0\n"
+        "[links]\nhear_range = 50\n"))
+    sim.run_until(now)
+    mac = macs[1]
+    if nav_until:
+        mac.set_nav(nav_until)
+    mac.set_nav(now + heard_duration)
+    return mac.nav_until
+
+
 def test_criterion_12_frame_timing_unit_examples():
     checks = [
         airtime(0, 11) == 192,
@@ -285,9 +298,9 @@ def test_criterion_12_frame_timing_unit_examples():
         oar_burst_len(5.5, 2) == 2,
         all(0 <= draw_backoff(16, RandomStream(1, n)) <= 15
             for n in range(100)),
-        nav_merge(0, 500, 100) == 600,
-        nav_merge(1000, 200, 100) == 1000,
-        nav_merge(600, 0, 100) == 600,
+        _nav_after(0, 500) == 600,
+        _nav_after(1000, 200) == 1000,
+        _nav_after(600, 0) == 600,
     ]
     report(12, all(checks), "airtime / error-doubling / burst-length / "
            "backoff-bound / reservation-merge examples all exact (%d/%d)"

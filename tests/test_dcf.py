@@ -3,7 +3,7 @@
 import pytest
 
 from macsim.dcf import (FAILURE, SUCCESS, MacParams, cw_after, draw_backoff,
-                        fragment_plan, nav_merge, should_use_rts)
+                        fragment_plan, should_use_rts)
 from macsim.engine import RandomStream
 from macsim.frames import ACK_BYTES, CTS_BYTES, RSH_BYTES, RTS_BYTES, Frame, \
     frame_airtime
@@ -47,18 +47,6 @@ def test_backoff_golden_sequence():
     b = RandomStream(31, 4)
     assert [draw_backoff(16, a) for _ in range(20)] == \
         [draw_backoff(16, b) for _ in range(20)]
-
-
-def test_nav_merge_extends():
-    assert nav_merge(0, 500, 100) == 600
-
-
-def test_nav_merge_never_shrinks():
-    assert nav_merge(1000, 200, 100) == 1000
-
-
-def test_nav_merge_zero_duration():
-    assert nav_merge(600, 0, 100) == 600
 
 
 def test_rts_threshold_boundary_inclusive():

@@ -1,11 +1,10 @@
 """DCF extensions: reverse-grant ACK durations, EDCF categories, ICA planning."""
 
-import pytest
-
-from macsim.ext import (EdcfCategory, IcaState, dcfplus_ack_duration,
-                        edcf_expand_cw, edcf_pick_winner, ica_plan_parallel,
+from macsim.ext import (IcaState, dcfplus_ack_duration, edcf_expand_cw,
+                        edcf_pick_winner, ica_plan_parallel,
                         ica_primary_data_end)
 from macsim.frames import ACK_AIR, CTS_AIR
+from macsim.mac import AccessCategory
 from macsim.phy import airtime
 
 SIFS = 10
@@ -30,12 +29,6 @@ def test_dcfplus_duration_scales_with_reverse_size():
 
 # -- EDCF -------------------------------------------------------------------
 
-def test_edcf_category_rejects_aifs_below_difs():
-    with pytest.raises(ValueError):
-        EdcfCategory(index=0, aifs_us=40).validate(difs_us=50)
-    EdcfCategory(index=0, aifs_us=50).validate(difs_us=50)
-
-
 def test_edcf_expand_by_persistence_factor():
     assert edcf_expand_cw(16, 1.5, 256) == 24
     assert edcf_expand_cw(16, 2.0, 256) == 32
@@ -46,14 +39,14 @@ def test_edcf_expand_caps_at_max():
 
 
 def test_edcf_virtual_collision_lowest_aifs_wins():
-    hi = EdcfCategory(index=1, aifs_us=50)
-    lo = EdcfCategory(index=0, aifs_us=70)
+    hi = AccessCategory(1, 50, 2.0, 16, 256)
+    lo = AccessCategory(0, 70, 2.0, 16, 256)
     assert edcf_pick_winner([lo, hi]) is hi
 
 
 def test_edcf_virtual_collision_index_breaks_aifs_tie():
-    a = EdcfCategory(index=0, aifs_us=50)
-    b = EdcfCategory(index=1, aifs_us=50)
+    a = AccessCategory(0, 50, 2.0, 16, 256)
+    b = AccessCategory(1, 50, 2.0, 16, 256)
     assert edcf_pick_winner([b, a]) is a
 
 
@@ -68,10 +61,9 @@ def test_ica_primary_data_end_arithmetic():
 
 
 def test_ica_state_clear_resets_everything():
-    st = IcaState(rts_sender=3, rts_duration=500, rts_end=100, xid=7,
-                  exposed=True, window_end=900)
+    st = IcaState(rts_duration=500, rts_end=100, xid=7, window_end=900)
     st.clear()
-    assert st.rts_sender == -1 and not st.exposed and st.window_end == -1
+    assert st == IcaState()
 
 
 def test_ica_plan_single_fragment_budget():

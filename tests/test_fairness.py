@@ -5,7 +5,7 @@ import math
 import pytest
 
 from macsim.engine import RandomStream
-from macsim.fairness import (ScfqTags, TrafficEstimate, dfs_backoff,
+from macsim.fairness import (Est, ScfqTags, dfs_backoff,
                              estimation_backoff_update, fairness_index,
                              mild_update, scfq_oracle, share_cw_on_hear)
 
@@ -54,11 +54,9 @@ def test_fairness_index_scale_invariant():
 
 
 def test_fairness_index_best_pair_reading():
-    # Worst pair looks at (6, 2); best pair sees the two equal entries.
-    worst = fairness_index([0.5, 0.5, 0.5], [3, 3, 1], worst_pair=True)
-    best = fairness_index([0.5, 0.5, 0.5], [3, 3, 1], worst_pair=False)
-    assert worst == pytest.approx(1 / 3)
-    assert best == pytest.approx(1.0)
+    # The index reads the worst pair, (6, 2), not the best pair, which would
+    # see the two equal entries and report 1.
+    assert fairness_index([0.5, 0.5, 0.5], [3, 3, 1]) == pytest.approx(1 / 3)
 
 
 def test_fairness_index_rejects_degenerate_inputs():
@@ -104,7 +102,7 @@ def test_estimation_rejects_bad_phi():
 
 
 def test_traffic_estimate_sliding_window():
-    est = TrafficEstimate(window_us=100)
+    est = Est(window_us=100)
     est.note_own(0, 1000)
     est.note_others(50, 500)
     assert est.w_self(60) == 1000

@@ -181,6 +181,33 @@ def test_cli_run_bad_pcf_exit_2(tmp_path, old, new, message):
     assert message in res.stderr
 
 
+def test_cli_validate_rejects_what_run_rejects_at_build(tmp_path):
+    # The contention-period floor depends on the built coordinator's MAC
+    # parameters, so only harness.build can check it.
+    with open(os.path.join(SCENARIOS, "pcf_infra.txt")) as fh:
+        text = fh.read()
+    bad = tmp_path / "pcf.txt"
+    bad.write_text(text.replace("cp_min_us = 20000", "cp_min_us = 100"))
+    res = _cli(["validate", str(bad)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert ("line 24: cp_min_us 100 below the 7423 us needed for one full "
+            "exchange") in res.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_edcf_aifs_below_difs_names_its_line(tmp_path, command):
+    bad = tmp_path / "edcf.txt"
+    bad.write_text(single_cell(1, 800, seed=1, duration_us=1000,
+                               variant="dcf+edcf")
+                   + "[edcf]\ncat0 = 50 2.0 16 256\ncat1 = 30 2.0 16 256\n")
+    res = _cli([command, str(bad)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "line 16: category 1 AIFS 30 below DIFS 50" in res.stderr
+
+
 def test_cli_run_zero_cw_min_exit_2(tmp_path):
     bad = tmp_path / "cw.txt"
     bad.write_text(single_cell(2, 800, seed=1, duration_us=100_000,

@@ -1,6 +1,6 @@
 """End-to-end MAC behavior observed through run traces and metrics."""
 
-from conftest import single_cell
+from conftest import shipped, single_cell
 from macsim import harness
 from macsim.frames import ACK_AIR, CTS_AIR, RTS_AIR
 from macsim.scenario import parse_scenario
@@ -228,3 +228,23 @@ def test_oar_burst_carries_multiple_packets_per_cts():
     data_count = len(_tx_starts(r.trace_lines, "DATA"))
     assert cts_count > 0
     assert data_count > cts_count  # several DATA frames ride one handshake
+
+
+def _estimate_samples(mac):
+    """(time, bits) samples held by any traffic estimator the node keeps."""
+    samples = []
+    for obj in vars(mac).values():
+        for name in ("_own", "_others"):
+            samples += list(getattr(obj, name, ()))
+    return samples
+
+
+def test_only_estimation_backoff_keeps_traffic_samples():
+    # Plain DCF never reads a traffic estimate, so it must not keep one: a
+    # node that appended its acked bits on every ACK grew without bound.
+    r = harness.run(shipped("single_cell", 2_000_000))
+    assert not any(_estimate_samples(m) for m in r.macs.values())
+    # Estimation backoff keeps samples, but only about one window of them.
+    r = harness.run(shipped("single_cell", 2_000_000, "dcf+est"))
+    kept = [t for m in r.macs.values() for t, _ in _estimate_samples(m)]
+    assert kept and min(kept) >= 2_000_000 - 2 * 100_000

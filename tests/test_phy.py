@@ -1,6 +1,4 @@
-"""Radio medium model: airtime, FER, capture, link quality, Shannon."""
-
-import math
+"""Radio medium model: airtime, FER, capture, link quality."""
 
 import pytest
 
@@ -8,7 +6,7 @@ from macsim import phy
 from macsim.engine import RandomStream
 from macsim.phy import (BAD, HIGH, LOW, MID, LinkQualityProcess, Topology,
                         airtime, frame_error_prob, resolve_capture,
-                        shannon_capacity, validate_matrix)
+                        validate_matrix)
 
 
 # -- airtime ----------------------------------------------------------------
@@ -66,20 +64,6 @@ def test_fer_clamped_to_one():
 
 def test_fer_fractional_exponent():
     assert frame_error_prob(450, 0.01, 300) == pytest.approx(0.01 * 2 ** 0.5)
-
-
-# -- Shannon ----------------------------------------------------------------
-
-def test_shannon_zero_snr():
-    assert shannon_capacity(1e6, 0) == 0.0
-
-
-def test_shannon_snr_one():
-    assert shannon_capacity(1e6, 1) == pytest.approx(1e6)
-
-
-def test_shannon_22mhz_snr_three():
-    assert shannon_capacity(22e6, 3) == pytest.approx(44e6)
 
 
 # -- topology ---------------------------------------------------------------

@@ -3,81 +3,79 @@
 import pytest
 
 from macsim.phy import BAD, HIGH, LOW, MID, airtime
-from macsim.frames import Frame
-from macsim.rate import (ArfState, arf_current_rate, arf_on_result,
-                         oar_burst_len, oar_cap_burst, oar_mark_burst,
-                         rbar_needs_rsh, rbar_select_rate)
+from macsim.rate import (Arf, oar_burst_len, oar_cap_burst, rbar_needs_rsh,
+                         rbar_select_rate)
 
 
 # -- ARF --------------------------------------------------------------------
 
 def test_arf_first_miss_keeps_rate():
-    st = ArfState(current_rate=11)
-    assert arf_on_result(st, False, now=0) == 11
+    st = Arf(11)
+    assert st.on_result(False, now=0) == 11
 
 
 def test_arf_second_miss_steps_down_and_arms_timer():
-    st = ArfState(current_rate=11)
-    arf_on_result(st, False, now=0)
-    rate = arf_on_result(st, False, now=100)
+    st = Arf(11)
+    st.on_result(False, now=0)
+    rate = st.on_result(False, now=100)
     assert rate == 5.5
     assert st.recovery_deadline == 100 + st.timer_us
 
 
 def test_arf_ten_successes_step_up():
-    st = ArfState(current_rate=5.5)
+    st = Arf(5.5)
     for i in range(9):
-        assert arf_on_result(st, True, now=i) == 5.5
-    assert arf_on_result(st, True, now=9) == 11
+        assert st.on_result(True, now=i) == 5.5
+    assert st.on_result(True, now=9) == 11
     assert st.just_upgraded
 
 
 def test_arf_failure_right_after_upgrade_drops_back():
-    st = ArfState(current_rate=5.5)
+    st = Arf(5.5)
     for i in range(10):
-        arf_on_result(st, True, now=i)
-    assert st.current_rate == 11
-    assert arf_on_result(st, False, now=20) == 5.5
+        st.on_result(True, now=i)
+    assert st.rate == 11
+    assert st.on_result(False, now=20) == 5.5
 
 
 def test_arf_success_clears_upgrade_probe():
-    st = ArfState(current_rate=5.5)
+    st = Arf(5.5)
     for i in range(10):
-        arf_on_result(st, True, now=i)
-    arf_on_result(st, True, now=20)
+        st.on_result(True, now=i)
+    st.on_result(True, now=20)
     assert not st.just_upgraded
     # One later miss is now an ordinary first miss: rate holds.
-    assert arf_on_result(st, False, now=30) == 11
+    assert st.on_result(False, now=30) == 11
 
 
 def test_arf_timer_expiry_probes_up():
-    st = ArfState(current_rate=11)
-    arf_on_result(st, False, now=0)
-    arf_on_result(st, False, now=50)  # down to 5.5, timer armed
-    assert arf_current_rate(st, now=100) == 5.5
-    assert arf_current_rate(st, now=50 + st.timer_us) == 11
+    st = Arf(11)
+    st.on_result(False, now=0)
+    st.on_result(False, now=50)  # down to 5.5, timer armed
+    assert st.pick(now=100) == 5.5
+    assert st.pick(now=50 + st.timer_us) == 11
     assert st.just_upgraded
 
 
 def test_arf_never_leaves_rate_table():
-    st = ArfState(current_rate=1)
+    st = Arf(1)
     for i in range(6):
-        arf_on_result(st, False, now=i)
-    assert st.current_rate == 1
-    st2 = ArfState(current_rate=11)
+        st.on_result(False, now=i)
+    assert st.rate == 1
+    st2 = Arf(11)
     for i in range(30):
-        arf_on_result(st2, True, now=i)
-    assert st2.current_rate == 11
+        st2.on_result(True, now=i)
+    assert st2.rate == 11
 
 
 def test_arf_moves_one_step_per_event():
     order = [1, 2, 5.5, 11]
-    st = ArfState(current_rate=11)
-    seen = [st.current_rate]
+    st = Arf(11)
+    seen = [st.rate]
     for i in range(8):
-        arf_on_result(st, False, now=i * 10)
-        if st.current_rate != seen[-1]:
-            seen.append(st.current_rate)
+        st.on_result(False, now=i * 10)
+        if st.rate != seen[-1]:
+            seen.append(st.rate)
     for a, b in zip(seen, seen[1:]):
         assert abs(order.index(a) - order.index(b)) == 1
 
@@ -121,22 +119,3 @@ def test_oar_cap_respects_base_rate_budget():
 
 def test_oar_cap_leaves_small_bursts_alone():
     assert oar_cap_burst(5, 500, 11, 2304) == 5
-
-
-def test_oar_mark_burst_flags():
-    frames = [Frame("DATA", 1, 2, 0, payload_bytes=100,
-                    fragment_number=7) for _ in range(5)]
-    out = oar_mark_burst(frames)
-    assert [f.more_fragments for f in out] == [1, 1, 1, 1, 0]
-    assert all(f.fragment_number == 0 for f in out)
-
-
-def test_oar_mark_single_frame():
-    out = oar_mark_burst([Frame("DATA", 1, 2, 0, payload_bytes=100)])
-    assert out[0].more_fragments == 0 and out[0].fragment_number == 0
-
-
-def test_oar_mark_rejects_mixed_destinations():
-    frames = [Frame("DATA", 1, 2, 0), Frame("DATA", 1, 3, 0)]
-    with pytest.raises(ValueError):
-        oar_mark_burst(frames)
