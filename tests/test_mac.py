@@ -240,8 +240,8 @@ def _estimate_samples(mac):
 
 
 def test_only_estimation_backoff_keeps_traffic_samples():
-    # Plain DCF never reads a traffic estimate, so it must not keep one: a
-    # node that appended its acked bits on every ACK grew without bound.
+    # Plain DCF never reads a traffic estimate, so it must keep no samples:
+    # samples appended on every ACK and never pruned grow without bound.
     r = harness.run(shipped("single_cell", 2_000_000))
     assert not any(_estimate_samples(m) for m in r.macs.values())
     # Estimation backoff keeps samples, but only about one window of them.
