@@ -4,25 +4,32 @@ Propagation delay is zero, so a transmission occupies the same [start, end)
 interval at every node in range.  Sensing (energy detection, blocks access)
 reaches `sense_range`; decoding reaches `hear_range`.
 
-Each transmission keeps one concurrency list: every frame that was on the
-air at some point during it, in txid order.  Outcomes are resolved when a
-transmission ends, in one pass over the sender's hearers in id order:
-
-- a hearer that sent one of the concurrent frames loses it (half duplex);
-- a hearer that can hear none of the concurrent senders receives it, unless
-  the frame error draw fails;
-- otherwise the frame collides if any audible concurrent frame started
-  earlier or is strictly stronger at that hearer, and else goes to the
-  capture rule (`phy.resolve_capture`) with the audible frames in txid order.
-
 Node positions never change after `harness.build`, so who senses and hears
 a sender, and at what power, is static.  The medium asks the Topology once
-per sender, on that sender's first transmission, and keeps the answer: a
-reach list of (node id, MacNode, hears) for every node in sense range,
-sorted by node id (hear range never exceeds sense range, so it covers the
-hearers too), the set of node ids that hear the sender, and a cache of
-received power per (sender, hearer).  Moving a node after the first
-transmission would leave all three stale.
+per sender, on that sender's first transmission, and keeps the answer in
+that sender's reach table: the hearer table, (node id, MacNode, received
+power) for every node that hears the sender, in id order; the same powers
+as a {node id: power} map; and the bound `on_sense_enter`/`on_sense_exit`
+methods of every node in sense range, in id order (hear range never
+exceeds sense range, so those cover the hearers too).  Moving a node after
+the first transmission would leave the table stale.
+
+Each transmission keeps one concurrency list: every frame that was on the
+air at some point during it, as (txid, sender, start, sender's power map),
+in txid order.  Outcomes are resolved when a transmission ends:
+
+- a frame with no concurrent frame, whose error rate is 0 at every hearer
+  (no quality process, or a control frame exempt from errors), is received
+  by every hearer without further tests;
+- otherwise each hearer, in id order, takes one pass: a hearer that sent
+  one of the concurrent frames loses it (half duplex); then one loop over
+  the concurrent frames collides it as soon as an audible one started
+  earlier or is strictly stronger there, and else collects the audible
+  powers in txid order.  With none audible the frame error draw decides;
+  with some, the capture rule (`phy.resolve_capture`) does.
+
+Nodes that only sense the sender are not visited by the pass; they see
+only the two carrier-sense edges.
 """
 
 from . import phy
@@ -31,20 +38,34 @@ from .frames import CONTROL_KINDS, DATA, DATA_CF_ACK, ACK, frame_airtime
 _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
 
 
-class _Tx:
-    __slots__ = ("txid", "sender", "frame", "rate", "start", "end",
-                 "concurrent")
+class _Reach:
+    """One sender's reach table; see the module docstring."""
 
-    def __init__(self, txid, sender, frame, rate, start, end):
+    __slots__ = ("hearers", "power", "enter", "exit")
+
+    def __init__(self, hearers, sensing):
+        self.hearers = hearers  # [(node id, MacNode, power)], by id
+        self.power = {nid: p for nid, _, p in hearers}
+        self.enter = [mac.on_sense_enter for mac in sensing]
+        self.exit = [mac.on_sense_exit for mac in sensing]
+
+
+class _Tx:
+    __slots__ = ("txid", "sender", "frame", "rate", "start", "end", "reach",
+                 "entry", "concurrent")
+
+    def __init__(self, txid, sender, frame, rate, start, end, reach):
         self.txid = txid
         self.sender = sender
         self.frame = frame
         self.rate = rate
         self.start = start
         self.end = end
-        # (txid, sender, start) of every frame on the air at some point
-        # during this one, in txid order; plain tuples, so no _Tx holds
-        # another alive.
+        self.reach = reach
+        # This frame's item in the concurrency lists of other frames.
+        self.entry = (txid, sender, start, reach.power)
+        # The entry of every frame on the air at some point during this one,
+        # in txid order; plain tuples, so no _Tx holds another alive.
         self.concurrent = []
 
 
@@ -101,9 +122,7 @@ class Medium:
         self._next_txid = 0
         self.stats = MediumStats()
         self.pending_fire = {}  # node id -> access timer deadline (genie mode)
-        self._reach_of = {}  # sender id -> [(node id, MacNode, hears)], by id
-        self._hears_of = {}  # sender id -> frozenset of the node ids hearing it
-        self._power_of = {}  # (sender id, hearer id) -> received power
+        self._reach_of = {}  # sender id -> _Reach
         self._quality_stream = None
         if quality is not None and quality.dwell_us > 0 and quality.matrix is not None:
             from .engine import RandomStream
@@ -136,33 +155,24 @@ class Medium:
     # -- static reach tables --
 
     def reach(self, sender_id):
-        """(node id, MacNode, hears) for every node sensing `sender_id`, by id.
-
-        The first call for a sender also records its hear set and caches its
-        power at each hearer.
-        """
+        """The reach table of `sender_id`, built on the first call."""
         reach = self._reach_of.get(sender_id)
         if reach is None:
             topo = self.topology
-            reach = self._reach_of[sender_id] = [
-                (other, self.macs[other], topo.can_hear(sender_id, other))
-                for other in sorted(self.macs)
-                if topo.can_sense(sender_id, other)]
-            self._hears_of[sender_id] = frozenset(
-                other for other, _, hears in reach if hears)
-            # Every power _end reads is a hearer's, so it is cached here.
-            for other, _, hears in reach:
-                if hears:
-                    self.power(sender_id, other)
+            sensing = [other for other in sorted(self.macs)
+                       if topo.can_sense(sender_id, other)]
+            reach = self._reach_of[sender_id] = _Reach(
+                [(other, self.macs[other],
+                  topo.received_power(sender_id, other))
+                 for other in sensing if topo.can_hear(sender_id, other)],
+                [self.macs[other] for other in sensing])
         return reach
 
     def power(self, sender_id, hearer_id):
-        """Received power of `sender_id` at `hearer_id`, cached per pair."""
-        key = (sender_id, hearer_id)
-        p = self._power_of.get(key)
-        if p is None:
-            p = self._power_of[key] = self.topology.received_power(
-                sender_id, hearer_id)
+        """Received power of `sender_id` at `hearer_id`."""
+        p = self.reach(sender_id).power.get(hearer_id)
+        if p is None:  # out of hear range: the table does not keep it
+            p = self.topology.received_power(sender_id, hearer_id)
         return p
 
     # -- transmission lifecycle --
@@ -170,8 +180,10 @@ class Medium:
     def transmit(self, sender_id, frame, rate, on_end=None):
         """Put a frame on the air; returns its end time."""
         sim = self.sim
+        reach = self.reach(sender_id)
         air = frame_airtime(frame, rate)
-        tx = _Tx(self._next_txid, sender_id, frame, rate, sim.now, sim.now + air)
+        tx = _Tx(self._next_txid, sender_id, frame, rate, sim.now,
+                 sim.now + air, reach)
         self._next_txid += 1
         self.stats.total_transmissions += 1
         if sim.trace_lines is not None:
@@ -181,12 +193,12 @@ class Medium:
 
         # Each frame on the air overlaps the new one, and the reverse.
         mine = tx.concurrent
-        entry = (tx.txid, sender_id, tx.start)
+        entry = tx.entry
         for t2 in self.active.values():  # txid order
-            mine.append((t2.txid, t2.sender, t2.start))
+            mine.append(t2.entry)
             t2.concurrent.append(entry)
-        for _, mac, _ in self.reach(sender_id):
-            mac.on_sense_enter()
+        for enter in reach.enter:
+            enter()
 
         self.active[tx.txid] = tx
         sim.schedule(tx.end, "tx_end", sender_id, lambda: self._end(tx, on_end))
@@ -198,61 +210,69 @@ class Medium:
             on_end()
         sim = self.sim
         tracing = sim.trace_lines is not None
-        stats = self.stats
-        frame, sender, start = tx.frame, tx.sender, tx.start
-        dst = frame.dst
+        frame, sender, start, rate = tx.frame, tx.sender, tx.start, tx.rate
         kind = frame.kind
+        concurrent = tx.concurrent
         # Without a quality process, or for a control frame exempt from
         # errors, the frame error rate is 0 at every hearer: no draw.
         fer_free = self.quality is None or (kind in CONTROL_KINDS
                                             and not self.control_fer)
-        concurrent = tx.concurrent
-        if concurrent:
-            hears_of = self._hears_of
-            busy = {s for _, s, _ in concurrent}
-            others = [(txid, s, st, hears_of[s]) for txid, s, st in concurrent]
-            power = self._power_of  # every audible sender reaches its hearer
-        for hearer, mac, hears in self._reach_of[sender]:  # by id
-            if not hears:
-                continue
-            if concurrent and hearer in busy:
-                outcome = phy.NOT_HEARD  # half duplex: it was sending
-            elif concurrent and (
-                    audible := [o for o in others if hearer in o[3]]):
-                # The capture rule fails outright if another frame started
-                # first or is strictly stronger: only the rest need it.
-                p0 = power[sender, hearer]
-                outcome = phy.COLLIDED
-                for _, s, st, _ in audible:
-                    if st < start or power[s, hearer] > p0:
-                        break
-                else:
-                    powers = [p0] + [power[o[1], hearer] for o in audible]
-                    starts = [(start,)] + [(o[2],) for o in audible]
-                    if phy.resolve_capture(starts, powers,
-                                           self.capture_ratio) == 0:
-                        outcome = phy.RECEIVED  # captured: no error draw
-            elif fer_free:
-                outcome = phy.RECEIVED
-            else:
-                fer = self._fer(tx, hearer)
-                outcome = (phy.ERRORED if fer > 0.0 and mac.rng.bernoulli(fer)
-                           else phy.RECEIVED)
+        if fer_free and not concurrent:
             if tracing:
-                sim.trace(hearer, "rx", "%s from %s %s" % (
-                    outcome, sender, kind))
-            if outcome == phy.RECEIVED:
-                mac.on_frame(frame, tx.rate, start)
-            elif hearer == dst:
-                if outcome == phy.COLLIDED:
-                    stats.collided_transmissions += 1
-                    stats.record_collision(tx.txid, [o[0] for o in audible])
-                    if kind == ACK:
-                        stats.ack_collisions += 1
-                elif outcome == phy.ERRORED:
-                    stats.errored += 1
-        for _, mac, _ in self._reach_of[sender]:
-            mac.on_sense_exit()
+                detail = "%s from %s %s" % (phy.RECEIVED, sender, kind)
+                for hearer, mac, _ in tx.reach.hearers:
+                    sim.trace(hearer, "rx", detail)
+                    mac.on_frame(frame, rate, start)
+            else:
+                for _, mac, _ in tx.reach.hearers:
+                    mac.on_frame(frame, rate, start)
+        else:
+            stats = self.stats
+            dst = frame.dst
+            ratio = self.capture_ratio
+            busy = {e[1] for e in concurrent}
+            others = [(e[2], e[3]) for e in concurrent]  # (start, power map)
+            for hearer, mac, p0 in tx.reach.hearers:  # by id
+                if hearer in busy:
+                    outcome = phy.NOT_HEARD  # half duplex: it was sending
+                else:
+                    audible = []
+                    for st, power in others:
+                        p = power.get(hearer)
+                        if p is not None:
+                            # Capture fails outright if the other frame
+                            # started first or is strictly stronger.
+                            if st < start or p > p0:
+                                outcome = phy.COLLIDED
+                                break
+                            audible.append(p)
+                    else:
+                        if audible:
+                            outcome = (phy.RECEIVED if phy.resolve_capture(
+                                p0, audible, ratio) else phy.COLLIDED)
+                        elif fer_free:
+                            outcome = phy.RECEIVED
+                        else:
+                            fer = self._fer(tx, hearer)
+                            outcome = (phy.ERRORED if fer > 0.0
+                                       and mac.rng.bernoulli(fer)
+                                       else phy.RECEIVED)
+                if tracing:
+                    sim.trace(hearer, "rx", "%s from %s %s" % (
+                        outcome, sender, kind))
+                if outcome == phy.RECEIVED:
+                    mac.on_frame(frame, rate, start)
+                elif hearer == dst:
+                    if outcome == phy.COLLIDED:
+                        stats.collided_transmissions += 1
+                        stats.record_collision(tx.txid, [
+                            e[0] for e in concurrent if hearer in e[3]])
+                        if kind == ACK:
+                            stats.ack_collisions += 1
+                    elif outcome == phy.ERRORED:
+                        stats.errored += 1
+        for leave in tx.reach.exit:
+            leave()
 
     def _fer(self, tx, hearer):
         """Frame error rate at `hearer`, given a quality process and a frame

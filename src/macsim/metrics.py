@@ -52,7 +52,11 @@ class Metrics:
     def fairness_mean(self):
         if not self.fairness_series:
             return 0.0
-        return sum(v for _, v in self.fairness_series) / len(self.fairness_series)
+        # Folded left to right: Python 3.12's sum() compensates float sums.
+        total = 0.0
+        for _, v in self.fairness_series:
+            total += v
+        return total / len(self.fairness_series)
 
 
 class Recorder:

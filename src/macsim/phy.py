@@ -137,19 +137,18 @@ def validate_matrix(matrix):
             raise ValueError("row %d does not sum to 1" % i)
 
 
-def resolve_capture(candidates, powers, capture_ratio):
-    """Pick the index captured out of >=2 overlapping transmissions, or None.
+def resolve_capture(power, others, capture_ratio):
+    """True when a frame received at `power` captures the hearer over the
+    overlapping frames received at `others` (in txid order).
 
-    `candidates` are (start_us, ...) records aligned with `powers`.  The
-    strongest wins only if its power beats the sum of the rest by the capture
-    ratio AND it started no later than every other overlapping transmission
-    (preamble capture).
+    The frame must beat the sum of the others by the capture ratio.  The
+    medium tests start order (preamble capture) and a strictly stronger
+    rival itself, so this sees only frames that started no earlier and are
+    no stronger.  The sum is folded left to right, as `sum()` did before
+    Python 3.12 compensated it, so the decision is the same on every
+    version.
     """
-    strongest = powers.index(max(powers))  # first of equal maxima
-    rest = sum(powers[:strongest] + powers[strongest + 1:])
-    if rest > 0 and powers[strongest] < capture_ratio * rest:
-        return None
-    s_start = candidates[strongest][0]
-    if any(c[0] < s_start for c in candidates):
-        return None
-    return strongest
+    rest = 0.0
+    for p in others:
+        rest += p
+    return not power < capture_ratio * rest

@@ -1,5 +1,6 @@
-"""Medium reach tables, trace-off runs, and equivalence with a reference
-medium that resolves each hearer from its own overlap set."""
+"""Medium reach tables, capture cases in a built cell, trace-off runs, and
+equivalence with a reference medium that resolves each hearer from its own
+overlap set."""
 
 from operator import attrgetter
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from macsim import harness, metrics, phy
 from macsim.engine import Simulator
-from macsim.frames import ACK, CONTROL_KINDS, DATA, DATA_CF_ACK, frame_airtime
+from macsim.frames import (ACK, CONTROL_KINDS, CONTROL_RATE, DATA, DATA_CF_ACK,
+                           RTS, Frame, frame_airtime)
 from macsim.medium import Medium
 from macsim.scenario import parse_scenario
 
@@ -26,17 +28,95 @@ def test_reach_tables_match_topology(name):
     topo = medium.topology
     sense_only = 0
     for a in sorted(macs):
-        want = [(b, macs[b], topo.can_hear(a, b))
-                for b in sorted(macs) if topo.can_sense(a, b)]
-        assert medium.reach(a) == want
-        assert medium.reach(a) is medium.reach(a)
-        sense_only += sum(1 for _, _, hears in want if not hears)
+        sensing = [b for b in sorted(macs) if topo.can_sense(a, b)]
+        hearing = [b for b in sensing if topo.can_hear(a, b)]
+        table = medium.reach(a)
+        assert table is medium.reach(a)
+        assert table.hearers == [(b, macs[b], topo.received_power(a, b))
+                                 for b in hearing]
+        assert table.power == {b: p for b, _, p in table.hearers}
+        # Every node in sense range, sense-only ones too, gets both edges.
+        assert table.enter == [macs[b].on_sense_enter for b in sensing]
+        assert table.exit == [macs[b].on_sense_exit for b in sensing]
+        sense_only += len(sensing) - len(hearing)
         for b in sorted(macs):
             if b != a:
                 assert medium.power(a, b) == topo.received_power(a, b)
     if name == "grid":
         # The grid must exercise nodes that sense a sender but cannot hear it.
         assert sense_only > 0
+
+
+# -- capture cases the resolution pass decides -------------------------------
+
+def _cell(positions, capture_ratio=10):
+    """A traced cell with the given node positions and no traffic."""
+    lines = ["[sim]", "seed = 1", "duration_us = 100000",
+             "capture_ratio = %s" % capture_ratio, "[nodes]"]
+    lines += ["%d = %s %s" % (i, x, y) for i, (x, y) in enumerate(positions)]
+    lines += ["[links]", "hear_range = 50", "sense_range = 50",
+              "[mac]", "variant = dcf", "[flows]"]
+    return harness.build(parse_scenario("\n".join(lines) + "\n"), trace=True)
+
+
+def _receptions(positions, sends, capture_ratio=10):
+    """Send an RTS to node 0 from each (sender, start time) in `sends` and
+    return node 0's outcome per sender, with the medium's stats."""
+    sim, medium, _, _ = _cell(positions, capture_ratio)
+    for sender, t in sends:
+        sim.schedule(t, "test_send", sender, lambda sender=sender: (
+            medium.transmit(sender, Frame(RTS, sender, 0, duration=1000),
+                            CONTROL_RATE)))
+    sim.run_until(2_000)
+    got = {}
+    for line in sim.trace_lines:
+        _, node, kind, detail = line.split("\t")
+        if node == "0" and kind == "rx" and detail.endswith(" RTS"):
+            outcome, _, sender, _ = detail.split(" ")
+            got[int(sender)] = outcome
+    return got, medium.stats
+
+
+def test_capture_equal_power_same_start_collides_once():
+    got, stats = _receptions([(0, 0), (-10, 0), (10, 0)], [(1, 0), (2, 0)])
+    assert got == {1: phy.COLLIDED, 2: phy.COLLIDED}
+    assert stats.collided_transmissions == 2
+    assert stats.collision_events == 1
+
+
+def test_capture_stronger_but_later_frame_collides():
+    # Node 1 is 100 times stronger at node 0 but starts after node 2's
+    # preamble: neither frame is received.
+    got, stats = _receptions([(0, 0), (1, 0), (10, 0)], [(2, 0), (1, 50)])
+    assert got == {1: phy.COLLIDED, 2: phy.COLLIDED}
+    assert stats.collision_events == 1
+
+
+@pytest.mark.parametrize("far,outcome,collided", [
+    (10, phy.RECEIVED, 1),  # 100 times stronger: captured
+    (2, phy.COLLIDED, 2),  # 4 times stronger: below the ratio of 10
+])
+def test_capture_needs_the_ratio(far, outcome, collided):
+    got, stats = _receptions([(0, 0), (1, 0), (far, 0)], [(1, 0), (2, 0)])
+    assert got == {1: outcome, 2: phy.COLLIDED}
+    assert stats.collided_transmissions == collided
+    assert stats.collision_events == 1
+
+
+def test_capture_colocated_senders_have_infinite_power():
+    # Both senders sit on node 0: each frame arrives at infinite power,
+    # neither is strictly stronger, and inf < ratio * inf is false, so
+    # both frames are captured.
+    positions = [(5, 5), (5, 5), (5, 5)]
+    sim, medium, _, _ = _cell(positions)
+    assert medium.power(1, 0) == medium.power(2, 0) == float("inf")
+    got, stats = _receptions(positions, [(1, 0), (2, 0)])
+    assert got == {1: phy.RECEIVED, 2: phy.RECEIVED}
+    assert stats.collision_events == 0
+    # A later start still loses to the preamble rule.  (It ends before
+    # node 0 answers the first RTS, which would make it NOT_HEARD.)
+    got, _ = _receptions(positions, [(1, 0), (2, 5)])
+    assert got == {1: phy.RECEIVED, 2: phy.COLLIDED}
 
 
 @pytest.mark.parametrize("name,duration_us,variant", [
@@ -94,9 +174,46 @@ class _RefTx:
         self.self_busy = set()
 
 
+def _reference_capture(candidates, powers, capture_ratio):
+    """The general capture rule: the index captured out of >=2 overlapping
+    transmissions, or None.
+
+    `candidates` are (start_us, ...) records aligned with `powers`.  The
+    strongest wins only if its power beats the sum of the rest by the capture
+    ratio AND it started no later than every other overlapping transmission
+    (preamble capture).  The rest is folded left to right.
+    """
+    strongest = powers.index(max(powers))  # first of equal maxima
+    rest = 0.0
+    for p in powers[:strongest] + powers[strongest + 1:]:
+        rest += p
+    if rest > 0 and powers[strongest] < capture_ratio * rest:
+        return None
+    s_start = candidates[strongest][0]
+    if any(c[0] < s_start for c in candidates):
+        return None
+    return strongest
+
+
 class ReferenceMedium(Medium):
     """The medium as it was before concurrency lists: one overlap set per
-    hearer per transmission, and one `_resolve` call per hearer."""
+    hearer per transmission, one `_resolve` call per hearer, and the general
+    capture rule over the whole overlapping group."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ref_reach = {}  # sender id -> [(node id, MacNode, hears)]
+
+    def _reach_list(self, sender_id):
+        """(node id, MacNode, hears) for every node sensing `sender_id`."""
+        reach = self._ref_reach.get(sender_id)
+        if reach is None:
+            topo = self.topology
+            reach = self._ref_reach[sender_id] = [
+                (other, self.macs[other], topo.can_hear(sender_id, other))
+                for other in sorted(self.macs)
+                if topo.can_sense(sender_id, other)]
+        return reach
 
     def transmit(self, sender_id, frame, rate, on_end=None):
         sim = self.sim
@@ -111,7 +228,7 @@ class ReferenceMedium(Medium):
                 frame.duration))
 
         active = self.active.values()
-        for other, mac, hears in self.reach(sender_id):
+        for other, mac, hears in self._reach_list(sender_id):
             if hears:
                 mine = tx.overlaps[other] = set()
                 for t2 in active:
@@ -151,7 +268,7 @@ class ReferenceMedium(Medium):
                     self.stats.ack_collisions += 1
             elif outcome == phy.ERRORED and hearer == tx.frame.dst:
                 self.stats.errored += 1
-        for _, mac, _ in self.reach(tx.sender):
+        for _, mac, _ in self._reach_list(tx.sender):
             mac.on_sense_exit()
 
     def _resolve(self, tx, hearer):
@@ -160,10 +277,9 @@ class ReferenceMedium(Medium):
         others = tx.overlaps[hearer]
         if others:
             group = [tx, *sorted(others, key=_TXID)]
-            cache = self._power_of
-            powers = [cache[t.sender, hearer] for t in group]
+            powers = [self.power(t.sender, hearer) for t in group]
             starts = [(t.start,) for t in group]
-            winner = phy.resolve_capture(starts, powers, self.capture_ratio)
+            winner = _reference_capture(starts, powers, self.capture_ratio)
             if winner != 0:
                 return phy.COLLIDED
             return phy.RECEIVED
@@ -189,16 +305,23 @@ _FADING = ("0.5 0.5 0 0  0.25 0.5 0.25 0  0 0.25 0.5 0.25  0 0 0.5 0.5")
 
 @st.composite
 def small_scenarios(draw):
-    """3-12 nodes in a 40 m square, hear range <= sense range, and
-    backlogged or CBR flows over a few tens of milliseconds."""
+    """3-12 nodes in a 40 m square, some sharing a point, hear range <=
+    sense range, and backlogged or CBR flows over a few tens of
+    milliseconds."""
     n = draw(st.integers(3, 12))
     hear = draw(st.integers(10, 40))
     lines = ["[sim]", "seed = %d" % draw(st.integers(0, 10_000)),
              "duration_us = %d" % draw(st.integers(20_000, 60_000)),
              "capture_ratio = %s" % draw(st.sampled_from(["0.5", "1", "10"])),
              "control_fer = %d" % draw(st.booleans()), "[nodes]"]
+    spots = []
     for i in range(n):
-        x, y = draw(st.tuples(st.integers(0, 400), st.integers(0, 400)))
+        if spots and draw(st.integers(0, 9)) == 0:
+            # Two nodes at one point: infinite received power between them.
+            x, y = draw(st.sampled_from(spots))
+        else:
+            x, y = draw(st.tuples(st.integers(0, 400), st.integers(0, 400)))
+        spots.append((x, y))
         lines.append("%d = %.1f %.1f" % (i, x / 10, y / 10))
     lines += ["[links]", "hear_range = %d" % hear,
               "sense_range = %d" % (hear + draw(st.integers(0, 30))),
