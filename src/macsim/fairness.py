@@ -14,12 +14,14 @@ from .frames import ACK_AIR
 
 MILD_FACTOR = 1.5
 EST_WINDOW_US = 100_000
+# Cap on a DFS backoff: past any run, and finite even after randomizing.
+_MAX_SLOTS = 1e300
 
 
 def mild_update(cw, collided, factor=MILD_FACTOR, cw_min=16, cw_max=256):
     """MACAW backoff: multiply on collision, decrement by one on success."""
     if collided:
-        return min(int(round(cw * factor)), cw_max)
+        return int(round(min(cw * factor, cw_max)))  # cw * factor may be inf
     return max(cw - 1, cw_min)
 
 
@@ -111,7 +113,7 @@ def dfs_backoff(length_bits, phi, scaling, stream=None, compress_threshold=None)
     """
     if phi <= 0 or scaling <= 0:
         raise ValueError("phi and scaling must be positive")
-    b = int(scaling * length_bits / phi)
+    b = int(min(scaling * length_bits / phi, _MAX_SLOTS))  # never inf
     if stream is not None:
         b = int(b * (0.5 + stream.uniform()))
     if compress_threshold is not None and b > compress_threshold:

@@ -1,5 +1,7 @@
 """Wire a Scenario into a live simulation: nodes, medium, traffic, metrics."""
 
+from dataclasses import fields
+
 from . import fairness, rate, scenario as scn_mod
 from .dcf import MacParams
 from .engine import Simulator
@@ -11,6 +13,7 @@ from .phy import LinkQualityProcess, Topology
 from .scenario import BACKLOG_DEPTH, BACKLOGGED, CBR, ScenarioError, variant_flags
 
 _NO_RTS = 1 << 30  # rts_threshold that 2-way mode can never reach
+_PARAM_KEYS = [f.name for f in fields(MacParams)]  # [mac] keys MacParams takes
 
 
 class RunResult:
@@ -28,41 +31,29 @@ class RunResult:
         return sum(mac.queued_packets() for mac in self.macs.values())
 
 
-def _node_params(s, nid):
-    ov = s.node_overrides.get(nid, {})
-    kw = {}
-    for key in ("slot_us", "sifs_us", "cw_min", "cw_max", "retry_limit",
-                "rts_threshold", "frag_threshold"):
-        if key in ov:
-            kw[key] = ov[key]
-        elif key in s.mac:
-            kw[key] = s.mac[key]
-    return MacParams(**kw)
-
-
-def _rate_scheme(name, s, fixed_rate):
+def _rate_scheme(name, mac, fixed_rate):
     if name == "arf":
-        return rate.Arf(fixed_rate, s.mac.get("arf_timer_us", rate.ARF_TIMER_US))
+        return rate.Arf(fixed_rate, mac.get("arf_timer_us", rate.ARF_TIMER_US))
     if name == "rbar":
         return rate.Rbar(fixed_rate)
     if name == "oar":
-        return rate.Oar(fixed_rate, s.mac.get("oar_ref_bytes", rate.OAR_REF_BYTES))
+        return rate.Oar(fixed_rate, mac.get("oar_ref_bytes", rate.OAR_REF_BYTES))
     return rate.FixedRate(fixed_rate)
 
 
-def _backoff_scheme(name, s, ov):
+def _backoff_scheme(name, s, mac):
     if name == "mild":
-        return fairness.Mild(s.mac.get("mild_factor", fairness.MILD_FACTOR))
+        return fairness.Mild(mac.get("mild_factor", fairness.MILD_FACTOR))
     if name == "est":
-        return fairness.Est(ov.get("est_phi", s.mac.get("est_phi", 0.5)),
-                            s.mac.get("est_window_us", fairness.EST_WINDOW_US))
+        return fairness.Est(mac.get("est_phi", 0.5),
+                            mac.get("est_window_us", fairness.EST_WINDOW_US))
     if name == "dfs":
         # By default a max-size packet at phi=1 maps to cw_min slots.
         max_bits = max((f.packet_bytes * 8 for f in s.flows), default=12000)
-        return fairness.Dfs(ov.get("phi", 1.0),
-                            s.mac.get("dfs_scaling", 16.0 / max_bits),
-                            s.mac.get("dfs_random", True),
-                            s.mac.get("dfs_compress"))
+        return fairness.Dfs(mac.get("phi", 1.0),
+                            mac.get("dfs_scaling", 16.0 / max_bits),
+                            mac.get("dfs_random", True),
+                            mac.get("dfs_compress"))
     return fairness.Beb()
 
 
@@ -84,10 +75,9 @@ def build(s, variant=None, trace=False):
     macs = {}
     any_pcf = False
     for nid in node_ids:
-        ov = s.node_overrides.get(nid, {})
-        vname = variant or ov.get("variant", s.variant)
-        flags = variant_flags(vname)
-        params = _node_params(s, nid)
+        mac = {**s.mac, **s.node_overrides.get(nid, {})}  # [mac], then node.N.*
+        flags = variant_flags(variant or mac.get("variant", s.variant))
+        params = MacParams(**{k: mac[k] for k in _PARAM_KEYS if k in mac})
         if flags["two_way"]:
             params.rts_threshold = _NO_RTS
         cats = None
@@ -101,14 +91,14 @@ def build(s, variant=None, trace=False):
                                  "category %d AIFS %d below DIFS %d"
                                  % (i, aifs, params.difs_us))
                 cats.append(AccessCategory(i, aifs, pf, cw_min, cw_max))
-        fixed_rate = ov.get("data_rate", s.mac.get("data_rate", 11))
+        fixed_rate = mac.get("data_rate", 11)
         macs[nid] = MacNode(
             sim, medium, nid, params=params, seed=s.seed,
             fixed_rate=fixed_rate,
-            rate_scheme=_rate_scheme(flags["rate_policy"], s, fixed_rate),
-            backoff_scheme=_backoff_scheme(flags["cw_policy"], s, ov),
+            rate_scheme=_rate_scheme(flags["rate_policy"], mac, fixed_rate),
+            backoff_scheme=_backoff_scheme(flags["cw_policy"], s, mac),
             dcfplus=flags["dcfplus"], ica=flags["ica"], categories=cats,
-            ica_cts_timeout_us=s.mac.get("ica_cts_timeout_us"),
+            ica_cts_timeout_us=mac.get("ica_cts_timeout_us"),
             recorder=recorder)
         any_pcf = any_pcf or flags["pcf"]
 
@@ -142,6 +132,10 @@ def build(s, variant=None, trace=False):
         return pkt
 
     for flow in s.flows:
+        if flow.category >= len(macs[flow.src].cats):
+            scn_mod._err(s.key_lines[("flows", flow.fid)],
+                         "flow %d uses category %d, but node %d does not run "
+                         "edcf" % (flow.fid, flow.category, flow.src))
         stop = s.stop_of(flow)
         if flow.kind == BACKLOGGED:
             def start_backlog(flow=flow, stop=stop):
@@ -177,16 +171,10 @@ def run(s, variant=None, trace=False):
     return RunResult(metrics, sim.trace_lines, sim, medium, macs, recorder)
 
 
-def run_scenario(s, variant=None, trace=False):
-    return run(s, variant, trace).metrics
-
-
 def compare(variants, s):
     """One isolated run per variant, same scenario and seed."""
     if not variants:
         raise ScenarioError("compare needs at least one variant")
-    table = {}
     for v in variants:
-        scn_mod._check_variant(v, 0)
-        table[v] = run_scenario(s, variant=v)
-    return table
+        variant_flags(v)
+    return {v: run(s, variant=v).metrics for v in variants}

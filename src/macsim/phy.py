@@ -83,7 +83,7 @@ class Topology:
     def received_power(self, sender, receiver):
         """Unit transmit power over distance squared; used by the capture rule."""
         d = self.distance(sender, receiver)
-        if d <= 0:
+        if d * d <= 0:  # also below about 1e-162 m, where d * d underflows
             return float("inf")
         return 1.0 / (d * d)
 

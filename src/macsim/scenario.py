@@ -2,38 +2,21 @@
 
 Flat, sectioned, line-oriented format: `[section]` headers and `key = value`
 lines; `#` starts a comment.  Sections: [sim], [nodes], [links], [mac],
-[edcf], [pcf], [flows].  Unknown sections and keys are rejected with
-line-numbered errors.  See the README for the full grammar.
+[edcf], [pcf], [flows].  Unknown sections and keys and out-of-range values
+are rejected with line-numbered errors.  See the README for the full grammar.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
-from . import phy
+from . import dcf, phy
 
 BACKLOGGED = "backlogged"
 CBR = "cbr"
 
 # How many packets a backlogged source keeps queued at its node.
 BACKLOG_DEPTH = 2
-
-_VARIANT_TOKENS = {"dcf", "arf", "rbar", "oar", "mild", "est", "dfs",
-                   "plus", "dcfplus", "ica", "edcf", "pcf", "2way"}
-
-_SIM_KEYS = {"seed", "duration_us", "metric_window_us", "genie_tiebreak",
-             "capture_ratio", "control_fer"}
-_LINK_KEYS = {"hear_range", "sense_range", "initial_quality", "dwell_us",
-              "matrix", "base_fer_bad", "base_fer_low", "base_fer_mid",
-              "base_fer_high"}
-_MAC_KEYS = {"variant", "data_rate", "slot_us", "sifs_us", "cw_min", "cw_max",
-             "retry_limit", "rts_threshold", "frag_threshold", "mild_factor",
-             "est_window_us", "est_phi", "dfs_scaling", "dfs_compress",
-             "dfs_random", "arf_timer_us", "oar_ref_bytes",
-             "ica_cts_timeout_us"}
-_MAC_NODE_KEYS = {"variant", "phi", "data_rate", "rts_threshold",
-                  "frag_threshold", "est_phi"}
-_PCF_KEYS = {"coordinator", "pollable", "superframe_us", "cfp_max_us",
-             "cp_min_us"}
-_FLOW_KEYS = {"start", "stop", "cat"}
 
 
 class ScenarioError(Exception):
@@ -84,43 +67,143 @@ def _err(lineno, msg):
     raise ScenarioError("line %d: %s" % (lineno, msg))
 
 
-def _parse_bool(value, lineno):
+# Value parsers: text -> value, or ValueError with the reason.
+
+def _int(value):
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("expected int, got %r" % value)
+
+
+def _float(value):
+    try:
+        v = float(value)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError("expected a finite float, got %r" % value)
+    return v
+
+
+def _bool(value):
     if value in ("0", "false", "no"):
         return False
     if value in ("1", "true", "yes"):
         return True
-    _err(lineno, "expected boolean 0/1, got %r" % value)
+    raise ValueError("expected boolean 0/1, got %r" % value)
 
 
-def _parse_num(value, lineno, kind=float):
-    try:
-        return kind(value)
-    except ValueError:
-        _err(lineno, "expected %s, got %r" % (kind.__name__, value))
-
-
-def _parse_rate(value, lineno):
-    r = _parse_num(value, lineno, float)
+def _rate(value):
+    r = _float(value)
     if r not in phy.RATES:
-        _err(lineno, "rate must be one of %s" % (phy.RATES,))
+        raise ValueError("rate must be one of %s" % (phy.RATES,))
     return int(r) if r in (1, 2, 11) else r
+
+
+def _quality(value):
+    if value not in phy.QUALITY_BY_NAME:
+        raise ValueError("quality must be one of %s" % (phy.QUALITY_NAMES,))
+    return phy.QUALITY_BY_NAME[value]
+
+
+def _matrix(value):
+    vals = [_float(v) for v in value.split()]
+    if len(vals) != 16:
+        raise ValueError("matrix needs 16 probabilities (4x4, row-major)")
+    matrix = [vals[i * 4:(i + 1) * 4] for i in range(4)]
+    phy.validate_matrix(matrix)
+    return matrix
+
+
+def _variant(value):
+    variant_flags(value)
+    return value
+
+
+def _pollable(value):
+    ids = [_int(v) for v in value.split()]
+    if not ids:
+        raise ValueError("pollable needs at least one node id")
+    return ids
+
+
+# Bounds: (what the error says a value must be, test).
+_GT0 = ("positive", lambda v: v > 0)
+_GE0 = (">= 0", lambda v: v >= 0)
+_GE1 = (">= 1", lambda v: v >= 1)
+_PROB = ("in [0, 1]", lambda v: 0 <= v <= 1)
+_OPEN_PROB = ("in (0, 1)", lambda v: 0 < v < 1)
+_CAPTURE = ("> 1, or an exact power tie would let one radio receive two "
+            "overlapping frames", lambda v: v > 1)
+_MSDU = ("in [1, 2304], the 802.11 MSDU limit", lambda v: 1 <= v <= 2304)
+
+# Where a key may appear: in its section, as a [mac] `node.N.key`, or both.
+_PLAIN, _NODE, _BOTH = 1, 2, 3
+
+_Row = namedtuple("_Row", "parse bound where", defaults=(None, _PLAIN))
+
+# section -> key -> row.  The [flows] rows are the `key=value` options after
+# a flow's positional fields.
+_KEYS = {
+    "sim": {"seed": _Row(_int), "duration_us": _Row(_int, _GT0),
+            "metric_window_us": _Row(_int, _GT0),
+            "genie_tiebreak": _Row(_bool), "control_fer": _Row(_bool),
+            "capture_ratio": _Row(_float, _CAPTURE)},
+    "links": {"hear_range": _Row(_float, _GE0),
+              "sense_range": _Row(_float, _GE0),
+              "initial_quality": _Row(_quality), "matrix": _Row(_matrix),
+              "dwell_us": _Row(_int, _GE0),
+              "base_fer_bad": _Row(_float, _PROB),
+              "base_fer_low": _Row(_float, _PROB),
+              "base_fer_mid": _Row(_float, _PROB),
+              "base_fer_high": _Row(_float, _PROB)},
+    "mac": {"variant": _Row(_variant, None, _BOTH),
+            "phi": _Row(_float, _GT0, _NODE),
+            "data_rate": _Row(_rate, None, _BOTH),
+            "slot_us": _Row(_int, _GE1), "sifs_us": _Row(_int, _GE1),
+            "cw_min": _Row(_int, _GE1), "cw_max": _Row(_int, _GE1),
+            "retry_limit": _Row(_int, _GE0),
+            "rts_threshold": _Row(_int, _GE0, _BOTH),
+            "frag_threshold": _Row(_int, _GE1, _BOTH),
+            "mild_factor": _Row(_float, _GE1),
+            "est_window_us": _Row(_int, _GE1),
+            "est_phi": _Row(_float, _OPEN_PROB, _BOTH),
+            "dfs_scaling": _Row(_float, _GT0),
+            "dfs_compress": _Row(_int, _GE1), "dfs_random": _Row(_bool),
+            "arf_timer_us": _Row(_int, _GE1),
+            "oar_ref_bytes": _Row(_int, _GE1),
+            "ica_cts_timeout_us": _Row(_int, _GE1)},
+    "pcf": {"coordinator": _Row(_int), "pollable": _Row(_pollable),
+            "superframe_us": _Row(_int, _GT0),
+            "cfp_max_us": _Row(_int, _GT0), "cp_min_us": _Row(_int, _GT0)},
+    "flows": {"start": _Row(_int, _GE0), "stop": _Row(_int),
+              "cat": _Row(_int, _GE0)},
+}
+
+
+def _value(row, key, value):
+    """Parse `value` with `row`'s parser and check it against `row`'s bound."""
+    v = row[0](value)
+    if row[1] is not None and not row[1][1](v):
+        raise ValueError("%s must be %s" % (key, row[1][0]))
+    return v
 
 
 def parse_scenario(text):
     s = Scenario()
     section = None
-    seen_pcf = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip()
-            if section not in ("sim", "nodes", "links", "mac", "edcf", "pcf",
-                               "flows"):
+            if section not in _KEYS and section not in _POSITIONAL:
                 _err(lineno, "unknown section [%s]" % section)
-            if section == "pcf":
-                s.pcf = seen_pcf
+            if section == "pcf" and s.pcf is None:
+                s.pcf = {}
+                s.key_lines[("pcf", None)] = lineno
             continue
         if section is None:
             _err(lineno, "content before any [section] header")
@@ -128,244 +211,160 @@ def parse_scenario(text):
             _err(lineno, "expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         s.key_lines[(section, key)] = lineno
-        if section == "sim":
-            _parse_sim(s, key, value, lineno)
-        elif section == "nodes":
-            _parse_node(s, key, value, lineno)
-        elif section == "links":
-            _parse_link(s, key, value, lineno)
-        elif section == "mac":
-            _parse_mac(s, key, value, lineno)
-        elif section == "edcf":
-            _parse_edcf(s, key, value, lineno)
-        elif section == "pcf":
-            _parse_pcf(seen_pcf, key, value, lineno)
-        elif section == "flows":
-            _parse_flow(s, key, value, lineno)
+        try:
+            _POSITIONAL.get(section, _parse_key)(s, section, key,
+                                                 value.strip())
+        except (ValueError, ScenarioError) as e:
+            _err(lineno, str(e))
     _validate(s)
     return s
 
 
-def _parse_sim(s, key, value, lineno):
-    if key not in _SIM_KEYS:
-        _err(lineno, "unknown [sim] key %r" % key)
-    if key == "seed":
-        s.seed = _parse_num(value, lineno, int)
-    elif key == "duration_us":
-        s.duration_us = _parse_num(value, lineno, int)
-    elif key == "metric_window_us":
-        s.metric_window_us = _parse_num(value, lineno, int)
-    elif key == "genie_tiebreak":
-        s.genie_tiebreak = _parse_bool(value, lineno)
-    elif key == "capture_ratio":
-        s.capture_ratio = _parse_num(value, lineno, float)
-    elif key == "control_fer":
-        s.control_fer = _parse_bool(value, lineno)
+def _parse_key(s, section, key, value):
+    if section == "mac" and key.startswith("node."):
+        return _parse_override(s, key, value)
+    row = _KEYS[section].get(key)
+    if row is None or not row.where & _PLAIN:
+        raise ValueError("unknown [%s] key %r" % (section, key))
+    v = _value(row, key, value)
+    if section == "mac" and key != "variant":
+        s.mac[key] = v
+    elif section == "pcf":
+        s.pcf[key] = v
+    elif key.startswith("base_fer_"):
+        s.base_fer[phy.QUALITY_BY_NAME[key.rsplit("_", 1)[1].upper()]] = v
+    else:
+        setattr(s, key, v)
 
 
-def _parse_node(s, key, value, lineno):
-    nid = _parse_num(key, lineno, int)
+def _parse_override(s, key, value):
+    parts = key.split(".")
+    row = _KEYS["mac"].get(parts[-1])
+    if len(parts) != 3 or row is None or not row.where & _NODE:
+        raise ValueError("unknown per-node [mac] key %r" % key)
+    nid = _int(parts[1])
+    s.key_lines.setdefault(("node", nid), s.key_lines[("mac", key)])
+    s.node_overrides.setdefault(nid, {})[parts[2]] = _value(row, parts[2], value)
+
+
+def _parse_node(s, section, key, value):
+    nid = _int(key)
     if nid in s.positions:
-        _err(lineno, "duplicate node id %d" % nid)
+        raise ValueError("duplicate node id %d" % nid)
     parts = value.split()
     if len(parts) != 2:
-        _err(lineno, "node line needs 'id = x y'")
-    s.positions[nid] = (_parse_num(parts[0], lineno, float),
-                        _parse_num(parts[1], lineno, float))
+        raise ValueError("node line needs 'id = x y'")
+    s.positions[nid] = (_float(parts[0]), _float(parts[1]))
 
 
-def _parse_link(s, key, value, lineno):
-    if key not in _LINK_KEYS:
-        _err(lineno, "unknown [links] key %r" % key)
-    if key == "hear_range":
-        s.hear_range = _parse_num(value, lineno, float)
-    elif key == "sense_range":
-        s.sense_range = _parse_num(value, lineno, float)
-    elif key == "initial_quality":
-        if value not in phy.QUALITY_BY_NAME:
-            _err(lineno, "quality must be one of %s" % (phy.QUALITY_NAMES,))
-        s.initial_quality = phy.QUALITY_BY_NAME[value]
-    elif key == "dwell_us":
-        s.dwell_us = _parse_num(value, lineno, int)
-    elif key == "matrix":
-        vals = [_parse_num(v, lineno, float) for v in value.split()]
-        if len(vals) != 16:
-            _err(lineno, "matrix needs 16 probabilities (4x4, row-major)")
-        s.matrix = [vals[i * 4:(i + 1) * 4] for i in range(4)]
-        try:
-            phy.validate_matrix(s.matrix)
-        except ValueError as e:
-            _err(lineno, str(e))
-    else:  # base_fer_*
-        q = phy.QUALITY_BY_NAME[key.rsplit("_", 1)[1].upper()]
-        s.base_fer[q] = _parse_num(value, lineno, float)
-
-
-def _parse_mac(s, key, value, lineno):
-    if key.startswith("node."):
-        parts = key.split(".")
-        if len(parts) != 3 or parts[2] not in _MAC_NODE_KEYS:
-            _err(lineno, "unknown per-node [mac] key %r" % key)
-        nid = _parse_num(parts[1], lineno, int)
-        ov = s.node_overrides.setdefault(nid, {})
-        if parts[2] == "variant":
-            ov["variant"] = _check_variant(value, lineno)
-        elif parts[2] in ("phi", "est_phi"):
-            ov[parts[2]] = _parse_num(value, lineno, float)
-        elif parts[2] == "data_rate":
-            ov["data_rate"] = _parse_rate(value, lineno)
-        else:
-            ov[parts[2]] = _parse_num(value, lineno, int)
-        return
-    if key not in _MAC_KEYS:
-        _err(lineno, "unknown [mac] key %r" % key)
-    if key == "variant":
-        s.variant = _check_variant(value, lineno)
-    elif key == "data_rate":
-        s.mac["data_rate"] = _parse_rate(value, lineno)
-    elif key in ("mild_factor", "est_phi", "dfs_scaling"):
-        s.mac[key] = _parse_num(value, lineno, float)
-    elif key == "dfs_random":
-        s.mac[key] = _parse_bool(value, lineno)
-    else:
-        s.mac[key] = _parse_num(value, lineno, int)
-
-
-def _check_variant(value, lineno):
-    for tok in value.split("+"):
-        if tok not in _VARIANT_TOKENS:
-            _err(lineno, "unknown variant token %r" % tok)
-    return value
-
-
-def _parse_edcf(s, key, value, lineno):
-    if not key.startswith("cat"):
-        _err(lineno, "unknown [edcf] key %r" % key)
-    idx = _parse_num(key[3:], lineno, int)
-    if idx != len(s.edcf_cats):
-        _err(lineno, "categories must be cat0, cat1, ... in order")
+def _parse_edcf(s, section, key, value):
+    if key != "cat%d" % len(s.edcf_cats):
+        raise ValueError("categories must be cat0, cat1, ... in order")
     parts = value.split()
     if len(parts) != 4:
-        _err(lineno, "category needs 'aifs_us pf cw_min cw_max'")
-    cat = (_parse_num(parts[0], lineno, int),
-           _parse_num(parts[1], lineno, float),
-           _parse_num(parts[2], lineno, int),
-           _parse_num(parts[3], lineno, int))
-    if min(cat[2:]) < 1:
-        _err(lineno, "category cw_min and cw_max must be >= 1")
-    s.edcf_cats.append(cat)
+        raise ValueError("category needs 'aifs_us pf cw_min cw_max'")
+    pf = _value((_float, _GE1), "category pf", parts[1])
+    cw_min, cw_max = (_value((_int, _GE1), "category cw_min and cw_max", p)
+                      for p in parts[2:])
+    if cw_min > cw_max:
+        raise ValueError("category cw_min %d above cw_max %d" % (cw_min, cw_max))
+    s.edcf_cats.append((_int(parts[0]), pf, cw_min, cw_max))
 
 
-def _parse_pcf(pcf, key, value, lineno):
-    if key not in _PCF_KEYS:
-        _err(lineno, "unknown [pcf] key %r" % key)
-    if key == "pollable":
-        pcf["pollable"] = [_parse_num(v, lineno, int) for v in value.split()]
-        if not pcf["pollable"]:
-            _err(lineno, "pollable needs at least one node id")
-    else:
-        pcf[key] = _parse_num(value, lineno, int)
-
-
-def _parse_flow(s, key, value, lineno):
-    fid = _parse_num(key, lineno, int)
-    if any(f.fid == fid for f in s.flows):
-        _err(lineno, "duplicate flow id %d" % fid)
+def _parse_flow(s, section, key, value):
+    fid = _int(key)
+    if ("flows", fid) in s.key_lines:
+        raise ValueError("duplicate flow id %d" % fid)
+    s.key_lines[("flows", fid)] = s.key_lines[("flows", key)]
     tokens = value.split()
-    extras = {}
+    opts = {}
     while tokens and "=" in tokens[-1]:
         k, _, v = tokens.pop().partition("=")
-        if k not in _FLOW_KEYS:
-            _err(lineno, "unknown flow option %r" % k)
-        extras[k] = _parse_num(v, lineno, int)
+        if k not in _KEYS["flows"]:
+            raise ValueError("unknown flow option %r" % k)
+        opts[k] = _value(_KEYS["flows"][k], k, v)
     if len(tokens) < 4:
-        _err(lineno, "flow needs 'src dst kind bytes [rate_bps]'")
-    src = _parse_num(tokens[0], lineno, int)
-    dst = _parse_num(tokens[1], lineno, int)
+        raise ValueError("flow needs 'src dst kind bytes [rate_bps]'")
     kind = tokens[2]
-    size = _parse_num(tokens[3], lineno, int)
-    if kind == BACKLOGGED:
-        if len(tokens) != 4:
-            _err(lineno, "backlogged flow takes exactly 'src dst backlogged bytes'")
-        flow = Flow(fid, src, dst, BACKLOGGED, size)
-    elif kind == CBR:
-        if len(tokens) != 5:
-            _err(lineno, "cbr flow needs 'src dst cbr bytes rate_bps'")
-        flow = Flow(fid, src, dst, CBR, size,
-                    rate_bps=_parse_num(tokens[4], lineno, int))
-    else:
-        _err(lineno, "flow kind must be backlogged or cbr, got %r" % kind)
-    flow.start_us = extras.get("start", 0)
-    flow.stop_us = extras.get("stop", -1)
-    flow.category = extras.get("cat", 0)
-    s.flows.append(flow)
+    if kind not in (BACKLOGGED, CBR):
+        raise ValueError("flow kind must be backlogged or cbr, got %r" % kind)
+    if len(tokens) != 4 + (kind == CBR):
+        raise ValueError("%s flow needs 'src dst %s bytes%s'"
+                         % (kind, kind, " rate_bps" * (kind == CBR)))
+    src, dst = _int(tokens[0]), _int(tokens[1])
+    if src == dst:
+        raise ValueError("flow %d has src == dst" % fid)
+    start, stop = opts.get("start", 0), opts.get("stop", -1)
+    if "stop" in opts and stop <= start:
+        raise ValueError("flow %d stop %d not after start %d"
+                         % (fid, stop, start))
+    size = _value((_int, _MSDU), "bytes", tokens[3])
+    rate = _value((_int, _GE1), "rate_bps", tokens[4]) if kind == CBR else 0
+    s.flows.append(Flow(fid, src, dst, kind, size, rate, start, stop,
+                        opts.get("cat", 0)))
+
+
+_POSITIONAL = {"nodes": _parse_node, "edcf": _parse_edcf, "flows": _parse_flow}
 
 
 def _validate(s):
-    if s.duration_us <= 0:
-        _err(s.key_lines[("sim", "duration_us")], "duration_us must be positive")
-    if s.metric_window_us <= 0:
-        _err(s.key_lines[("sim", "metric_window_us")],
-             "metric_window_us must be positive")
-    for key in ("cw_min", "cw_max"):
-        if s.mac.get(key, 1) < 1:
-            _err(s.key_lines[("mac", key)], "%s must be >= 1" % key)
+    """The checks that involve more than one key or line."""
+    line = s.key_lines.get
+    cw_min = s.mac.get("cw_min", dcf.CW_MIN)
+    cw_max = s.mac.get("cw_max", dcf.CW_MAX)
+    if cw_min > cw_max:
+        _err(line(("mac", "cw_max")) or line(("mac", "cw_min")),
+             "cw_min %d above cw_max %d" % (cw_min, cw_max))
     if not s.positions:
         raise ScenarioError("no nodes defined")
     if s.sense_range < 0:
         s.sense_range = s.hear_range
-    for f in s.flows:
-        for nid in (f.src, f.dst):
-            if nid not in s.positions:
-                raise ScenarioError(
-                    "flow %d references unknown node %d" % (f.fid, nid))
-        if f.src == f.dst:
-            raise ScenarioError("flow %d has src == dst" % f.fid)
-        if f.packet_bytes <= 0:
-            raise ScenarioError("flow %d has non-positive packet size" % f.fid)
-        if f.kind == CBR and f.rate_bps <= 0:
-            raise ScenarioError("flow %d has non-positive cbr rate" % f.fid)
-        if f.category and f.category >= max(1, len(s.edcf_cats)):
-            raise ScenarioError(
-                "flow %d uses undefined category %d" % (f.fid, f.category))
+    elif s.sense_range < s.hear_range:
+        _err(line(("links", "sense_range")), "sense_range %g below hear_range %g"
+             % (s.sense_range, s.hear_range))
+    # (key_lines key, node id) for every reference to a node.
+    refs = [(("node", nid), nid) for nid in s.node_overrides]
+    refs += [(("flows", f.fid), nid) for f in s.flows for nid in (f.src, f.dst)]
     if s.pcf is not None:
-        for k in ("coordinator", "pollable", "superframe_us", "cfp_max_us",
-                  "cp_min_us"):
-            if k not in s.pcf:
-                raise ScenarioError("[pcf] missing key %r" % k)
-        for nid in [s.pcf["coordinator"], *s.pcf["pollable"]]:
-            if nid not in s.positions:
-                raise ScenarioError("[pcf] references unknown node %d" % nid)
-        if s.pcf["cfp_max_us"] + s.pcf["cp_min_us"] > s.pcf["superframe_us"]:
-            _err(s.key_lines[("pcf", "cp_min_us")],
-                 "cfp_max_us %d + cp_min_us %d exceeds superframe_us %d"
-                 % (s.pcf["cfp_max_us"], s.pcf["cp_min_us"],
-                    s.pcf["superframe_us"]))
+        for key in _KEYS["pcf"]:
+            if key not in s.pcf:
+                _err(line(("pcf", None)), "[pcf] missing key %r" % key)
+        refs.append((("pcf", "coordinator"), s.pcf["coordinator"]))
+        refs += [(("pcf", "pollable"), nid) for nid in s.pcf["pollable"]]
+    for at, nid in refs:
+        if nid not in s.positions:
+            _err(line(at), "references unknown node %d" % nid)
+    for f in s.flows:
+        if f.category and f.category >= max(1, len(s.edcf_cats)):
+            _err(line(("flows", f.fid)), "flow %d uses undefined category %d"
+                 % (f.fid, f.category))
+    if s.pcf is not None and (s.pcf["cfp_max_us"] + s.pcf["cp_min_us"]
+                              > s.pcf["superframe_us"]):
+        _err(line(("pcf", "cp_min_us")),
+             "cfp_max_us %d + cp_min_us %d exceeds superframe_us %d"
+             % (s.pcf["cfp_max_us"], s.pcf["cp_min_us"],
+                s.pcf["superframe_us"]))
+
+
+# Variant token -> (flag, value).  A variant sets each flag once at most.
+_TOKENS = {"plus": ("dcfplus", True), "dcfplus": ("dcfplus", True),
+           "2way": ("two_way", True),
+           **{t: (t, True) for t in ("dcf", "ica", "edcf", "pcf")},
+           **{t: ("rate_policy", t) for t in ("arf", "rbar", "oar")},
+           **{t: ("cw_policy", t) for t in ("mild", "est", "dfs")}}
+_NO_FLAGS = {**{flag: False for flag, _ in _TOKENS.values()},
+             "rate_policy": "fixed", "cw_policy": "beb"}
 
 
 def variant_flags(variant):
     """Decompose a variant string into MacNode keyword settings."""
-    flags = {"rate_policy": "fixed", "cw_policy": "beb", "dcfplus": False,
-             "ica": False, "edcf": False, "pcf": False, "two_way": False}
+    flags = dict(_NO_FLAGS)
     for tok in variant.split("+"):
-        if tok == "dcf":
-            continue
-        elif tok in ("arf", "rbar", "oar"):
-            flags["rate_policy"] = tok
-        elif tok in ("mild", "est", "dfs"):
-            flags["cw_policy"] = tok
-        elif tok in ("plus", "dcfplus"):
-            flags["dcfplus"] = True
-        elif tok == "ica":
-            flags["ica"] = True
-        elif tok == "edcf":
-            flags["edcf"] = True
-        elif tok == "pcf":
-            flags["pcf"] = True
-        elif tok == "2way":
-            flags["two_way"] = True
-        else:
-            raise ScenarioError("unknown variant token %r" % tok)
+        if tok not in _TOKENS:
+            raise ScenarioError("variant %r: unknown token %r" % (variant, tok))
+        flag, value = _TOKENS[tok]
+        if flags[flag] != _NO_FLAGS[flag]:
+            raise ScenarioError("variant %r: two tokens set %s" % (variant, flag))
+        flags[flag] = value
     return flags

@@ -25,6 +25,10 @@ def test_mild_clamps_to_bounds():
     assert mild_update(250, True, 1.5, cw_max=256) == 256
 
 
+def test_mild_overflowing_factor_clamps_to_cw_max():
+    assert mild_update(16, True, 1e308, cw_max=256) == 256
+
+
 def test_share_cw_copy_semantics():
     assert share_cw_on_hear(16, 64) == 64
     assert share_cw_on_hear(64, 16) == 16  # copy, not max
@@ -185,6 +189,13 @@ def test_dfs_compression_continuous_and_monotone():
         b = dfs_backoff(bits, 1.0, 1.0, compress_threshold=thr)
         assert b >= prev
         prev = b
+
+
+def test_dfs_overflowing_quotient_gives_a_finite_backoff():
+    stream = RandomStream(1)
+    for phi, scaling in ((1e-320, 1.0), (1.0, 1e308)):
+        assert dfs_backoff(12000, phi, scaling) == int(1e300)
+        assert dfs_backoff(12000, phi, scaling, stream, 1000) > 1000
 
 
 def test_dfs_rejects_bad_parameters():

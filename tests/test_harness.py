@@ -14,7 +14,7 @@ from macsim.scenario import ScenarioError, parse_scenario
 
 def test_zero_flows_gives_all_zero_metrics():
     text = "[sim]\nduration_us = 1000\n[nodes]\n0 = 0 0\n1 = 5 0\n"
-    m = harness.run_scenario(parse_scenario(text))
+    m = harness.run(parse_scenario(text)).metrics
     assert m.aggregate_delivered_bits == 0
     assert m.total_transmissions == 0
     assert m.collision_fraction == 0.0
@@ -38,7 +38,7 @@ def test_seed_changes_the_run():
 
 def test_compare_runs_are_isolated():
     text = single_cell(3, 800, seed=5, duration_us=300_000)
-    solo = harness.run_scenario(parse_scenario(text), variant="dcf")
+    solo = harness.run(parse_scenario(text), variant="dcf").metrics
     table = harness.compare(["dcf", "dcf+2way"], parse_scenario(text))
     assert set(table) == {"dcf", "dcf+2way"}
     # Running dcf alongside another variant must not perturb it.
@@ -51,16 +51,22 @@ def test_compare_empty_variant_list_rejected():
 
 
 def test_compare_invalid_variant_rejected():
-    with pytest.raises(ScenarioError):
-        harness.compare(["dcf+bogus"],
-                        parse_scenario(single_cell(1, 500, 1, 1000)))
+    s = parse_scenario(single_cell(1, 500, 1, 1000))
+    for variants, message in [
+            (["dcf+bogus"], "variant 'dcf+bogus': unknown token 'bogus'"),
+            (["dcf", "dcf+warp"], "variant 'dcf+warp': unknown token 'warp'"),
+            (["dcf+arf+rbar"],
+             "variant 'dcf+arf+rbar': two tokens set rate_policy")]:
+        with pytest.raises(ScenarioError) as err:
+            harness.compare(variants, s)
+        assert str(err.value) == message
 
 
 def test_cbr_flow_paces_arrivals():
     # 1 Mbps of 500-byte packets over 0.1 s = 25 packets.
     text = single_cell(1, 500, seed=1, duration_us=100_000,
                        flow_kind="cbr 500 1000000")
-    m = harness.run_scenario(parse_scenario(text))
+    m = harness.run(parse_scenario(text)).metrics
     assert m.flows[1].generated_packets == 25
     assert m.flows[1].delivered_packets == 25
 
@@ -120,6 +126,13 @@ def test_cli_compare(scenario_file):
     res = _cli(["compare", str(scenario_file), "--variants", "dcf,dcf+2way"])
     assert res.returncode == 0
     assert "dcf+2way,all," in res.stdout
+
+
+def test_cli_compare_bad_variant_named_without_a_line(scenario_file):
+    res = _cli(["compare", str(scenario_file), "--variants", "dcf,dcf+warp"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: variant 'dcf+warp': unknown token 'warp'\n"
 
 
 def test_cli_validate_ok(scenario_file):

@@ -141,7 +141,7 @@ variant = dcf+2way
 1 = 1 0 backlogged 1500
 2 = 2 0 backlogged 1500
 """
-    m = harness.run_scenario(parse_scenario(text))
+    m = harness.run(parse_scenario(text)).metrics
     assert m.collision_events > 0
     assert 0 < m.collision_fraction <= 1
     assert m.total_transmissions > m.collision_events
@@ -189,7 +189,7 @@ rts_threshold = 500
 [flows]
 1 = 1 0 backlogged 1500
 """
-    m = harness.run_scenario(parse_scenario(text))
+    m = harness.run(parse_scenario(text)).metrics
     assert m.flows[1].drops > 2
     assert m.flows[1].generated_packets > 4
 

@@ -312,7 +312,7 @@ def small_scenarios(draw):
     hear = draw(st.integers(10, 40))
     lines = ["[sim]", "seed = %d" % draw(st.integers(0, 10_000)),
              "duration_us = %d" % draw(st.integers(20_000, 60_000)),
-             "capture_ratio = %s" % draw(st.sampled_from(["0.5", "1", "10"])),
+             "capture_ratio = %s" % draw(st.sampled_from(["1.01", "2", "10"])),
              "control_fer = %d" % draw(st.booleans()), "[nodes]"]
     spots = []
     for i in range(n):

@@ -89,6 +89,12 @@ def test_received_power_inverse_square():
     assert topo.received_power(2, 0) == pytest.approx(1 / 16)
 
 
+def test_received_power_infinite_where_distance_squared_underflows():
+    topo = Topology({0: (0, 0), 1: (1e-320, 0)}, hear_range=10,
+                    sense_range=10)
+    assert topo.received_power(1, 0) == float("inf")
+
+
 # -- capture ----------------------------------------------------------------
 
 def test_capture_single_frame_received():

@@ -1,11 +1,15 @@
 """Scenario text parsing and validation."""
 
+import contextlib
+import io
 import os
+import re
 
 import pytest
 from conftest import SCENARIOS
+from hypothesis import given, settings, strategies as st
 
-from macsim import harness
+from macsim import cli, harness
 from macsim.scenario import (BACKLOGGED, CBR, ScenarioError, parse_scenario,
                              variant_flags)
 
@@ -208,3 +212,130 @@ def test_variant_flags_decomposition():
     assert not flags["dcfplus"] and not flags["edcf"] and not flags["pcf"]
     plain = variant_flags("dcf")
     assert plain["rate_policy"] == "fixed" and plain["cw_policy"] == "beb"
+
+
+# -- Out-of-range values, through the command line ---------------------------
+
+def _main(args):
+    """Exit code and stderr of one in-process `macsim` call.  An uncaught
+    exception (a traceback, exit 1 from the real command) fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+# (line of single_cell.txt, what replaces it, message).  The last line of the
+# replacement is the one the message must name.
+_REJECTED = [
+    ("rts_threshold = 500", "frag_threshold = 0", "frag_threshold must be >= 1"),
+    ("rts_threshold = 500", "node.1.frag_threshold = 0",
+     "frag_threshold must be >= 1"),
+    ("rts_threshold = 500", "node.1.phi = 0", "phi must be positive"),
+    ("rts_threshold = 500", "sifs_us = -5", "sifs_us must be >= 1"),
+    ("base_fer_high = 0", "base_fer_high = 2", "base_fer_high must be in [0, 1]"),
+    ("rts_threshold = 500", "mild_factor = 0", "mild_factor must be >= 1"),
+    ("rts_threshold = 500", "est_phi = 0", "est_phi must be in (0, 1)"),
+    ("rts_threshold = 500", "node.1.est_phi = -1", "est_phi must be in (0, 1)"),
+    ("rts_threshold = 500", "dfs_scaling = 0", "dfs_scaling must be positive"),
+    ("rts_threshold = 500", "dfs_compress = 0", "dfs_compress must be >= 1"),
+    ("rts_threshold = 500", "ica_cts_timeout_us = -1",
+     "ica_cts_timeout_us must be >= 1"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 backlogged 1500 start=-5",
+     "start must be >= 0"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 backlogged 99999999999999999999",
+     "bytes must be in [1, 2304], the 802.11 MSDU limit"),
+    ("hear_range = 50", "hear_range = 50\nsense_range = 10",
+     "sense_range 10 below hear_range 50"),
+    ("rts_threshold = 500", "slot_us = 0", "slot_us must be >= 1"),
+    ("rts_threshold = 500", "retry_limit = -1", "retry_limit must be >= 0"),
+    ("rts_threshold = 500", "cw_min = 300\ncw_max = 256",
+     "cw_min 300 above cw_max 256"),
+    ("seed = 1", "capture_ratio = nan", "expected a finite float, got 'nan'"),
+    ("seed = 1", "capture_ratio = -1", "capture_ratio must be > 1"),
+    ("seed = 1", "capture_ratio = 1", "capture_ratio must be > 1, or an exact "
+     "power tie would let one radio receive two overlapping frames"),
+    ("hear_range = 50", "hear_range = inf", "expected a finite float, got 'inf'"),
+    ("hear_range = 50", "hear_range = -5", "hear_range must be >= 0"),
+    ("hear_range = 50", "dwell_us = -1", "dwell_us must be >= 0"),
+    ("rts_threshold = 500", "variant = dcf+arf+rbar",
+     "variant 'dcf+arf+rbar': two tokens set rate_policy"),
+    ("rts_threshold = 500", "variant = dcf+mild+est",
+     "variant 'dcf+mild+est': two tokens set cw_policy"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 backlogged 1500 start=5 stop=2",
+     "flow 1 stop 2 not after start 5"),
+    ("rts_threshold = 500", "node.9.phi = 2", "references unknown node 9"),
+    ("[flows]\n1 = 1 0 backlogged 1500",
+     "[edcf]\ncat0 = 50 2 16 256\ncat1 = 70 2 16 256\n"
+     "[flows]\n1 = 1 0 backlogged 1500 cat=1",
+     "flow 1 uses category 1, but node 1 does not run edcf"),
+    # "cat00" used to parse as category 0 but left no "cat0" line to name.
+    ("5 = 5 0 backlogged 1500",
+     "5 = 5 0 backlogged 1500\n[edcf]\ncat00 = 50 2 16 256",
+     "categories must be cat0, cat1, ... in order"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("old,new,message", _REJECTED,
+                         ids=[new.split("\n")[-1] for _, new, _ in _REJECTED])
+def test_out_of_range_value_exits_2_naming_its_line(tmp_path, command, old,
+                                                    new, message):
+    with open(os.path.join(SCENARIOS, "single_cell.txt")) as fh:
+        text = fh.read()
+    assert old in text
+    text = text.replace(old, new)
+    line = text.split("\n").index(new.split("\n")[-1]) + 1
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, err = _main([command, str(path)])
+    assert code == 2
+    assert "line %d: %s" % (line, message) in err
+
+
+# Tokens a one-field edit may write: numbers at and past every bound, words,
+# variants, flow options and section headers.  No integer token exceeds
+# 100 ms, so an edited duration_us keeps the run short.
+_EDIT_TOKENS = ["0", "1", "-1", "2", "300", "1500", "0.5", "1.5", "1e9", "nan",
+                "inf", "1e308", "1e-320", "x", "", "=", "#", "HIGH", "BAD",
+                "dcf+arf+rbar", "dcf+oar+mild", "dcf+ica+2way", "dcf+edcf",
+                "dcf+pcf", "dcf+dfs", "dcf+est+plus", "cbr", "backlogged",
+                "start=5", "stop=2", "cat=1", "node.9.phi", "node.1.phi",
+                "[sim]", "[edcf]", "[pcf]", "[bogus]"]
+_SHIPPED = sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".txt"))
+
+
+@st.composite
+def _edited_scenarios(draw):
+    """A shipped scenario cut to at most 100 ms, with one line, or one
+    whitespace-separated field of a line, replaced by a token."""
+    with open(os.path.join(SCENARIOS, draw(st.sampled_from(_SHIPPED)))) as fh:
+        text = re.sub(r"duration_us = (\d+)",
+                      lambda m: "duration_us = %d" % min(int(m[1]), 100_000),
+                      fh.read())
+    lines = text.split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    token = draw(st.sampled_from(_EDIT_TOKENS))
+    fields = lines[i].split()
+    if fields and draw(st.booleans()):
+        fields[draw(st.integers(0, len(fields) - 1))] = token
+        lines[i] = " ".join(fields)
+    else:
+        lines[i] = token
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_edited_scenarios())
+def test_edited_scenario_is_run_or_rejected_never_crashes(tmp_path_factory,
+                                                          text):
+    path = tmp_path_factory.getbasetemp() / "edited.txt"
+    path.write_text(text)
+    validated, _ = _main(["validate", str(path)])
+    ran, _ = _main(["run", str(path)])
+    assert validated in (0, 2)
+    assert ran == validated
