@@ -5,28 +5,37 @@ interval at every node in range.  Sensing (energy detection, blocks access)
 reaches `sense_range`; decoding reaches `hear_range`.
 
 Node positions never change after `harness.build`, so who senses and hears
-a sender, and at what power, is static.  The medium asks the Topology once
-per sender, on that sender's first transmission, and keeps the answer in
-that sender's reach table: the hearer table, (node id, MacNode, received
-power) for every node that hears the sender, in id order; the same powers
-as a {node id: power} map; and the bound `on_sense_enter`/`on_sense_exit`
-methods of every node in sense range, in id order (hear range never
-exceeds sense range, so those cover the hearers too).  Moving a node after
-the first transmission would leave the table stale.
+a sender, and at what power, is static.  The medium measures each distance
+from a sender once, on that sender's first transmission, and keeps the
+answer in that sender's reach table: the hearer table, (node id, MacNode,
+received power) for every node that hears the sender, in id order; the
+same powers as a {node id: power} map; the bound
+`on_sense_enter`/`on_sense_exit` methods of every node in sense range, in
+id order (hear range never exceeds sense range, so those cover the hearers
+too); and the clean rate, the highest rate at which the sender's frames
+have zero error rate at every hearer (0 on fading links, or when a
+hearer's link state has a nonzero base error rate).  Moving a node, or
+changing a static link's state, after the first transmission would leave
+the table stale.
 
-Each transmission keeps one concurrency list: every frame that was on the
-air at some point during it, as (txid, sender, start, sender's power map),
-in txid order.  Outcomes are resolved when a transmission ends:
+Each transmission keeps one concurrency list, as (txid, sender, start,
+sender's power map) in txid order.  It holds every other frame on the air
+at some point during it that can change an outcome at one of its hearers:
+one sent by a hearer (half duplex), or one that some hearer also hears.
+A frame left out is inaudible at every hearer and was sent by none of
+them.  Outcomes are resolved when a transmission ends:
 
-- a frame with no concurrent frame, whose error rate is 0 at every hearer
-  (no quality process, or a control frame exempt from errors), is received
-  by every hearer without further tests;
+- a frame with an empty list whose error rate is 0 at every hearer (sent
+  at or below its sender's clean rate, or a control frame exempt from
+  errors) is received by every hearer without further tests;
 - otherwise each hearer, in id order, takes one pass: a hearer that sent
   one of the concurrent frames loses it (half duplex); then one loop over
   the concurrent frames collides it as soon as an audible one started
   earlier or is strictly stronger there, and else collects the audible
-  powers in txid order.  With none audible the frame error draw decides;
-  with some, the capture rule (`phy.resolve_capture`) does.
+  powers in txid order.  With none audible the frame error draw decides
+  (a frame above a link's rate cap errors with probability 1 and still
+  takes its draw); with some, the capture rule (`phy.resolve_capture`)
+  does.
 
 Nodes that only sense the sender are not visited by the pass; they see
 only the two carrier-sense edges.
@@ -41,13 +50,14 @@ _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
 class _Reach:
     """One sender's reach table; see the module docstring."""
 
-    __slots__ = ("hearers", "power", "enter", "exit")
+    __slots__ = ("hearers", "power", "enter", "exit", "clean_rate")
 
-    def __init__(self, hearers, sensing):
+    def __init__(self, hearers, sensing, clean_rate):
         self.hearers = hearers  # [(node id, MacNode, power)], by id
         self.power = {nid: p for nid, _, p in hearers}
         self.enter = [mac.on_sense_enter for mac in sensing]
         self.exit = [mac.on_sense_exit for mac in sensing]
+        self.clean_rate = clean_rate
 
 
 class _Tx:
@@ -124,7 +134,7 @@ class Medium:
         self.pending_fire = {}  # node id -> access timer deadline (genie mode)
         self._reach_of = {}  # sender id -> _Reach
         self._quality_stream = None
-        if quality is not None and quality.dwell_us > 0 and quality.matrix is not None:
+        if quality.dwell_us > 0 and quality.matrix is not None:
             from .engine import RandomStream
             self._quality_stream = RandomStream(seed, _QUALITY_STREAM_ID)
             sim.schedule_in(quality.dwell_us, "quality_step", "-", self._step_quality)
@@ -159,21 +169,32 @@ class Medium:
         reach = self._reach_of.get(sender_id)
         if reach is None:
             topo = self.topology
-            sensing = [other for other in sorted(self.macs)
-                       if topo.can_sense(sender_id, other)]
+            hearers, sensing = [], []
+            for other, mac in sorted(self.macs.items()):
+                if other == sender_id:
+                    continue
+                d = topo.distance(sender_id, other)
+                if d <= topo.sense_range:
+                    sensing.append(mac)
+                    if d <= topo.hear_range:  # never above sense_range
+                        hearers.append((other, mac, phy.power_at(d)))
             reach = self._reach_of[sender_id] = _Reach(
-                [(other, self.macs[other],
-                  topo.received_power(sender_id, other))
-                 for other in sensing if topo.can_hear(sender_id, other)],
-                [self.macs[other] for other in sensing])
+                hearers, sensing, self._clean_rate(sender_id, hearers))
         return reach
 
-    def power(self, sender_id, hearer_id):
-        """Received power of `sender_id` at `hearer_id`."""
-        p = self.reach(sender_id).power.get(hearer_id)
-        if p is None:  # out of hear range: the table does not keep it
-            p = self.topology.received_power(sender_id, hearer_id)
-        return p
+    def _clean_rate(self, sender_id, hearers):
+        """The highest rate at which every frame of `sender_id` has zero
+        error rate at every hearer, or 0 if there is none: fading links
+        change state, and a nonzero base error rate hits every rate."""
+        if self._quality_stream is not None:
+            return 0
+        rate = max(phy.RATES)
+        for hearer, _, _ in hearers:
+            q = self.quality.state(sender_id, hearer)
+            if self.base_fer[q] != 0.0:
+                return 0
+            rate = min(rate, phy.MAX_RATE_FOR_QUALITY[q])
+        return rate
 
     # -- transmission lifecycle --
 
@@ -191,12 +212,20 @@ class Medium:
                 sender_id, frame.dst, frame.kind, frame.payload_bytes, rate,
                 frame.duration))
 
-        # Each frame on the air overlaps the new one, and the reverse.
+        # Each frame on the air overlaps the new one, and the reverse.  A
+        # list takes the other frame only if one of its hearers sent it
+        # (half duplex) or hears it too; no other frame changes an outcome.
         mine = tx.concurrent
         entry = tx.entry
+        power = reach.power
+        keys = power.keys()
         for t2 in self.active.values():  # txid order
-            mine.append(t2.entry)
-            t2.concurrent.append(entry)
+            p2 = t2.reach.power
+            shared = not keys.isdisjoint(p2.keys())
+            if shared or t2.sender in power:
+                mine.append(t2.entry)
+            if shared or sender_id in p2:
+                t2.concurrent.append(entry)
         for enter in reach.enter:
             enter()
 
@@ -213,10 +242,11 @@ class Medium:
         frame, sender, start, rate = tx.frame, tx.sender, tx.start, tx.rate
         kind = frame.kind
         concurrent = tx.concurrent
-        # Without a quality process, or for a control frame exempt from
-        # errors, the frame error rate is 0 at every hearer: no draw.
-        fer_free = self.quality is None or (kind in CONTROL_KINDS
-                                            and not self.control_fer)
+        # On static error-free links up to the reach table's clean rate,
+        # or for a control frame exempt from errors, the frame error rate
+        # is 0 at every hearer: no draw.
+        fer_free = rate <= tx.reach.clean_rate or (kind in CONTROL_KINDS
+                                                   and not self.control_fer)
         if fer_free and not concurrent:
             if tracing:
                 detail = "%s from %s %s" % (phy.RECEIVED, sender, kind)
@@ -275,8 +305,7 @@ class Medium:
             leave()
 
     def _fer(self, tx, hearer):
-        """Frame error rate at `hearer`, given a quality process and a frame
-        that errors can hit."""
+        """Frame error rate at `hearer` of a frame that errors can hit."""
         kind = tx.frame.kind
         q = self.quality.state(tx.sender, hearer)
         if kind in (DATA, DATA_CF_ACK) and tx.rate > phy.MAX_RATE_FOR_QUALITY[q]:

@@ -81,11 +81,15 @@ class Topology:
         return a != b and self.distance(a, b) <= self.sense_range
 
     def received_power(self, sender, receiver):
-        """Unit transmit power over distance squared; used by the capture rule."""
-        d = self.distance(sender, receiver)
-        if d * d <= 0:  # also below about 1e-162 m, where d * d underflows
-            return float("inf")
-        return 1.0 / (d * d)
+        """Power of `sender` at `receiver`; see `power_at`."""
+        return power_at(self.distance(sender, receiver))
+
+
+def power_at(d):
+    """Unit transmit power over distance squared; used by the capture rule."""
+    if d * d <= 0:  # also below about 1e-162 m, where d * d underflows
+        return float("inf")
+    return 1.0 / (d * d)
 
 
 class LinkQualityProcess:

@@ -2,7 +2,9 @@
 equivalence with a reference medium that resolves each hearer from its own
 overlap set."""
 
+import random
 from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 from conftest import jittered_grid, shipped
@@ -16,17 +18,49 @@ from macsim.medium import Medium
 from macsim.scenario import parse_scenario
 
 
-@pytest.mark.parametrize("name", ["ica_string", "grid"])
+def _clean_rate(medium, sender, hearers):
+    """Brute force: the highest rate at which a DATA frame of any size from
+    `sender` has zero error rate at every hearer in the current link
+    states, or 0; always 0 when the links fade."""
+    q = medium.quality
+    if q.dwell_us > 0 and q.matrix is not None:
+        return 0
+    return max((rate for rate in phy.RATES if all(
+        medium._fer(SimpleNamespace(sender=sender, rate=rate, frame=Frame(
+            DATA, sender, hearer, payload_bytes=size)), hearer) == 0.0
+        for hearer in hearers for size in (0, 300, 2304))), default=0)
+
+
+def _mixed_quality_grid():
+    """The jittered grid with MID links error-free and a few links set to
+    MID or LOW before any frame is sent."""
+    s = parse_scenario(jittered_grid(5, 7, 50_000))
+    s.base_fer[phy.MID] = 0.0
+    built = harness.build(s)
+    states = built[1].quality.states
+    pick = random.Random(3)
+    for link in sorted(states):
+        states[link] = pick.choice([phy.HIGH] * 6 + [phy.MID, phy.LOW])
+    return s, built
+
+
+@pytest.mark.parametrize("name", ["ica_string", "grid", "grid_mixed",
+                                  "fading_rate"])
 def test_reach_tables_match_topology(name):
     if name == "grid":
         s = parse_scenario(jittered_grid(5, 7, 50_000))
+        built = harness.build(s)
+    elif name == "grid_mixed":
+        s, built = _mixed_quality_grid()
     else:
-        s = shipped("ica_string", 200_000, "dcf+ica")
-    sim, medium, macs, _ = harness.build(s)
+        s = shipped(name, 200_000, "dcf+ica" if name == "ica_string" else None)
+        built = harness.build(s)
+    sim, medium, macs, _ = built
     sim.run_until(s.duration_us)
     assert medium._reach_of, "the run built no reach table"
     topo = medium.topology
     sense_only = 0
+    clean = set()
     for a in sorted(macs):
         sensing = [b for b in sorted(macs) if topo.can_sense(a, b)]
         hearing = [b for b in sensing if topo.can_hear(a, b)]
@@ -38,42 +72,57 @@ def test_reach_tables_match_topology(name):
         # Every node in sense range, sense-only ones too, gets both edges.
         assert table.enter == [macs[b].on_sense_enter for b in sensing]
         assert table.exit == [macs[b].on_sense_exit for b in sensing]
+        assert table.clean_rate == _clean_rate(medium, a, hearing)
         sense_only += len(sensing) - len(hearing)
-        for b in sorted(macs):
-            if b != a:
-                assert medium.power(a, b) == topo.received_power(a, b)
-    if name == "grid":
+        clean.add(table.clean_rate)
+    if name.startswith("grid"):
         # The grid must exercise nodes that sense a sender but cannot hear it.
         assert sense_only > 0
+    assert clean == {"grid_mixed": {0, 5.5, 11}, "fading_rate": {0}}.get(
+        name, {11})
 
 
 # -- capture cases the resolution pass decides -------------------------------
 
-def _cell(positions, capture_ratio=10):
+def _cell(positions, capture_ratio=10, hear_range=50, link_lines=()):
     """A traced cell with the given node positions and no traffic."""
     lines = ["[sim]", "seed = 1", "duration_us = 100000",
              "capture_ratio = %s" % capture_ratio, "[nodes]"]
     lines += ["%d = %s %s" % (i, x, y) for i, (x, y) in enumerate(positions)]
-    lines += ["[links]", "hear_range = 50", "sense_range = 50",
+    lines += ["[links]", "hear_range = %s" % hear_range,
+              "sense_range = %s" % hear_range, *link_lines,
               "[mac]", "variant = dcf", "[flows]"]
     return harness.build(parse_scenario("\n".join(lines) + "\n"), trace=True)
+
+
+def _send(sim, medium, sends):
+    """Put a frame on the air at each (start time, frame, rate) in `sends`."""
+    for t, frame, rate in sends:
+        sim.schedule(t, "test_send", frame.src,
+                     lambda frame=frame, rate=rate: (
+                         medium.transmit(frame.src, frame, rate)))
+
+
+def _outcomes(sim):
+    """{(hearer, sender, frame kind): outcome} from the rx trace lines."""
+    got = {}
+    for line in sim.trace_lines:
+        _, node, kind, detail = line.split("\t")
+        if kind == "rx":
+            outcome, _, sender, frame_kind = detail.split(" ")
+            got[int(node), int(sender), frame_kind] = outcome
+    return got
 
 
 def _receptions(positions, sends, capture_ratio=10):
     """Send an RTS to node 0 from each (sender, start time) in `sends` and
     return node 0's outcome per sender, with the medium's stats."""
     sim, medium, _, _ = _cell(positions, capture_ratio)
-    for sender, t in sends:
-        sim.schedule(t, "test_send", sender, lambda sender=sender: (
-            medium.transmit(sender, Frame(RTS, sender, 0, duration=1000),
-                            CONTROL_RATE)))
+    _send(sim, medium, [(t, Frame(RTS, sender, 0, duration=1000), CONTROL_RATE)
+                        for sender, t in sends])
     sim.run_until(2_000)
-    got = {}
-    for line in sim.trace_lines:
-        _, node, kind, detail = line.split("\t")
-        if node == "0" and kind == "rx" and detail.endswith(" RTS"):
-            outcome, _, sender, _ = detail.split(" ")
-            got[int(sender)] = outcome
+    got = {sender: outcome for (hearer, sender, kind), outcome
+           in _outcomes(sim).items() if hearer == 0 and kind == RTS}
     return got, medium.stats
 
 
@@ -109,7 +158,7 @@ def test_capture_colocated_senders_have_infinite_power():
     # both frames are captured.
     positions = [(5, 5), (5, 5), (5, 5)]
     sim, medium, _, _ = _cell(positions)
-    assert medium.power(1, 0) == medium.power(2, 0) == float("inf")
+    assert medium.reach(1).power[0] == medium.reach(2).power[0] == float("inf")
     got, stats = _receptions(positions, [(1, 0), (2, 0)])
     assert got == {1: phy.RECEIVED, 2: phy.RECEIVED}
     assert stats.collision_events == 0
@@ -117,6 +166,59 @@ def test_capture_colocated_senders_have_infinite_power():
     # node 0 answers the first RTS, which would make it NOT_HEARD.)
     got, _ = _receptions(positions, [(1, 0), (2, 5)])
     assert got == {1: phy.RECEIVED, 2: phy.COLLIDED}
+
+
+# -- what a frame's resolution looks at --------------------------------------
+
+@pytest.mark.parametrize("rate,outcome", [(11, phy.ERRORED),
+                                          (5.5, phy.RECEIVED)])
+def test_static_error_free_link_still_caps_the_rate(rate, outcome):
+    # A static MID link with no base error: 5.5 Mbps is error-free, but
+    # 11 Mbps is above what MID sustains and always errors.  Node 0
+    # overhears a frame for node 2, which is out of range.
+    sim, medium, _, _ = _cell([(0, 0), (10, 0), (100, 0)], link_lines=(
+        "initial_quality = MID", "base_fer_mid = 0"))
+    assert medium.reach(1).clean_rate == 5.5
+    _send(sim, medium, [(0, Frame(DATA, 1, 2, payload_bytes=1000), rate)])
+    sim.run_until(5_000)
+    assert _outcomes(sim) == {(0, 1, DATA): outcome}
+
+
+# Three nodes 10 m apart on a line; each hears only its neighbours.
+_LINE = [(0, 0), (10, 0), (20, 0)]
+
+
+@pytest.mark.parametrize("second,outcome", [
+    # B sends to C meanwhile; A's only hearer is B, which is busy sending.
+    # No hearer of A hears B, so only half duplex puts B's frame in A's list.
+    ((1, 2), phy.NOT_HEARD),
+    # C sends to B meanwhile: hidden terminals, equal power at B.
+    ((2, 1), phy.COLLIDED),
+])
+def test_frame_resolves_against_frames_reaching_its_hearers(second, outcome):
+    sim, medium, _, _ = _cell(_LINE, hear_range=15)
+    src, dst = second
+    _send(sim, medium, [
+        (0, Frame(RTS, 0, 1, duration=1000), CONTROL_RATE),
+        (0, Frame(RTS, src, dst, duration=1000), CONTROL_RATE)])
+    sim.run_until(1_000)
+    assert _outcomes(sim)[1, 0, RTS] == outcome
+
+
+def test_frames_far_apart_leave_each_other_out():
+    # Two pairs three hops apart: no hearer of one sender hears the other.
+    sim, medium, _, _ = _cell([(0, 0), (10, 0), (40, 0), (50, 0)],
+                              hear_range=15)
+    _send(sim, medium, [
+        (0, Frame(RTS, 0, 1, duration=1000), CONTROL_RATE),
+        (0, Frame(RTS, 2, 3, duration=1000), CONTROL_RATE)])
+    seen = []
+    sim.schedule(100, "probe", "-", lambda: seen.extend(
+        (tx.sender, tx.concurrent) for tx in medium.active.values()))
+    sim.run_until(1_000)
+    assert seen == [(0, []), (2, [])]
+    got = _outcomes(sim)
+    assert got[1, 0, RTS] == got[3, 2, RTS] == phy.RECEIVED
 
 
 @pytest.mark.parametrize("name,duration_us,variant", [
@@ -197,8 +299,9 @@ def _reference_capture(candidates, powers, capture_ratio):
 
 class ReferenceMedium(Medium):
     """The medium as it was before concurrency lists: one overlap set per
-    hearer per transmission, one `_resolve` call per hearer, and the general
-    capture rule over the whole overlapping group."""
+    hearer per transmission, one `_resolve` call per hearer, the general
+    capture rule over the whole overlapping group with powers read from the
+    Topology, and an error rate for every frame that errors can hit."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -277,7 +380,8 @@ class ReferenceMedium(Medium):
         others = tx.overlaps[hearer]
         if others:
             group = [tx, *sorted(others, key=_TXID)]
-            powers = [self.power(t.sender, hearer) for t in group]
+            powers = [self.topology.received_power(t.sender, hearer)
+                      for t in group]
             starts = [(t.start,) for t in group]
             winner = _reference_capture(starts, powers, self.capture_ratio)
             if winner != 0:
@@ -292,8 +396,6 @@ class ReferenceMedium(Medium):
         kind = tx.frame.kind
         if kind in CONTROL_KINDS and not self.control_fer:
             return 0.0
-        if self.quality is None:
-            return 0.0
         q = self.quality.state(tx.sender, hearer)
         if kind in (DATA, DATA_CF_ACK) and tx.rate > phy.MAX_RATE_FOR_QUALITY[q]:
             return 1.0
@@ -306,10 +408,11 @@ _FADING = ("0.5 0.5 0 0  0.25 0.5 0.25 0  0 0.25 0.5 0.25  0 0 0.5 0.5")
 @st.composite
 def small_scenarios(draw):
     """3-12 nodes in a 40 m square, some sharing a point, hear range <=
-    sense range, and backlogged or CBR flows over a few tens of
-    milliseconds."""
+    sense range, links below HIGH sometimes free of base errors, and
+    backlogged or CBR flows over a few tens of milliseconds."""
     n = draw(st.integers(3, 12))
     hear = draw(st.integers(10, 40))
+    quality = draw(st.sampled_from(["HIGH", "HIGH", "HIGH", "MID", "BAD"]))
     lines = ["[sim]", "seed = %d" % draw(st.integers(0, 10_000)),
              "duration_us = %d" % draw(st.integers(20_000, 60_000)),
              "capture_ratio = %s" % draw(st.sampled_from(["1.01", "2", "10"])),
@@ -326,9 +429,11 @@ def small_scenarios(draw):
     lines += ["[links]", "hear_range = %d" % hear,
               "sense_range = %d" % (hear + draw(st.integers(0, 30))),
               # Mostly HIGH: below it, 11 Mbps DATA frames always error.
-              "initial_quality = %s" % draw(st.sampled_from(
-                  ["HIGH", "HIGH", "HIGH", "MID", "BAD"])),
+              "initial_quality = %s" % quality,
               "base_fer_high = %s" % draw(st.sampled_from(["0", "0.05"]))]
+    if quality != "HIGH" and draw(st.booleans()):
+        # Error-free below the state's rate cap, but not above it.
+        lines.append("base_fer_%s = 0" % quality.lower())
     if draw(st.booleans()):
         lines += ["dwell_us = %d" % draw(st.integers(1_000, 20_000)),
                   "matrix = " + _FADING]
