@@ -32,8 +32,8 @@ def _clean_rate(medium, sender, hearers):
 
 
 def _mixed_quality_grid():
-    """The jittered grid with MID links error-free and a few links set to
-    MID or LOW before any frame is sent."""
+    """The jittered grid with MID links error-free and about a quarter of
+    the links set to MID or LOW before any frame is sent."""
     s = parse_scenario(jittered_grid(5, 7, 50_000))
     s.base_fer[phy.MID] = 0.0
     built = harness.build(s)
@@ -188,16 +188,16 @@ def test_static_error_free_link_still_caps_the_rate(rate, outcome):
 _LINE = [(0, 0), (10, 0), (20, 0)]
 
 
-@pytest.mark.parametrize("second,outcome", [
+@pytest.mark.parametrize("src,dst,outcome", [
     # B sends to C meanwhile; A's only hearer is B, which is busy sending.
     # No hearer of A hears B, so only half duplex puts B's frame in A's list.
-    ((1, 2), phy.NOT_HEARD),
+    (1, 2, phy.NOT_HEARD),
     # C sends to B meanwhile: hidden terminals, equal power at B.
-    ((2, 1), phy.COLLIDED),
-])
-def test_frame_resolves_against_frames_reaching_its_hearers(second, outcome):
+    (2, 1, phy.COLLIDED),
+], ids=["half_duplex", "hidden_terminal"])
+def test_frame_resolves_against_frames_reaching_its_hearers(src, dst, outcome):
+    # A (node 0) sends to B (node 1) while a second frame is on the air.
     sim, medium, _, _ = _cell(_LINE, hear_range=15)
-    src, dst = second
     _send(sim, medium, [
         (0, Frame(RTS, 0, 1, duration=1000), CONTROL_RATE),
         (0, Frame(RTS, src, dst, duration=1000), CONTROL_RATE)])
