@@ -50,19 +50,15 @@ class Frame:
     payload_bytes: int = 0
     more_fragments: int = 0
     fragment_number: int = 0
-    retry: int = 0
-    # Simulator-internal bookkeeping (packet identity for dedup/metrics,
-    # exchange id so NAV corrections can target the right reservation).
-    packet_id: int = -1
-    flow_id: int = -1
-    xid: int = -1
+    # Simulator-internal bookkeeping.
+    packet: object = None  # DATA: the Packet this payload is part of
+    xid: int = -1  # exchange id, so NAV corrections target the right one
     frag_offset: int = 0  # DATA: byte offset of this payload in its packet
     standalone: int = 0  # DATA: a whole packet, not to be reassembled
     # Variant extension fields.
     tentative_rate: float = 0.0  # RBAR, on RTS
     selected_rate: float = 0.0  # RBAR, on CTS
-    size: int = 0  # RBAR/OAR, advertised data bytes
-    nframes: int = 1  # OAR, advertised burst length
+    size: int = 0  # RBAR/OAR, advertised data bytes on RTS and CTS
     rsh: int = 0  # RBAR reservation sub-header present on DATA
     adv_cw: int = 0  # MACAW shared contention window (0 = absent)
 

@@ -37,6 +37,7 @@ class Packet:
     created: int  # [us]
     remaining: int = 0
     next_frag: int = 0
+    received: int = 0  # bytes from offset 0 the destination holds
 
     def __post_init__(self):
         self.remaining = self.size
@@ -121,9 +122,6 @@ class MacNode:
         self.ica = ext.IcaState()
         self._ica_timer = None
         self._ica_sizes = None
-
-        # Receiver-side reassembly: (src, pid) -> {"ranges": set, "total": int}
-        self._rx = {}
 
         # PCF coordinator hook (set externally for the point coordinator).
         self.pcf = None
@@ -341,7 +339,6 @@ class MacNode:
             if self.rate_scheme.receiver_picks:
                 frame.tentative_rate = self._data_rate
                 frame.size = first.size
-                frame.nframes = len(self._chain)
             self.phase = AWAIT_CTS
             self._transmit(frame, 1, self._after_rts)
         else:
@@ -377,11 +374,8 @@ class MacNode:
             dur += 2 * p.sifs_us + airtime(nxt.size, self._data_rate) + ACK_AIR
         frame = Frame(DATA, self.node_id, elem.packet.dst, duration=dur,
                       payload_bytes=elem.size, more_fragments=elem.mf,
-                      fragment_number=elem.fragno,
-                      retry=1 if self._cur_cat.retry_count > 0 else 0,
-                      packet_id=elem.packet.pid, flow_id=elem.packet.flow_id,
-                      xid=self._xid, size=elem.packet.size,
-                      frag_offset=elem.packet.offset,
+                      fragment_number=elem.fragno, packet=elem.packet,
+                      xid=self._xid, frag_offset=elem.packet.offset,
                       standalone=elem.standalone)
         rs = self.rate_scheme
         if self._chain_idx == 0 and rs.receiver_picks \
@@ -618,20 +612,22 @@ class MacNode:
                 p.sifs_us + CTS_AIR + p.slot_us, "dcfp_cts_timeout",
                 self.node_id, self._dcfp_abort)
 
+    # A sender moves its offset only when an ACK confirms the payload, so no
+    # frame starts above what the destination already holds: a high-water
+    # mark on the packet covers the same bytes as a union of every range.
     def _reassemble(self, frame):
-        key = (frame.src, frame.packet_id)
-        ent = self._rx.setdefault(key, {"ranges": set(), "total": frame.size,
-                                        "done": False})
-        ent["ranges"].add((frame.frag_offset, frame.payload_bytes))
-        covered = _coverage(ent["ranges"])
-        if not ent["done"] and covered >= ent["total"]:
-            ent["done"] = True
+        pkt = frame.packet
+        if pkt.received >= pkt.size:
+            return  # a retransmission of a delivered packet
+        end = frame.frag_offset + frame.payload_bytes
+        if end > pkt.received:
+            pkt.received = end
+        if pkt.received >= pkt.size:
             if self.recorder is not None:
-                self.recorder.on_delivered(frame.flow_id, frame.packet_id,
-                                           ent["total"] * 8)
+                self.recorder.on_delivered(pkt)
             if self.sim.trace_lines is not None:
                 self.sim.trace(self.node_id, "deliver",
-                               "flow=%d pkt=%d" % (frame.flow_id, frame.packet_id))
+                               "flow=%d pkt=%d" % (pkt.flow_id, pkt.pid))
 
     # -- DCF+ ------------------------------------------------------------
 
@@ -670,8 +666,7 @@ class MacNode:
         pkt = self._dcfp_packet
         frame = Frame(DATA, self.node_id, pkt.dst,
                       duration=p.sifs_us + ACK_AIR, payload_bytes=pkt.size,
-                      packet_id=pkt.pid, flow_id=pkt.flow_id, xid=cts.xid,
-                      size=pkt.size, standalone=1)
+                      packet=pkt, xid=cts.xid, standalone=1)
 
         def send():
             self._transmit(frame, self.fixed_rate, self._dcfp_after_rev)
@@ -752,9 +747,7 @@ class MacNode:
         frame = Frame(DATA, self.node_id, pkt.dst,
                       duration=p.sifs_us + ACK_AIR, payload_bytes=size,
                       more_fragments=mf, fragment_number=pkt.next_frag,
-                      packet_id=pkt.pid, flow_id=pkt.flow_id,
-                      xid=self._new_xid(), size=pkt.size,
-                      frag_offset=pkt.offset)
+                      packet=pkt, xid=self._new_xid(), frag_offset=pkt.offset)
         self._ica_cur_size = size
 
         def after():
@@ -800,8 +793,7 @@ class MacNode:
         if cat.queue:
             pkt = cat.queue[0]
             resp = Frame(DATA_CF_ACK, self.node_id, pkt.dst,
-                         payload_bytes=pkt.remaining, packet_id=pkt.pid,
-                         flow_id=pkt.flow_id, size=pkt.size,
+                         payload_bytes=pkt.remaining, packet=pkt,
                          frag_offset=pkt.offset, standalone=1)
 
             def done():
@@ -832,17 +824,3 @@ class MacNode:
     def queued_packets(self):
         return sum(len(c.queue) for c in self.cats)
 
-
-def _coverage(ranges):
-    """Total bytes covered by possibly-overlapping (offset, length) ranges."""
-    total = 0
-    end = -1
-    for off, length in sorted(ranges):
-        stop = off + length
-        if off > end:
-            total += length
-            end = stop
-        elif stop > end:
-            total += stop - end
-            end = stop
-    return total

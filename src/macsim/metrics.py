@@ -1,9 +1,10 @@
 """Metric collection and CSV emission.
 
-A Recorder rides along during a run: packet generation, delivery (deduped by
-packet id, so retransmitted duplicates count once), drops, and the delivery
-timeline feeding the windowed fairness series.  finalize() folds in the
-medium's collision statistics and freezes everything into a Metrics value.
+A Recorder rides along during a run: packet generation, delivery (reported
+once per packet by the destination's MAC, which keeps the reassembly state on
+the Packet), drops, and per-window delivered bits feeding the windowed
+fairness series.  finalize() folds in the medium's collision statistics and
+freezes everything into a Metrics value.
 """
 
 import math
@@ -71,9 +72,7 @@ class Recorder:
         self.delays = {f: [] for f in flow_ids}
         self.drops = {f: 0 for f in flow_ids}
         self.delivered_bits = {f: 0 for f in flow_ids}
-        self.deliveries = []  # (time_us, fid, bits)
-        self._delivered_pids = set()
-        self._pending = {}  # pid -> (fid, created_us, bits)
+        self.window_bits = {}  # (now // window_us, fid) -> delivered bits
         self.refill = {}  # fid -> callback, set by the traffic source
 
     # -- hooks called from the MACs and traffic sources ---------------------
@@ -81,22 +80,20 @@ class Recorder:
     def on_generated(self, pkt):
         self.generated[pkt.flow_id][0] += pkt.size * 8
         self.generated[pkt.flow_id][1] += 1
-        self._pending[pkt.pid] = (pkt.flow_id, pkt.created, pkt.size * 8)
 
-    def on_delivered(self, fid, pid, bits):
-        if pid in self._delivered_pids:
-            return
-        self._delivered_pids.add(pid)
+    def on_delivered(self, pkt):
+        """Called once per packet, when its destination holds every byte."""
+        fid = pkt.flow_id
+        bits = pkt.size * 8
+        now = self.sim.now
         self.delivered_bits[fid] += bits
-        self.deliveries.append((self.sim.now, fid, bits))
-        ent = self._pending.pop(pid, None)
-        if ent is not None:
-            self.delays[fid].append(self.sim.now - ent[1])
+        self.delays[fid].append(now - pkt.created)
+        key = (now // self.window_us, fid)
+        self.window_bits[key] = self.window_bits.get(key, 0) + bits
 
     def on_drop(self, pkt):
-        if pkt.pid in self._delivered_pids:
+        if pkt.received >= pkt.size:
             return  # the data made it; only the final ACK was lost
-        self._pending.pop(pkt.pid, None)
         self.drops[pkt.flow_id] += 1
 
     def on_sender_done(self, pkt):
@@ -138,14 +135,14 @@ class Recorder:
             return []
         series = []
         nwin = duration_us // self.window_us
-        buckets = {k: {f: 0 for f in self.flow_ids} for k in range(nwin)}
-        for t, fid, bits in self.deliveries:
-            k = min(t // self.window_us, nwin - 1) if nwin else 0
-            if nwin:
-                buckets[k][fid] += bits
+        # Deliveries at or after the last whole window count in it.
+        bins = {}
+        for (k, fid), bits in self.window_bits.items():
+            key = (min(k, nwin - 1), fid)
+            bins[key] = bins.get(key, 0) + bits
         shares = [self.shares[f] for f in self.flow_ids]
         for k in range(nwin):
-            w = [buckets[k][f] for f in self.flow_ids]
+            w = [bins.get((k, f), 0) for f in self.flow_ids]
             if all(v == 0 for v in w):
                 continue
             series.append((k, fairness_index(shares, w)))

@@ -3,6 +3,10 @@
 import os
 import random
 
+from hypothesis import strategies as st
+
+from macsim.dcf import MacParams
+from macsim.pcf import min_cp_us
 from macsim.scenario import parse_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
@@ -74,4 +78,114 @@ def jittered_grid(side, seed, duration_us, variant="dcf"):
             fid += 1
             lines.append("%d = %d %d backlogged %d"
                          % (fid, r * side + c, dst, rng.randint(500, 1500)))
+    return "\n".join(lines) + "\n"
+
+
+_FADING = ("0.5 0.5 0 0  0.25 0.5 0.25 0  0 0.25 0.5 0.25  0 0 0.5 0.5")
+
+# Variant tokens: at most one of each group, then any of the extras.
+_RATE_TOKENS = [None, "arf", "rbar", "oar"]
+_BACKOFF_TOKENS = [None, "mild", "est", "dfs"]
+_EXTRA_TOKENS = ["plus", "ica", "2way", "edcf", "pcf"]
+
+# [mac] keys a node.N. line may set, with values worth drawing.
+_NODE_KEYS = {"phi": ["0.5", "2"], "data_rate": ["1", "2", "5.5", "11"],
+              "rts_threshold": ["0", "3000"], "frag_threshold": ["300", "700"],
+              "est_phi": ["0.3"]}
+
+
+def _variant(draw):
+    toks = ["dcf"] + [t for t in (draw(st.sampled_from(_RATE_TOKENS)),
+                                  draw(st.sampled_from(_BACKOFF_TOKENS))) if t]
+    return "+".join(toks + draw(st.lists(st.sampled_from(_EXTRA_TOKENS),
+                                         unique=True)))
+
+
+@st.composite
+def small_scenarios(draw, every_token=False):
+    """3-12 nodes in a 40 m square, some sharing a point, hear range <=
+    sense range, links below HIGH sometimes free of base errors, and
+    backlogged or CBR flows over a few tens of milliseconds.
+
+    With `every_token`, the variant takes any rate, backoff and extra
+    tokens, nodes override it and other [mac] keys, a fragment threshold
+    may split packets, and the [edcf] and [pcf] sections appear when a
+    node runs those tokens, with flows in both EDCF categories.
+    """
+    n = draw(st.integers(3, 12))
+    hear = draw(st.integers(10, 40))
+    quality = draw(st.sampled_from(["HIGH", "HIGH", "HIGH", "MID", "BAD"]))
+    lines = ["[sim]", "seed = %d" % draw(st.integers(0, 10_000)),
+             "duration_us = %d" % draw(st.integers(20_000, 60_000)),
+             "capture_ratio = %s" % draw(st.sampled_from(["1.01", "2", "10"])),
+             "control_fer = %d" % draw(st.booleans()), "[nodes]"]
+    spots = []
+    for i in range(n):
+        if spots and draw(st.integers(0, 9)) == 0:
+            # Two nodes at one point: infinite received power between them.
+            x, y = draw(st.sampled_from(spots))
+        else:
+            x, y = draw(st.tuples(st.integers(0, 400), st.integers(0, 400)))
+        spots.append((x, y))
+        lines.append("%d = %.1f %.1f" % (i, x / 10, y / 10))
+    lines += ["[links]", "hear_range = %d" % hear,
+              "sense_range = %d" % (hear + draw(st.integers(0, 30))),
+              # Mostly HIGH: below it, 11 Mbps DATA frames always error.
+              "initial_quality = %s" % quality,
+              "base_fer_high = %s" % draw(st.sampled_from(["0", "0.05"]))]
+    if quality != "HIGH" and draw(st.booleans()):
+        # Error-free below the state's rate cap, but not above it.
+        lines.append("base_fer_%s = 0" % quality.lower())
+    if draw(st.booleans()):
+        lines += ["dwell_us = %d" % draw(st.integers(1_000, 20_000)),
+                  "matrix = " + _FADING]
+    variant = (_variant(draw) if every_token else draw(st.sampled_from(
+        ["dcf", "dcf+2way", "dcf+oar", "dcf+arf"])))
+    lines += ["[mac]", "variant = %s" % variant,
+              "rts_threshold = %d" % draw(st.sampled_from([0, 500, 3000]))]
+    variants = [variant] * n
+    frag = [1500] * n
+    if every_token:
+        frag = [draw(st.sampled_from([400, 1500]))] * n
+        lines.append("frag_threshold = %d" % frag[0])
+        for i in range(n):
+            if draw(st.integers(0, 3)) == 0:
+                variants[i] = _variant(draw)
+                lines.append("node.%d.variant = %s" % (i, variants[i]))
+            if draw(st.integers(0, 3)) == 0:
+                key = draw(st.sampled_from(sorted(_NODE_KEYS)))
+                value = draw(st.sampled_from(_NODE_KEYS[key]))
+                lines.append("node.%d.%s = %s" % (i, key, value))
+                if key == "frag_threshold":
+                    frag[i] = int(value)
+    lines.append("[flows]")
+    for fid in range(1, draw(st.integers(2, 2 * n)) + 1):
+        src = draw(st.integers(0, n - 1))
+        dst = draw(st.integers(0, n - 2))
+        dst += dst >= src
+        size = draw(st.integers(50, 1500))
+        if draw(st.booleans()):
+            flow = "%d = %d %d backlogged %d" % (fid, src, dst, size)
+        else:
+            flow = "%d = %d %d cbr %d %d" % (
+                fid, src, dst, size, draw(st.integers(50_000, 2_000_000)))
+        if "edcf" in variants[src].split("+") and draw(st.booleans()):
+            flow += " cat=1"
+        lines.append(flow)
+    if any("edcf" in v.split("+") for v in variants):
+        lines += ["[edcf]", "cat0 = 50 2.0 16 256",
+                  "cat1 = %d 2.0 %d 256" % (draw(st.integers(50, 110)),
+                                            draw(st.integers(8, 32)))]
+    if any("pcf" in v.split("+") for v in variants):
+        pc = draw(st.integers(0, n - 1))
+        polled = draw(st.lists(st.sampled_from(
+            [i for i in range(n) if i != pc]), min_size=1, unique=True))
+        cfp = draw(st.integers(2_000, 15_000))
+        # The CP must fit the coordinator's worst-case exchange.
+        cp = min_cp_us(MacParams(frag_threshold=frag[pc]), frag[pc], 11)
+        cp += draw(st.integers(0, 5_000))
+        lines += ["[pcf]", "coordinator = %d" % pc,
+                  "pollable = %s" % " ".join(map(str, polled)),
+                  "superframe_us = %d" % (cfp + cp + draw(st.integers(0, 5_000))),
+                  "cfp_max_us = %d" % cfp, "cp_min_us = %d" % cp]
     return "\n".join(lines) + "\n"

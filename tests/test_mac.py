@@ -2,7 +2,8 @@
 
 from conftest import shipped, single_cell
 from macsim import harness
-from macsim.frames import ACK_AIR, CTS_AIR, RTS_AIR
+from macsim.frames import ACK_AIR, CTS_AIR, DATA, RTS_AIR, Frame
+from macsim.mac import Packet
 from macsim.scenario import parse_scenario
 
 
@@ -169,6 +170,39 @@ def test_data_frame_errors_trigger_retry_and_recovery():
     generated = m.flows[1].generated_packets
     assert generated == (m.flows[1].delivered_packets + m.flows[1].drops
                          + r.queued_packets())
+
+
+def _receive_twice_fragmented():
+    """Node 0 of a built, unrun cell receives both fragments of one
+    1000-byte packet from node 1, then the final one again, as when the
+    ACK to it is lost.  Returns the recorder, the packet and the trace."""
+    sim, medium, macs, rec = harness.build(parse_scenario(
+        single_cell(1, 1000, seed=1, duration_us=10_000)), trace=True)
+    pkt = Packet(0, 1, 1, 0, 1000, 0)
+    rec.on_generated(pkt)
+    first = Frame(DATA, 1, 0, payload_bytes=500, more_fragments=1,
+                  packet=pkt)
+    final = Frame(DATA, 1, 0, payload_bytes=500, fragment_number=1,
+                  packet=pkt, frag_offset=500)
+    for frame in (first, final, final):
+        macs[0].on_frame(frame, 11, 0)
+    return rec, medium, pkt, sim.trace_lines
+
+
+def test_duplicate_delivery_counted_once():
+    rec, medium, pkt, trace = _receive_twice_fragmented()
+    assert [line for line in trace if "\tdeliver\t" in line] == [
+        "0\t0\tdeliver\tflow=1 pkt=0"]
+    m = rec.finalize(10_000, medium.stats).flows[1]
+    assert m.delivered_packets == 1
+    assert m.delivered_bits == 8000
+
+
+def test_drop_after_delivery_is_ignored():
+    # The data arrived; only the final ACK was lost at the sender.
+    rec, medium, pkt, _ = _receive_twice_fragmented()
+    rec.on_drop(pkt)
+    assert rec.finalize(10_000, medium.stats).flows[1].drops == 0
 
 
 def test_backlogged_source_refills_after_drop():

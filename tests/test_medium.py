@@ -7,8 +7,8 @@ from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
-from conftest import jittered_grid, shipped
-from hypothesis import given, settings, strategies as st
+from conftest import jittered_grid, shipped, small_scenarios
+from hypothesis import given, settings
 
 from macsim import harness, metrics, phy
 from macsim.engine import Simulator
@@ -400,59 +400,6 @@ class ReferenceMedium(Medium):
         if kind in (DATA, DATA_CF_ACK) and tx.rate > phy.MAX_RATE_FOR_QUALITY[q]:
             return 1.0
         return phy.frame_error_prob(tx.frame.payload_bytes, self.base_fer[q])
-
-
-_FADING = ("0.5 0.5 0 0  0.25 0.5 0.25 0  0 0.25 0.5 0.25  0 0 0.5 0.5")
-
-
-@st.composite
-def small_scenarios(draw):
-    """3-12 nodes in a 40 m square, some sharing a point, hear range <=
-    sense range, links below HIGH sometimes free of base errors, and
-    backlogged or CBR flows over a few tens of milliseconds."""
-    n = draw(st.integers(3, 12))
-    hear = draw(st.integers(10, 40))
-    quality = draw(st.sampled_from(["HIGH", "HIGH", "HIGH", "MID", "BAD"]))
-    lines = ["[sim]", "seed = %d" % draw(st.integers(0, 10_000)),
-             "duration_us = %d" % draw(st.integers(20_000, 60_000)),
-             "capture_ratio = %s" % draw(st.sampled_from(["1.01", "2", "10"])),
-             "control_fer = %d" % draw(st.booleans()), "[nodes]"]
-    spots = []
-    for i in range(n):
-        if spots and draw(st.integers(0, 9)) == 0:
-            # Two nodes at one point: infinite received power between them.
-            x, y = draw(st.sampled_from(spots))
-        else:
-            x, y = draw(st.tuples(st.integers(0, 400), st.integers(0, 400)))
-        spots.append((x, y))
-        lines.append("%d = %.1f %.1f" % (i, x / 10, y / 10))
-    lines += ["[links]", "hear_range = %d" % hear,
-              "sense_range = %d" % (hear + draw(st.integers(0, 30))),
-              # Mostly HIGH: below it, 11 Mbps DATA frames always error.
-              "initial_quality = %s" % quality,
-              "base_fer_high = %s" % draw(st.sampled_from(["0", "0.05"]))]
-    if quality != "HIGH" and draw(st.booleans()):
-        # Error-free below the state's rate cap, but not above it.
-        lines.append("base_fer_%s = 0" % quality.lower())
-    if draw(st.booleans()):
-        lines += ["dwell_us = %d" % draw(st.integers(1_000, 20_000)),
-                  "matrix = " + _FADING]
-    lines += ["[mac]",
-              "variant = %s" % draw(st.sampled_from(
-                  ["dcf", "dcf+2way", "dcf+oar", "dcf+arf"])),
-              "rts_threshold = %d" % draw(st.sampled_from([0, 500, 3000])),
-              "[flows]"]
-    for fid in range(1, draw(st.integers(2, 2 * n)) + 1):
-        src = draw(st.integers(0, n - 1))
-        dst = draw(st.integers(0, n - 2))
-        dst += dst >= src
-        size = draw(st.integers(50, 1500))
-        if draw(st.booleans()):
-            lines.append("%d = %d %d backlogged %d" % (fid, src, dst, size))
-        else:
-            lines.append("%d = %d %d cbr %d %d" % (
-                fid, src, dst, size, draw(st.integers(50_000, 2_000_000))))
-    return "\n".join(lines) + "\n"
 
 
 def _output(text):

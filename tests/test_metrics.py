@@ -13,10 +13,17 @@ def _recorder(flow_ids=(1, 2), window_us=100):
     return sim, Recorder(sim, list(flow_ids), window_us=window_us)
 
 
+def _delivered(pkt):
+    """`pkt` as its destination's MAC hands it over: every byte received."""
+    pkt.received = pkt.size
+    return pkt
+
+
 def _deliver(sim, rec, pid, fid, size, created, at):
-    rec.on_generated(Packet(pid, fid, 1, 0, size, created))
+    pkt = Packet(pid, fid, 1, 0, size, created)
+    rec.on_generated(pkt)
     sim.run_until(at)
-    rec.on_delivered(fid, pid, size * 8)
+    rec.on_delivered(_delivered(pkt))
 
 
 def test_delivery_and_delay_accounting():
@@ -26,27 +33,6 @@ def test_delivery_and_delay_accounting():
     assert m.flows[1].delivered_bits == 800
     assert m.flows[1].mean_delay_us == 250
     assert m.throughput_bps(1) == pytest.approx(800 * 1e6 / 1000)
-
-
-def test_duplicate_delivery_counted_once():
-    sim, rec = _recorder()
-    rec.on_generated(Packet(0, 1, 1, 0, 100, 0))
-    rec.on_delivered(1, 0, 800)
-    rec.on_delivered(1, 0, 800)  # retransmitted final fragment, same packet
-    m = rec.finalize(1000, MediumStats())
-    assert m.flows[1].delivered_bits == 800
-    assert m.flows[1].delivered_packets == 1
-
-
-def test_drop_after_delivery_is_ignored():
-    # The data arrived; only the final ACK was lost at the sender.
-    sim, rec = _recorder()
-    pkt = Packet(0, 1, 1, 0, 100, 0)
-    rec.on_generated(pkt)
-    rec.on_delivered(1, 0, 800)
-    rec.on_drop(pkt)
-    m = rec.finalize(1000, MediumStats())
-    assert m.flows[1].drops == 0
 
 
 def test_drop_without_delivery_counts():
@@ -61,11 +47,12 @@ def test_drop_without_delivery_counts():
 
 def test_p95_delay_order_statistic():
     sim, rec = _recorder(flow_ids=(1,))
-    for i in range(100):
-        rec.on_generated(Packet(i, 1, 1, 0, 10, 0))
-    for i in range(100):
+    pkts = [Packet(i, 1, 1, 0, 10, 0) for i in range(100)]
+    for pkt in pkts:
+        rec.on_generated(pkt)
+    for i, pkt in enumerate(pkts):
         sim.run_until(i + 1)
-        rec.on_delivered(1, i, 80)
+        rec.on_delivered(_delivered(pkt))
     m = rec.finalize(1000, MediumStats())
     assert m.flows[1].p95_delay_us == 95.0
 
@@ -73,9 +60,7 @@ def test_p95_delay_order_statistic():
 def test_fairness_series_skips_empty_windows():
     sim, rec = _recorder(window_us=100)
     _deliver(sim, rec, 0, 1, 10, created=0, at=50)
-    sim.run_until(450)
-    rec.on_generated(Packet(1, 2, 2, 0, 10, 400))
-    rec.on_delivered(2, 1, 80)
+    _deliver(sim, rec, 1, 2, 10, created=400, at=450)
     m = rec.finalize(1000, MediumStats())
     windows = [k for k, _ in m.fairness_series]
     assert 1 not in windows and 2 not in windows  # nothing delivered there
@@ -86,11 +71,20 @@ def test_fairness_series_skips_empty_windows():
 def test_fairness_series_equal_split_is_one():
     sim, rec = _recorder(window_us=100)
     _deliver(sim, rec, 0, 1, 10, created=0, at=10)
-    rec.on_generated(Packet(1, 2, 2, 0, 10, 0))
-    rec.on_delivered(2, 1, 80)
+    _deliver(sim, rec, 1, 2, 10, created=0, at=10)
     m = rec.finalize(200, MediumStats())
     assert m.fairness_series == [(0, 1.0)]
     assert m.fairness_mean == 1.0
+
+
+def test_fairness_series_counts_late_deliveries_in_the_last_window():
+    # 250 us is two whole 100 us windows; a delivery at 230 us belongs to
+    # the cut-off third one and counts in the second.
+    sim, rec = _recorder(window_us=100)
+    _deliver(sim, rec, 0, 1, 10, created=0, at=150)
+    _deliver(sim, rec, 1, 2, 10, created=0, at=230)
+    m = rec.finalize(250, MediumStats())
+    assert m.fairness_series == [(1, 1.0)]
 
 
 def test_zero_flows_metrics_all_zero():

@@ -1,0 +1,134 @@
+"""Run-wide invariants over random scenarios with every variant token, and
+memory that stays flat over a long run."""
+
+import gc
+from collections import deque
+
+import pytest
+from conftest import shipped, small_scenarios
+from hypothesis import given, settings
+
+from macsim import harness, metrics
+from macsim.mac import MacNode, Packet
+from macsim.metrics import Recorder
+from macsim.scenario import parse_scenario
+
+
+def _run(text):
+    s = parse_scenario(text)
+    r = harness.run(s, trace=True)
+    return r, metrics.format_csv({s.variant: r.metrics}), r.trace_lines
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_scenarios(every_token=True))
+def test_every_variant_token_keeps_the_invariants(text):
+    generated, dropped, cf_sent = [], [], set()
+    reassemble, on_poll = MacNode._reassemble, MacNode._on_poll
+    on_generated, on_drop = Recorder.on_generated, Recorder.on_drop
+
+    def checked(mac, frame):
+        # Reassembly keeps a high-water mark: no frame may start above it.
+        assert frame.frag_offset <= frame.packet.received
+        reassemble(mac, frame)
+
+    def polled(mac, frame):
+        if mac.cats[0].queue:
+            cf_sent.add(mac.cats[0].queue[0].pid)
+        on_poll(mac, frame)
+
+    def generate(rec, pkt):
+        generated.append(pkt)
+        on_generated(rec, pkt)
+
+    def drop(rec, pkt):
+        if pkt.received < pkt.size:
+            dropped.append(pkt.pid)
+        on_drop(rec, pkt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name, fn in ((MacNode, "_reassemble", checked),
+                                (MacNode, "_on_poll", polled),
+                                (Recorder, "on_generated", generate),
+                                (Recorder, "on_drop", drop)):
+            mp.setattr(owner, name, fn)
+        r, csv, trace = _run(text)
+    times = [int(line.split("\t", 1)[0]) for line in trace]
+    assert times == sorted(times), "dispatch times went backwards"
+
+    # Each packet ends delivered, dropped or queued, and only once.
+    in_queue = [pkt.pid for mac in r.macs.values() for cat in mac.cats
+                for pkt in cat.queue]
+    queued = set(in_queue)
+    assert len(queued) == len(in_queue)
+    assert len(set(dropped)) == len(dropped)
+    dropped = set(dropped)
+    gone = {}  # flow id -> packets in none of the three
+    for pkt in generated:
+        delivered = pkt.received >= pkt.size
+        # A delivered packet stays queued until its sender hears the ACK.
+        n = delivered + (pkt.pid in dropped) + (
+            pkt.pid in queued and not delivered)
+        assert n <= 1, "packet %d counted %d times" % (pkt.pid, n)
+        if n == 0:
+            # Known leak: nothing acknowledges a CF response, and its
+            # sender forgets the packet once it is sent, so a response
+            # lost on the air is neither delivered nor dropped.
+            assert pkt.pid in cf_sent and pkt.remaining == 0, pkt
+            gone[pkt.flow_id] = gone.get(pkt.flow_id, 0) + 1
+    for fid, fm in r.metrics.flows.items():
+        waiting = sum(pkt.flow_id == fid and pkt.pid in queued
+                      and pkt.received < pkt.size for pkt in generated)
+        assert fm.generated_packets == sum(pkt.flow_id == fid
+                                           for pkt in generated)
+        assert fm.delivered_packets <= fm.generated_packets
+        assert fm.generated_packets == (fm.delivered_packets + fm.drops
+                                        + waiting + gone.get(fid, 0))
+    _, csv2, trace2 = _run(text)
+    assert csv2 == csv
+    assert trace2 == trace
+
+
+def _size(value):
+    """Entries in a container, counting those of containers inside it."""
+    items = value.values() if isinstance(value, dict) else value
+    return len(value) + sum(_size(v) for v in items
+                            if isinstance(v, (dict, list, set, deque)))
+
+
+def _footprint(duration_us):
+    """Live Packets and the size of every container held by the run's
+    MacNodes, their access categories and the Recorder, after a
+    `single_cell` run of `duration_us`."""
+    r = harness.run(shipped("single_cell", duration_us))
+    gc.collect()
+    sizes = {"live Packets": sum(isinstance(o, Packet)
+                                 for o in gc.get_objects())}
+    owners = [("recorder", r.recorder)]
+    for nid, mac in r.macs.items():
+        owners.append(("mac%d" % nid, mac))
+        owners += [("mac%d.cat%d" % (nid, c.index), c) for c in mac.cats]
+    for name, owner in owners:
+        for key, value in vars(owner).items():
+            if isinstance(value, (dict, list, set, deque)):
+                sizes["%s.%s" % (name, key)] = _size(value)
+    return r, sizes
+
+
+def test_memory_stays_flat_over_a_long_run():
+    short, before = _footprint(2_000_000)
+    long, after = _footprint(8_000_000)
+    # The exact p95 keeps every delay, and the fairness series needs one
+    # bin per flow and window: both are as long as the output.
+    for r, sizes in ((short, before), (long, after)):
+        rec = r.recorder
+        nflows = len(rec.flow_ids)
+        assert sizes.pop("recorder.delays") == nflows + sum(
+            f.delivered_packets for f in r.metrics.flows.values())
+        windows = r.sim.now // rec.window_us + 1
+        assert sizes.pop("recorder.window_bits", 0) <= nflows * windows
+    # A store that is empty between exchanges (an idle node has no chain)
+    # may be missing from either run.
+    grown = {k: (before.get(k, 0), n) for k, n in after.items()
+             if n > before.get(k, 0) + 10}
+    assert not grown, "stores grow with run length: %s" % grown
