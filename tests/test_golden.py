@@ -29,7 +29,11 @@ from macsim.scenario import parse_scenario
 # several backoffs per node, and virtual collisions between them.  The
 # mild and est cases pin the two backoff schemes no shipped scenario runs;
 # oar+est is the only one whose estimator snoops CTS frames that carry a
-# receiver-selected rate.
+# receiver-selected rate.  "plus" is a DCF+ cell with reverse traffic and
+# lossy control frames, where all three reverse-grant timeouts fire;
+# "2way_frag" fragments 1400-byte packets both ways; "ica_frag" is
+# ica_string with a slow primary sender and a fragmenting exposed node, so
+# each exposed window plans several fragments.
 GOLDEN = {
     ("single_cell", None, 2_000_000): (
         "3a54a7c2cc95f9466a57f9e8ba13259a21a3ce6dd122b9c7e80699c6cdf44e2c",
@@ -76,10 +80,26 @@ GOLDEN = {
     ("fading_rate", "dcf+oar+est", 2_000_000): (
         "4c909c85aad7acf61be85a0b672b7a01a70aa57fd11a5c2b1b005807a13712a4",
         "4d53395f7524f1de0a9dfe9bd7236a7581b82228edde8ef4b46f7f87b22c577c"),
+    ("plus", None, 400_000): (
+        "c13f31573bc1c9497df23aec22307fb8b0164c5aeda9adf448d75b86177a6101",
+        "090db5b8efcbb0d229558543596d0f71caa15641926c1f8f41b356d6bc8cf3f5"),
+    ("2way_frag", None, 300_000): (
+        "0bdf513e90be0f3d9623453c694c343ca0a8c9f702b5e47ad57ef371c374c9bc",
+        "7e362baaeba34d5e3d79d4a4b9d6b486a6de3850e3d672aa0603d30260f4f804"),
+    ("ica_frag", "dcf+ica", 1_000_000): (
+        "e41484102f098070084eb79ed0eca569249fe5d47d7942290fb8e1d470b266a5",
+        "f5693e490c19413c6af12f53b870de87c7a98e162228176b7408804bc8c6bef9"),
 }
 
 # Generated cases: not files under scenarios/.
-GENERATED = {"grid", "dense", "edcf"}
+GENERATED = {"grid", "dense", "edcf", "plus", "2way_frag", "ica_frag"}
+
+
+def _with_reverse_flows(text, n_senders, packet_bytes):
+    """single_cell text plus a backlogged flow from node 0 to each sender."""
+    return text + "".join("%d = 0 %d backlogged %d\n"
+                          % (n_senders + i, i, packet_bytes)
+                          for i in range(1, n_senders + 1))
 
 
 def run_digests(name, variant, duration_us):
@@ -97,6 +117,22 @@ def run_digests(name, variant, duration_us):
                         for i in range(1, 7))
         text += "[edcf]\ncat0 = 50 2.0 8 64\ncat1 = 70 2.0 16 256\n"
         s = parse_scenario(text)
+    elif name == "plus":
+        s = parse_scenario(_with_reverse_flows(single_cell(
+            4, 1000, seed=1, duration_us=duration_us, variant="dcf+plus",
+            mac_lines=["rts_threshold = 2000"], sim_lines=["control_fer = 1"],
+            link_lines=["base_fer_high = 0.05"]), 4, 300))
+    elif name == "2way_frag":
+        s = parse_scenario(_with_reverse_flows(single_cell(
+            4, 1400, seed=2, duration_us=duration_us, variant="dcf+2way",
+            mac_lines=["frag_threshold = 500"]), 4, 1400))
+    elif name == "ica_frag":
+        with open(os.path.join(SCENARIOS, "ica_string.txt")) as fh:
+            text = fh.read().replace("[mac]\n", "[mac]\nnode.2.data_rate = 2\n"
+                                     "node.3.frag_threshold = 400\n")
+        s = parse_scenario(text)
+        s.duration_us = duration_us
+        s.variant = variant
     else:
         s = shipped(name, duration_us, variant)
     result = harness.run(s, trace=True)
