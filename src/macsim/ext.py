@@ -15,13 +15,11 @@ from .phy import airtime
 # -- DCF+ -------------------------------------------------------------------
 
 def dcfplus_ack_duration(reverse_bytes, rate, sifs_us):
-    """Duration carried on the ACK when reverse data is ready, else 0.
+    """Duration carried on an ACK that offers `reverse_bytes` of reverse data.
 
     Covers CTS + reverse DATA + ACK with SIFS gaps, so both neighbourhoods
     stay reserved while the roles flip.
     """
-    if reverse_bytes is None:
-        return 0
     return 3 * sifs_us + CTS_AIR + airtime(reverse_bytes, rate) + ACK_AIR
 
 

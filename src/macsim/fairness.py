@@ -1,9 +1,8 @@
-"""Fairness machinery: MILD backoff, throughput-estimation backoff, SCFQ/DFS.
+"""Fairness machinery: MILD backoff, throughput-estimation backoff, DFS.
 
 harness.build picks one backoff scheme object per node: `Beb`, `Mild`, `Est`
-or `Dfs`.  The SCFQ oracle is a centralized reference scheduler used to
-check that the distributed backoff mapping reproduces the same medium-access
-order when collisions and randomization are switched off.
+or `Dfs`.  The SCFQ oracle that DFS is checked against lives with the tests
+(tests/scfq.py).
 """
 
 import math
@@ -58,49 +57,6 @@ def estimation_backoff_update(cw, w_self, w_others, phi_self, cw_min=16, cw_max=
     if mine < theirs:
         return max(cw // 2, cw_min)
     return cw
-
-
-class ScfqTags:
-    """Per-flow finish-tag memory plus the oracle's virtual clock."""
-
-    def __init__(self, shares):
-        self.shares = dict(shares)  # flow id -> phi
-        self.prev_finish = {f: 0.0 for f in shares}
-        self.v = 0.0
-
-    def assign(self, flow, length_bits, arrival_v):
-        """Stamp one packet: S = max(v(A), F_prev); F = S + L/phi."""
-        phi = self.shares[flow]
-        if phi <= 0:
-            raise ValueError("share must be positive")
-        start = max(arrival_v, self.prev_finish[flow])
-        finish = start + length_bits / phi
-        self.prev_finish[flow] = finish
-        return start, finish
-
-
-def scfq_oracle(flows):
-    """Centralized SCFQ schedule over `flows`: {flow id: [L_bits, ...]}.
-
-    All packets are taken as arrived at t=0 in list order.  Returns the flow
-    id sequence in transmission order; ties in finish tags break by flow id,
-    then arrival order (which queue order already encodes).
-    """
-    tags = ScfqTags({f: phi for f, (phi, _) in flows.items()})
-    queues = {}
-    for f, (phi, lengths) in sorted(flows.items()):
-        q = []
-        for length in lengths:
-            q.append(tags.assign(f, length, 0.0))
-        queues[f] = q
-    order = []
-    while any(queues.values()):
-        pick = min((q[0][1], f) for f, q in sorted(queues.items()) if q)
-        _, f = pick
-        _, finish = queues[f].pop(0)
-        tags.v = finish
-        order.append(f)
-    return order
 
 
 def dfs_backoff(length_bits, phi, scaling, stream=None, compress_threshold=None):

@@ -115,13 +115,11 @@ class MacNode:
         self._data_rate = fixed_rate
         self._xid = -1
         self._next_xid = node_id * 1_000_000
-        self._quiet_peer = None  # DCF+ bookkeeping
-        self._dcfp_packet = None
+        self._quiet_peer = None  # DCF+ peer of a granted or offered slot
 
         # ICA state.
         self.ica = ext.IcaState()
         self._ica_timer = None
-        self._ica_sizes = None
 
         # PCF coordinator hook (set externally for the point coordinator).
         self.pcf = None
@@ -154,16 +152,6 @@ class MacNode:
             self._on_idle_edge()
         if self.pcf is not None:
             self.pcf.on_sense_exit()
-
-    def _set_self_tx(self):
-        was_idle = self._virtually_idle()
-        self.self_tx = True
-        if was_idle:
-            self._on_busy_edge()
-
-    def _clear_self_tx(self):
-        self.self_tx = False
-        self._maybe_idle_edge()
 
     # set_nav runs for nearly every overheard frame, and mostly extends a
     # pending NAV, so the expiry Event is moved with Simulator.reschedule
@@ -340,20 +328,14 @@ class MacNode:
                 frame.tentative_rate = self._data_rate
                 frame.size = first.size
             self.phase = AWAIT_CTS
-            self._transmit(frame, 1, self._after_rts)
+            self._transmit(frame, 1, self._await(
+                CTS_AIR, "cts_timeout", lambda: self._on_failure("cts")))
         else:
             self.phase = AWAIT_ACK
             self._send_chain_elem()
 
-    def _after_rts(self):
-        p = self.params
-        self._timer = self.sim.schedule_in(
-            p.sifs_us + CTS_AIR + p.slot_us, "cts_timeout", self.node_id,
-            lambda: self._on_failure("cts"))
-
     def _on_cts(self, frame):
         self._cancel_timer()
-        p = self.params
         # Only a receiver-picks scheme's RTS gets a selected rate back.  The
         # scheme keeps it, and the chain is rebuilt for it: a burst's length
         # depends on the rate, a fragment plan does not.
@@ -361,7 +343,7 @@ class MacNode:
             self._data_rate = self.rate_scheme.rate = frame.selected_rate
             self._chain = self._build_chain(self._cur_cat, self._data_rate)
         self.phase = AWAIT_ACK
-        self.sim.schedule_in(p.sifs_us, "send_data", self.node_id,
+        self.sim.schedule_in(self.params.sifs_us, "send_data", self.node_id,
                              self._send_chain_elem)
 
     def _send_chain_elem(self):
@@ -381,36 +363,34 @@ class MacNode:
         if self._chain_idx == 0 and rs.receiver_picks \
                 and rate_mod.rbar_needs_rsh(rs.tentative, self._data_rate):
             frame.rsh = 1
-        self._transmit(frame, self._data_rate, self._after_data)
-
-    def _after_data(self):
-        p = self.params
-        self._timer = self.sim.schedule_in(
-            p.sifs_us + ACK_AIR + p.slot_us, "ack_timeout", self.node_id,
-            lambda: self._on_failure("ack"))
+        self._transmit(frame, self._data_rate, self._await(
+            ACK_AIR, "ack_timeout", lambda: self._on_failure("ack")))
 
     def _on_ack(self, frame):
-        self._cancel_timer()
+        elem = self._confirm()
         cat = self._cur_cat
+        cat.retry_count = 0
+        self.backoff_scheme.on_success(self, cat, elem.size * 8)
+        self.rate_scheme.on_result(True, self.sim.now)
+        if self._chain_idx < len(self._chain):
+            self.sim.schedule_in(self.params.sifs_us, "send_data", self.node_id,
+                                 self._send_chain_elem)
+        elif frame.duration > 0 and self.dcfplus:
+            self._dcfp_grant(frame)  # the receiver offers reverse data
+        else:
+            self._finish_exchange()
+
+    def _confirm(self):
+        """Book the ACK of the chain's current element and return it."""
+        self._cancel_timer()
         elem = self._chain[self._chain_idx]
         pkt = elem.packet
         pkt.remaining -= elem.size
         pkt.next_frag += 1
-        cat.retry_count = 0
-        self.backoff_scheme.on_success(self, cat, elem.size * 8)
-        self.rate_scheme.on_result(True, self.sim.now)
         if pkt.remaining == 0 or elem.standalone:
-            self._complete_packet(cat, pkt)
+            self._complete_packet(self._cur_cat, pkt)
         self._chain_idx += 1
-        if self._chain_idx < len(self._chain):
-            self.sim.schedule_in(self.params.sifs_us, "send_data", self.node_id,
-                                 self._send_chain_elem)
-            return
-        # Exchange over; DCF+ piggyback grant?
-        if frame.duration > 0 and self.dcfplus:
-            self._dcfp_grant(frame)
-            return
-        self._finish_exchange()
+        return elem
 
     def _complete_packet(self, cat, pkt):
         if pkt in cat.queue:
@@ -419,14 +399,17 @@ class MacNode:
             self.recorder.on_sender_done(pkt)
         cat.ready_time = self.sim.now
 
+    # The only way back to IDLE.  Its callers have cancelled the response
+    # timer, or run as it fired.
     def _finish_exchange(self):
         self.phase = IDLE
+        self._timer = None
         self._chain = None
         self._cur_cat = None
+        self._quiet_peer = None
         self._maybe_idle_edge()
 
     def _on_failure(self, kind):
-        self._timer = None
         cat = self._cur_cat
         elem = self._chain[self._chain_idx]
         pkt = elem.packet
@@ -437,33 +420,51 @@ class MacNode:
         cat.retry_count += 1
         self.backoff_scheme.on_failure(self, cat)
         if cat.retry_count > self.params.retry_limit:
-            if pkt in cat.queue:
-                cat.queue.remove(pkt)
             cat.retry_count = 0
             cat.cw = cat.cw_min
             if self.recorder is not None:
                 self.recorder.on_drop(pkt)
-                self.recorder.on_sender_done(pkt)  # keep backlogged sources fed
             if self.sim.trace_lines is not None:
                 self.sim.trace(self.node_id, "drop", "pkt=%d" % pkt.pid)
+            self._complete_packet(cat, pkt)  # keeps backlogged sources fed
         cat.backoff_slots = dcf.draw_backoff(cat.cw, self.rng)
         cat.ready_time = self.sim.now
         self._finish_exchange()
 
     # ------------------------------------------------------------------
-    # transmit helper
+    # transmit helpers
     # ------------------------------------------------------------------
 
     def _transmit(self, frame, rate, after=None):
         self.backoff_scheme.on_transmit(self, frame)
-        self._set_self_tx()
+        if self._virtually_idle():
+            self._on_busy_edge()
+        self.self_tx = True
 
         def on_end():
-            self._clear_self_tx()
+            self.self_tx = False
+            self._maybe_idle_edge()
             if after is not None:
                 after()
 
         return self.medium.transmit(self.node_id, frame, rate, on_end)
+
+    def _reply(self, kind, frame, rate, after=None):
+        """Send `frame` one SIFS from now, in an event named `kind`."""
+        self.sim.schedule_in(self.params.sifs_us, kind, self.node_id,
+                             lambda: self._transmit(frame, rate, after))
+
+    def _await(self, air, kind, handler):
+        """End-of-frame callback that arms the response timeout: `handler`
+        runs, as event `kind`, unless a reply of `air` us comes back within
+        one SIFS and a slot."""
+        wait = self.params.sifs_us + air + self.params.slot_us
+
+        def arm():
+            self._timer = self.sim.schedule_in(wait, kind, self.node_id,
+                                               handler)
+
+        return arm
 
     def _cancel_timer(self):
         if self._timer is not None:
@@ -568,8 +569,7 @@ class MacNode:
                             + rsh + ACK_AIR)
         else:
             cts.duration = max(0, frame.duration - p.sifs_us - CTS_AIR)
-        self.sim.schedule_in(p.sifs_us, "send_cts", self.node_id,
-                             lambda: self._transmit(cts, 1))
+        self._reply("send_cts", cts, 1)
         # Stay quiet while the exchange we just enabled runs.
         self.set_nav(self.sim.now + p.sifs_us + CTS_AIR + cts.duration,
                      frame.xid, replace=True)
@@ -583,34 +583,21 @@ class MacNode:
                     xid=frame.xid)
         ack.duration = max(0, frame.duration - p.sifs_us - ACK_AIR)
         if self.phase == DCFP_WAIT_REV and frame.src == self._quiet_peer:
-            self.phase = IDLE
             self._cancel_timer()
-            self._quiet_peer = None
+            self._finish_exchange()
         elif (self.dcfplus and ack.duration == 0 and frame.standalone == 0
                 and frame.more_fragments == 0 and frame.fragment_number == 0
                 and self.phase == IDLE):
-            rev = self._dcfp_reverse_packet(frame.src)
-            if rev is not None:
-                ack.duration = ext.dcfplus_ack_duration(rev.remaining,
-                                                        self.fixed_rate,
-                                                        p.sifs_us)
-                self._dcfp_packet = rev
-                self.phase = DCFP_WAIT_CTS
-                self._quiet_peer = frame.src
-
-        self.sim.schedule_in(p.sifs_us, "send_ack", self.node_id,
-                             lambda: self._transmit(ack, 1, self._after_own_ack))
-        if ack.duration > 0 and self.phase != DCFP_WAIT_CTS:
+            ack.duration = self._dcfp_offer(frame.src)
+        if self.phase == DCFP_WAIT_CTS:
+            self._reply("send_ack", ack, 1, self._await(
+                CTS_AIR, "dcfp_cts_timeout", self._finish_exchange))
+            return
+        self._reply("send_ack", ack, 1)
+        if ack.duration > 0:
             # More fragments follow; keep quiet for the rest of the burst.
             self.set_nav(self.sim.now + p.sifs_us + ACK_AIR + ack.duration,
                          frame.xid, replace=True)
-
-    def _after_own_ack(self):
-        if self.phase == DCFP_WAIT_CTS:
-            p = self.params
-            self._timer = self.sim.schedule_in(
-                p.sifs_us + CTS_AIR + p.slot_us, "dcfp_cts_timeout",
-                self.node_id, self._dcfp_abort)
 
     # A sender moves its offset only when an ACK confirms the payload, so no
     # frame starts above what the destination already holds: a high-water
@@ -631,13 +618,25 @@ class MacNode:
 
     # -- DCF+ ------------------------------------------------------------
 
-    def _dcfp_reverse_packet(self, peer):
+    def _dcfp_offer(self, peer):
+        """Offer `peer`, which just sent us DATA, the first whole packet
+        queued for it that fits one frame.  The packet becomes this node's
+        one-element chain, so its ACK takes the normal path.  Returns the
+        duration of the ACK that carries the offer, 0 if there is none."""
+        p = self.params
         for cat in self.cats:
             for pkt in cat.queue:
                 if pkt.dst == peer and pkt.remaining == pkt.size \
-                        and pkt.size <= self.params.frag_threshold:
-                    return pkt
-        return None
+                        and pkt.size <= p.frag_threshold:
+                    self.phase = DCFP_WAIT_CTS
+                    self._quiet_peer = peer
+                    self._cur_cat = cat
+                    self._chain = [_ChainElem(pkt, pkt.size, 0, 0,
+                                              standalone=1)]
+                    self._chain_idx = 0
+                    return ext.dcfplus_ack_duration(pkt.size, self.fixed_rate,
+                                                    p.sifs_us)
+        return 0
 
     def _dcfp_grant(self, ack):
         """We sent DATA, the ACK asks for a reverse slot: answer with CTS."""
@@ -647,52 +646,21 @@ class MacNode:
         cts = Frame(CTS, self.node_id, ack.src, payload_bytes=CTS_BYTES,
                     duration=max(0, ack.duration - p.sifs_us - CTS_AIR),
                     xid=ack.xid)
-
-        def after_cts():
-            rev_air = max(0, ack.duration - 3 * p.sifs_us - CTS_AIR - ACK_AIR)
-            self._timer = self.sim.schedule_in(
-                p.sifs_us + rev_air + p.slot_us, "dcfp_rev_timeout",
-                self.node_id, self._dcfp_abort)
-
-        self.sim.schedule_in(p.sifs_us, "send_cts", self.node_id,
-                             lambda: self._transmit(cts, 1, after_cts))
-        self._chain = None
-        self._cur_cat = None
+        rev_air = max(0, ack.duration - 3 * p.sifs_us - CTS_AIR - ACK_AIR)
+        self._reply("send_cts", cts, 1, self._await(
+            rev_air, "dcfp_rev_timeout", self._finish_exchange))
 
     def _dcfp_send_reverse(self, cts):
         """Our piggyback request was granted; ship the reverse packet."""
         self._cancel_timer()
-        p = self.params
-        pkt = self._dcfp_packet
-        frame = Frame(DATA, self.node_id, pkt.dst,
-                      duration=p.sifs_us + ACK_AIR, payload_bytes=pkt.size,
-                      packet=pkt, xid=cts.xid, standalone=1)
-
-        def send():
-            self._transmit(frame, self.fixed_rate, self._dcfp_after_rev)
-
-        self.sim.schedule_in(p.sifs_us, "send_data", self.node_id, send)
-
-    def _dcfp_after_rev(self):
-        p = self.params
-        self._timer = self.sim.schedule_in(
-            p.sifs_us + ACK_AIR + p.slot_us, "dcfp_ack_timeout",
-            self.node_id, self._dcfp_abort)
         self.phase = AWAIT_ACK
-        # Reuse the normal ACK path: fabricate a one-element chain.
-        pkt = self._dcfp_packet
-        for cat in self.cats:
-            if pkt in cat.queue:
-                self._cur_cat = cat
-                break
-        self._chain = [_ChainElem(pkt, pkt.size, 0, 0, standalone=1)]
-        self._chain_idx = 0
-
-    def _dcfp_abort(self):
-        self._timer = None
-        self._quiet_peer = None
-        self._dcfp_packet = None
-        self._finish_exchange()
+        pkt = self._chain[0].packet
+        frame = Frame(DATA, self.node_id, pkt.dst,
+                      duration=self.params.sifs_us + ACK_AIR,
+                      payload_bytes=pkt.size, packet=pkt, xid=cts.xid,
+                      standalone=1)
+        self._reply("send_data", frame, self.fixed_rate, self._await(
+            ACK_AIR, "dcfp_ack_timeout", self._finish_exchange))
 
     # -- ICA -------------------------------------------------------------
 
@@ -702,30 +670,28 @@ class MacNode:
         st = self.ica
         st.window_end = ext.ica_primary_data_end(st.rts_end, st.rts_duration,
                                                  p.sifs_us)
-        reservation_end = st.rts_end + st.rts_duration
         cat = self.cats[0]
-        if self.phase != IDLE or not cat.queue:
-            self._ica_fallback(reservation_end)
-            return
-        if self.sense_count > 0 or self.self_tx:
-            # Something (likely the CTS) is still in the air; not exposed.
-            self._ica_fallback(reservation_end)
-            return
-        head = cat.queue[0]
-        start, sizes = ext.ica_plan_parallel(self.sim.now, st.window_end,
-                                             head.remaining,
-                                             p.frag_threshold,
-                                             self.fixed_rate, p.sifs_us)
+        sizes = None
+        # Something (likely the CTS) still in the air: not exposed.
+        if self.phase == IDLE and cat.queue and self.sense_count == 0 \
+                and not self.self_tx:
+            head = cat.queue[0]
+            start, sizes = ext.ica_plan_parallel(self.sim.now, st.window_end,
+                                                 head.remaining,
+                                                 p.frag_threshold,
+                                                 self.fixed_rate, p.sifs_us)
         if not sizes:
-            self._ica_fallback(reservation_end)
+            self.set_nav(st.rts_end + st.rts_duration)
+            st.clear()
             return
         if self.sim.trace_lines is not None:
             self.sim.trace(self.node_id, "ica_exposed",
                            "window_end=%d frags=%d" % (st.window_end, len(sizes)))
+        # The chain holds the planned sizes, not each frame's flags.
         self.phase = ICA_WINDOW
-        self._ica_sizes = sizes
-        self._ica_packet = head
-        self._ica_reservation_end = reservation_end
+        self._cur_cat = cat
+        self._chain = [_ChainElem(head, size, 0, 0) for size in sizes]
+        self._chain_idx = 0
         for c in self.cats:
             if c.timer is not None:
                 c.timer.cancel()
@@ -733,62 +699,45 @@ class MacNode:
         self.sim.schedule(max(start, self.sim.now), "ica_start", self.node_id,
                           self._ica_send_frag)
 
-    def _ica_fallback(self, reservation_end):
-        self.ica.clear()
-        self.set_nav(reservation_end)
-
     def _ica_send_frag(self):
         if self.phase != ICA_WINDOW:
             return
-        p = self.params
-        pkt = self._ica_packet
-        size = min(self._ica_sizes[0], pkt.remaining)
+        elem = self._chain[self._chain_idx]
+        pkt = elem.packet
+        # A CF response may have sent the packet since; book what goes out.
+        size = min(elem.size, pkt.remaining)
+        self._chain[self._chain_idx] = elem._replace(size=size)
         mf = 1 if pkt.remaining > size else 0
         frame = Frame(DATA, self.node_id, pkt.dst,
-                      duration=p.sifs_us + ACK_AIR, payload_bytes=size,
-                      more_fragments=mf, fragment_number=pkt.next_frag,
-                      packet=pkt, xid=self._new_xid(), frag_offset=pkt.offset)
-        self._ica_cur_size = size
-
-        def after():
-            self._timer = self.sim.schedule_in(
-                p.sifs_us + ACK_AIR + p.slot_us, "ica_ack_timeout",
-                self.node_id, self._ica_abort)
-
-        self._transmit(frame, self.fixed_rate, after)
+                      duration=self.params.sifs_us + ACK_AIR,
+                      payload_bytes=size, more_fragments=mf,
+                      fragment_number=pkt.next_frag, packet=pkt,
+                      xid=self._new_xid(), frag_offset=pkt.offset)
+        self._transmit(frame, self.fixed_rate, self._await(
+            ACK_AIR, "ica_ack_timeout", self._ica_abort))
 
     def _ica_on_ack(self):
-        self._cancel_timer()
-        pkt = self._ica_packet
-        pkt.remaining -= self._ica_cur_size
-        pkt.next_frag += 1
-        self._ica_sizes.pop(0)
-        cat = self.cats[0]
-        if pkt.remaining == 0:
-            self._complete_packet(cat, pkt)
-        if pkt.remaining > 0 and self._ica_sizes:
+        elem = self._confirm()
+        if elem.packet.remaining > 0 and self._chain_idx < len(self._chain):
             self.sim.schedule_in(self.params.sifs_us, "ica_next", self.node_id,
                                  self._ica_send_frag)
             return
         self._ica_close()
 
     def _ica_abort(self):
-        self._timer = None
         if self.sim.trace_lines is not None:
             self.sim.trace(self.node_id, "ica_abort", "")
         self._ica_close()
 
     def _ica_close(self):
-        self._ica_sizes = None
+        self.set_nav(self.ica.rts_end + self.ica.rts_duration)
         self.ica.clear()
         self.cats[0].ready_time = self.sim.now
-        self.set_nav(self._ica_reservation_end)
         self._finish_exchange()
 
     # -- PCF responder ---------------------------------------------------
 
     def _on_poll(self, frame):
-        p = self.params
         cat = self.cats[0]
         if cat.queue:
             pkt = cat.queue[0]
@@ -796,18 +745,18 @@ class MacNode:
                          payload_bytes=pkt.remaining, packet=pkt,
                          frag_offset=pkt.offset, standalone=1)
 
+            # Nothing acknowledges a CF response: the sender forgets the
+            # packet once it is sent, and the recorder settles it later.
             def done():
                 pkt.remaining = 0
                 self._complete_packet(cat, pkt)
+                if self.recorder is not None:
+                    self.recorder.on_cf_sent(pkt)
 
-            self.sim.schedule_in(
-                p.sifs_us, "send_cf_data", self.node_id,
-                lambda: self._transmit(resp, self.fixed_rate, done))
+            self._reply("send_cf_data", resp, self.fixed_rate, done)
         else:
-            resp = Frame(CF_ACK, self.node_id, frame.src,
-                         payload_bytes=ACK_BYTES)
-            self.sim.schedule_in(p.sifs_us, "send_cf_ack", self.node_id,
-                                 lambda: self._transmit(resp, 1))
+            self._reply("send_cf_ack", Frame(CF_ACK, self.node_id, frame.src,
+                                             payload_bytes=ACK_BYTES), 1)
 
     # ------------------------------------------------------------------
     # traffic entry

@@ -2,9 +2,10 @@
 
 A Recorder rides along during a run: packet generation, delivery (reported
 once per packet by the destination's MAC, which keeps the reassembly state on
-the Packet), drops, and per-window delivered bits feeding the windowed
-fairness series.  finalize() folds in the medium's collision statistics and
-freezes everything into a Metrics value.
+the Packet), drops (CF responses that never arrived among them), and
+per-window delivered bits feeding the windowed fairness series.  finalize()
+folds in the medium's collision statistics and freezes everything into a
+Metrics value.
 """
 
 import math
@@ -74,6 +75,7 @@ class Recorder:
         self.delivered_bits = {f: 0 for f in flow_ids}
         self.window_bits = {}  # (now // window_us, fid) -> delivered bits
         self.refill = {}  # fid -> callback, set by the traffic source
+        self.cf_sent = {}  # sender -> its last CF response's Packet
 
     # -- hooks called from the MACs and traffic sources ---------------------
 
@@ -96,6 +98,15 @@ class Recorder:
             return  # the data made it; only the final ACK was lost
         self.drops[pkt.flow_id] += 1
 
+    def on_cf_sent(self, pkt):
+        """A CF response carrying `pkt` has left the air.  Nothing acks it,
+        so it is a drop unless its destination delivered it, checked at the
+        sender's next response or finalize, after the frame's hearers ran."""
+        last = self.cf_sent.get(pkt.src)
+        if last is not None:
+            self.on_drop(last)
+        self.cf_sent[pkt.src] = pkt
+
     def on_sender_done(self, pkt):
         cb = self.refill.get(pkt.flow_id)
         if cb is not None:
@@ -104,6 +115,9 @@ class Recorder:
     # -- finalization -------------------------------------------------------
 
     def finalize(self, duration_us, medium_stats):
+        for pkt in self.cf_sent.values():
+            self.on_drop(pkt)
+        self.cf_sent.clear()
         m = Metrics(duration_us=duration_us)
         for fid in self.flow_ids:
             fm = FlowMetrics(

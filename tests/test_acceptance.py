@@ -9,9 +9,10 @@ and compare byte-for-byte without doubling the cost of the earlier tests.
 import random
 import time
 
+from scfq import scfq_oracle
+
 from macsim import harness
 from macsim.engine import RandomStream
-from macsim.fairness import scfq_oracle
 from macsim.frames import ACK_AIR, CTS_AIR, RTS_AIR
 from macsim.mac import Packet
 from macsim.metrics import format_csv

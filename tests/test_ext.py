@@ -12,10 +12,6 @@ SIFS = 10
 
 # -- DCF+ -------------------------------------------------------------------
 
-def test_dcfplus_plain_ack_without_reverse_data():
-    assert dcfplus_ack_duration(None, 11, SIFS) == 0
-
-
 def test_dcfplus_duration_covers_cts_data_ack():
     got = dcfplus_ack_duration(40, 11, SIFS)
     assert got == 3 * SIFS + CTS_AIR + airtime(40, 11) + ACK_AIR

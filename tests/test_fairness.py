@@ -3,11 +3,11 @@
 import math
 
 import pytest
+from scfq import ScfqTags, scfq_oracle
 
 from macsim.engine import RandomStream
-from macsim.fairness import (Est, ScfqTags, dfs_backoff,
-                             estimation_backoff_update, fairness_index,
-                             mild_update, scfq_oracle, share_cw_on_hear)
+from macsim.fairness import (Est, dfs_backoff, estimation_backoff_update,
+                             fairness_index, mild_update, share_cw_on_hear)
 
 
 # -- MILD -------------------------------------------------------------------

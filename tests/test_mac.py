@@ -1,7 +1,11 @@
 """End-to-end MAC behavior observed through run traces and metrics."""
 
+import ast
+import os
+
 from conftest import shipped, single_cell
 from macsim import harness
+from macsim import mac as mac_mod
 from macsim.frames import ACK_AIR, CTS_AIR, DATA, RTS_AIR, Frame
 from macsim.mac import Packet
 from macsim.scenario import parse_scenario
@@ -282,3 +286,31 @@ def test_only_estimation_backoff_keeps_traffic_samples():
     r = harness.run(shipped("single_cell", 2_000_000, "dcf+est"))
     kept = [t for m in r.macs.values() for t, _ in _estimate_samples(m)]
     assert kept and min(kept) >= 2_000_000 - 2 * 100_000
+
+
+def test_every_macnode_attribute_is_assigned_in_init():
+    # State that only some methods create is invisible to the reader of
+    # __init__ and outlives the exchange that made it.
+    path = os.path.join(os.path.dirname(mac_mod.__file__), "mac.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "MacNode")
+
+    def assigned(fn):
+        """{attribute: first line} of every `self.<attribute>` stored to."""
+        out = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Store) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self":
+                out.setdefault(node.attr, node.lineno)
+        return out
+
+    methods = [f for f in cls.body if isinstance(f, ast.FunctionDef)]
+    fields = assigned(next(f for f in methods if f.name == "__init__"))
+    stray = sorted("%s (%s, line %d)" % (attr, f.name, line)
+                   for f in methods if f.name != "__init__"
+                   for attr, line in assigned(f).items()
+                   if attr not in fields)
+    assert not stray, "assigned outside __init__: %s" % ", ".join(stray)

@@ -23,19 +23,14 @@ def _run(text):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(small_scenarios(every_token=True))
 def test_every_variant_token_keeps_the_invariants(text):
-    generated, dropped, cf_sent = [], [], set()
-    reassemble, on_poll = MacNode._reassemble, MacNode._on_poll
+    generated, dropped = [], []
+    reassemble = MacNode._reassemble
     on_generated, on_drop = Recorder.on_generated, Recorder.on_drop
 
     def checked(mac, frame):
         # Reassembly keeps a high-water mark: no frame may start above it.
         assert frame.frag_offset <= frame.packet.received
         reassemble(mac, frame)
-
-    def polled(mac, frame):
-        if mac.cats[0].queue:
-            cf_sent.add(mac.cats[0].queue[0].pid)
-        on_poll(mac, frame)
 
     def generate(rec, pkt):
         generated.append(pkt)
@@ -48,7 +43,6 @@ def test_every_variant_token_keeps_the_invariants(text):
 
     with pytest.MonkeyPatch.context() as mp:
         for owner, name, fn in ((MacNode, "_reassemble", checked),
-                                (MacNode, "_on_poll", polled),
                                 (Recorder, "on_generated", generate),
                                 (Recorder, "on_drop", drop)):
             mp.setattr(owner, name, fn)
@@ -56,26 +50,19 @@ def test_every_variant_token_keeps_the_invariants(text):
     times = [int(line.split("\t", 1)[0]) for line in trace]
     assert times == sorted(times), "dispatch times went backwards"
 
-    # Each packet ends delivered, dropped or queued, and only once.
+    # Each packet ends delivered, dropped or queued, exactly once.
     in_queue = [pkt.pid for mac in r.macs.values() for cat in mac.cats
                 for pkt in cat.queue]
     queued = set(in_queue)
     assert len(queued) == len(in_queue)
     assert len(set(dropped)) == len(dropped)
     dropped = set(dropped)
-    gone = {}  # flow id -> packets in none of the three
     for pkt in generated:
         delivered = pkt.received >= pkt.size
         # A delivered packet stays queued until its sender hears the ACK.
         n = delivered + (pkt.pid in dropped) + (
             pkt.pid in queued and not delivered)
-        assert n <= 1, "packet %d counted %d times" % (pkt.pid, n)
-        if n == 0:
-            # Known leak: nothing acknowledges a CF response, and its
-            # sender forgets the packet once it is sent, so a response
-            # lost on the air is neither delivered nor dropped.
-            assert pkt.pid in cf_sent and pkt.remaining == 0, pkt
-            gone[pkt.flow_id] = gone.get(pkt.flow_id, 0) + 1
+        assert n == 1, "packet %d counted %d times" % (pkt.pid, n)
     for fid, fm in r.metrics.flows.items():
         waiting = sum(pkt.flow_id == fid and pkt.pid in queued
                       and pkt.received < pkt.size for pkt in generated)
@@ -83,7 +70,7 @@ def test_every_variant_token_keeps_the_invariants(text):
                                            for pkt in generated)
         assert fm.delivered_packets <= fm.generated_packets
         assert fm.generated_packets == (fm.delivered_packets + fm.drops
-                                        + waiting + gone.get(fid, 0))
+                                        + waiting)
     _, csv2, trace2 = _run(text)
     assert csv2 == csv
     assert trace2 == trace
