@@ -84,8 +84,9 @@ class Beb:
 
     The mac calls `draw` for a fresh backoff, `on_success` after each acked
     DATA frame, `on_failure` after each missed CTS or ACK, `on_transmit` for
-    each frame it sends, `on_hear` for each frame it receives and
-    `on_overhear_cts` for each CTS addressed to another node.
+    each frame it sends, `on_overhear_cts` for each CTS addressed to
+    another node, and `on_hear` for each frame it receives if the scheme
+    defines one.
     """
 
     def draw(self, cat, rng):
@@ -98,9 +99,6 @@ class Beb:
         cat.cw = dcf.cw_after(cat.cw, dcf.FAILURE, cat.cw_min, cat.cw_max)
 
     def on_transmit(self, mac, frame):
-        pass
-
-    def on_hear(self, mac, frame):
         pass
 
     def on_overhear_cts(self, mac, frame):

@@ -88,6 +88,8 @@ class MacNode:
         self.fixed_rate = fixed_rate
         self.rate_scheme = rate_scheme or rate_mod.FixedRate(fixed_rate)
         self.backoff_scheme = backoff_scheme or fairness.Beb()
+        # Only a scheme that reads received frames defines `on_hear`.
+        self._on_hear = getattr(self.backoff_scheme, "on_hear", None)
         self.dcfplus = dcfplus
         self.ica_enabled = ica
         self.ica_cts_timeout_us = ica_cts_timeout_us
@@ -476,7 +478,8 @@ class MacNode:
     # ------------------------------------------------------------------
 
     def on_frame(self, frame, rate, start):
-        self.backoff_scheme.on_hear(self, frame)
+        if self._on_hear is not None:
+            self._on_hear(self, frame)
         kind = frame.kind
         if kind == RTS:
             if frame.dst == self.node_id:

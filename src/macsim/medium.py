@@ -85,7 +85,8 @@ class MediumStats:
         self.collided_transmissions = 0
         self.ack_collisions = 0
         self.errored = 0
-        self._episode_parent = {}
+        self._closed_episodes = 0
+        self._episode_parent = {}  # union-find over the open episodes' txids
 
     # Tiny union-find over tx ids so one multi-frame pile-up counts once.
     def _find(self, x):
@@ -95,7 +96,11 @@ class MediumStats:
             x = p[x]
         return x
 
-    def record_collision(self, txid, overlap_ids):
+    def record_collision(self, txid, overlap_ids, live):
+        """Join `txid` and `overlap_ids` in one episode, then count and
+        forget every episode that no later call can join: `live` holds each
+        txid that can still appear, those on the air and those in the
+        concurrency list of a frame on the air."""
         p = self._episode_parent
         for t in (txid, *overlap_ids):
             p.setdefault(t, t)
@@ -105,10 +110,16 @@ class MediumStats:
             if r != root:
                 p[max(r, root)] = min(r, root)
                 root = min(r, root)
+        roots = {t: self._find(t) for t in p}
+        open_roots = {r for t, r in roots.items() if t in live}
+        self._closed_episodes += len(set(roots.values()) - open_roots)
+        self._episode_parent = {t: r for t, r in roots.items()
+                                if r in open_roots}
 
     @property
     def collision_events(self):
-        return len({self._find(x) for x in self._episode_parent})
+        return self._closed_episodes + len(
+            {self._find(x) for x in self._episode_parent})
 
     @property
     def collision_fraction(self):
@@ -189,7 +200,8 @@ class Medium:
         if self._quality_stream is not None:
             return 0
         rate = max(phy.RATES)
-        for hearer, _, _ in hearers:
+        # With no link set apart, every hearer's link has the shared state.
+        for hearer, _, _ in hearers if self.quality.states else hearers[:1]:
             q = self.quality.state(sender_id, hearer)
             if self.base_fer[q] != 0.0:
                 return 0
@@ -296,13 +308,22 @@ class Medium:
                     if outcome == phy.COLLIDED:
                         stats.collided_transmissions += 1
                         stats.record_collision(tx.txid, [
-                            e[0] for e in concurrent if hearer in e[3]])
+                            e[0] for e in concurrent if hearer in e[3]],
+                            self._live_txids())
                         if kind == ACK:
                             stats.ack_collisions += 1
                     elif outcome == phy.ERRORED:
                         stats.errored += 1
         for leave in tx.reach.exit:
             leave()
+
+    def _live_txids(self):
+        """Every txid a later collision can name: each frame on the air and
+        each frame in the concurrency list of one."""
+        live = set(self.active)
+        for t in self.active.values():
+            live.update(e[0] for e in t.concurrent)
+        return live
 
     def _fer(self, tx, hearer):
         """Frame error rate at `hearer` of a frame that errors can hit."""

@@ -95,30 +95,29 @@ def power_at(d):
 class LinkQualityProcess:
     """Per-ordered-link 4-state Markov chain stepped every `dwell_us`.
 
-    A dwell of 0 (or an identity matrix) keeps the links static.  Each link
-    advances with a draw from the owning simulation's dedicated stream, so
-    fading is reproducible per seed.
+    Static links share the state `initial`: `states` holds only the links a
+    caller sets apart, or every ordered link when a matrix makes them fade.
+    Each step advances those in sorted order with draws from the dedicated
+    stream (none with a dwell of 0), so fading is reproducible per seed.
     """
 
     def __init__(self, node_ids, initial_state, matrix=None, dwell_us=0):
-        self.states = {}
-        for a in node_ids:
-            for b in node_ids:
-                if a != b:
-                    self.states[(a, b)] = initial_state
+        self.initial = initial_state
+        self.states = {}  # (sender, receiver) -> state of a link set apart
         self.matrix = matrix
         self.dwell_us = dwell_us
         if matrix is not None:
             validate_matrix(matrix)
+            self.states = {(a, b): initial_state for a in node_ids
+                           for b in node_ids if a != b}
+        self._order = sorted(self.states)  # step's draw order
 
     def state(self, sender, receiver):
-        return self.states[(sender, receiver)]
+        return self.states.get((sender, receiver), self.initial)
 
     def step(self, stream):
         """Advance every link one Markov step (no-op without a matrix)."""
-        if self.matrix is None:
-            return
-        for link in sorted(self.states):
+        for link in self._order:
             row = self.matrix[self.states[link]]
             u = stream.uniform()
             acc = 0.0

@@ -49,6 +49,20 @@ def parse(text):
     return parse_scenario(text)
 
 
+def dense_cell(side, seed=1, duration_us=1_000_000):
+    """An access point (node 0) and side * side - 1 backlogged senders on a
+    side x side grid of 1 m spacing, all in one cell, every flow to the
+    access point.  The links are static: no matrix."""
+    n = side * side
+    lines = ["[sim]", "seed = %d" % seed, "duration_us = %d" % duration_us,
+             "[nodes]"]
+    lines += ["%d = %d %d" % (i, i % side, i // side) for i in range(n)]
+    lines += ["[links]", "hear_range = 50", "base_fer_high = 0",
+              "[mac]", "rts_threshold = 500", "[flows]"]
+    lines += ["%d = %d 0 backlogged 1000" % (i, i) for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
 def jittered_grid(side, seed, duration_us, variant="dcf"):
     """side x side grid, 10 m spacing, +-2 m jitter, hear 15 m, sense 25 m.
 

@@ -37,10 +37,15 @@ def _mixed_quality_grid():
     s = parse_scenario(jittered_grid(5, 7, 50_000))
     s.base_fer[phy.MID] = 0.0
     built = harness.build(s)
+    # Static links have no entry of their own until one is set, so walk
+    # the node pairs, not `states`.
     states = built[1].quality.states
+    ids = sorted(built[2])
     pick = random.Random(3)
-    for link in sorted(states):
-        states[link] = pick.choice([phy.HIGH] * 6 + [phy.MID, phy.LOW])
+    for a in ids:
+        for b in ids:
+            if a != b:
+                states[a, b] = pick.choice([phy.HIGH] * 6 + [phy.MID, phy.LOW])
     return s, built
 
 
@@ -365,8 +370,10 @@ class ReferenceMedium(Medium):
                 self.macs[hearer].on_frame(tx.frame, tx.rate, tx.start)
             elif outcome == phy.COLLIDED and hearer == tx.frame.dst:
                 self.stats.collided_transmissions += 1
+                # Every txid stays live: no episode closes before the end.
                 self.stats.record_collision(
-                    tx.txid, [t.txid for t in tx.overlaps[hearer]])
+                    tx.txid, [t.txid for t in tx.overlaps[hearer]],
+                    range(self._next_txid))
                 if tx.frame.kind == ACK:
                     self.stats.ack_collisions += 1
             elif outcome == phy.ERRORED and hearer == tx.frame.dst:

@@ -1,12 +1,15 @@
 """Radio medium model: airtime, FER, capture, link quality."""
 
 import pytest
+from conftest import dense_cell
+from setup_sweep import build_peak
 
 from macsim import phy
 from macsim.engine import RandomStream
 from macsim.phy import (BAD, HIGH, LOW, MID, LinkQualityProcess, Topology,
                         airtime, frame_error_prob, resolve_capture,
                         validate_matrix)
+from macsim.scenario import parse_scenario
 
 
 # -- airtime ----------------------------------------------------------------
@@ -176,3 +179,49 @@ def test_two_state_symmetric_occupancy():
 def test_quality_rate_map_monotone():
     rates = [phy.MAX_RATE_FOR_QUALITY[s] for s in (BAD, LOW, MID, HIGH)]
     assert rates == [1, 2, 5.5, 11]
+
+
+def test_static_links_share_one_state():
+    nodes = range(1024)
+    q = LinkQualityProcess(nodes, MID)
+    assert q.states == {}
+    assert all(q.state(a, b) == MID for a in nodes for b in nodes if a != b)
+    stream = RandomStream(3, 0)
+    q.step(stream)  # no matrix: nothing moves, nothing is drawn
+    assert q.states == {}
+    assert stream.next_u64() == RandomStream(3, 0).next_u64()
+
+
+def test_fading_links_step_in_sorted_order():
+    m = [[0.4, 0.3, 0.2, 0.1],
+         [0.1, 0.4, 0.3, 0.2],
+         [0.2, 0.1, 0.4, 0.3],
+         [0.3, 0.2, 0.1, 0.4]]
+    nodes = [3, 0, 12, 2, 1]  # not sorted: insertion order is not the order
+    q = LinkQualityProcess(nodes, HIGH, m, dwell_us=100)
+    assert len(q.states) == len(nodes) * (len(nodes) - 1)
+    assert all(q.state(a, b) == HIGH for a in nodes for b in nodes if a != b)
+    # Reference: walk sorted(states) on every step, one draw per link.
+    want = dict(q.states)
+    stream, ref = RandomStream(5, 0), RandomStream(5, 0)
+    for _ in range(20):
+        q.step(stream)
+        for link in sorted(want):
+            u, acc, nxt = ref.uniform(), 0.0, 3
+            for j, p in enumerate(m[want[link]]):
+                acc += p
+                if u < acc:
+                    nxt = j
+                    break
+            want[link] = nxt
+        assert q.states == want
+    assert len(set(want.values())) > 1
+
+
+def test_static_cell_build_is_linear_in_memory():
+    # A quadratic set-up stored one link state per node pair: about 100 MB
+    # here.  A tracemalloc peak, unlike wall time, is deterministic.
+    peak, (_, medium, macs, _) = build_peak(parse_scenario(dense_cell(32)))
+    assert len(macs) == 1024
+    assert medium.quality.states == {}
+    assert peak < 10 * 2**20

@@ -83,39 +83,52 @@ def _size(value):
                             if isinstance(v, (dict, list, set, deque)))
 
 
-def _footprint(duration_us):
+def _footprint(name, variant, duration_us):
     """Live Packets and the size of every container held by the run's
-    MacNodes, their access categories and the Recorder, after a
-    `single_cell` run of `duration_us`."""
-    r = harness.run(shipped("single_cell", duration_us))
+    Simulator (its heap too), Medium, MediumStats, link-quality process,
+    MacNodes, their access categories, rate and backoff schemes and point
+    coordinator, and the Recorder, after a run of shipped scenario `name`
+    cut to `duration_us`."""
+    r = harness.run(shipped(name, duration_us, variant))
     gc.collect()
     sizes = {"live Packets": sum(isinstance(o, Packet)
                                  for o in gc.get_objects())}
-    owners = [("recorder", r.recorder)]
+    medium = r.medium
+    owners = [("recorder", r.recorder), ("sim", r.sim), ("medium", medium),
+              ("medium.stats", medium.stats), ("quality", medium.quality)]
     for nid, mac in r.macs.items():
-        owners.append(("mac%d" % nid, mac))
+        owners += [("mac%d" % nid, mac), ("mac%d.rate" % nid, mac.rate_scheme),
+                   ("mac%d.backoff" % nid, mac.backoff_scheme)]
         owners += [("mac%d.cat%d" % (nid, c.index), c) for c in mac.cats]
-    for name, owner in owners:
+        if mac.pcf is not None:
+            owners.append(("mac%d.pcf" % nid, mac.pcf))
+    for label, owner in owners:
         for key, value in vars(owner).items():
             if isinstance(value, (dict, list, set, deque)):
-                sizes["%s.%s" % (name, key)] = _size(value)
+                sizes["%s.%s" % (label, key)] = _size(value)
     return r, sizes
 
 
 def test_memory_stays_flat_over_a_long_run():
-    short, before = _footprint(2_000_000)
-    long, after = _footprint(8_000_000)
-    # The exact p95 keeps every delay, and the fairness series needs one
-    # bin per flow and window: both are as long as the output.
-    for r, sizes in ((short, before), (long, after)):
-        rec = r.recorder
-        nflows = len(rec.flow_ids)
-        assert sizes.pop("recorder.delays") == nflows + sum(
-            f.delivered_packets for f in r.metrics.flows.values())
-        windows = r.sim.now // rec.window_us + 1
-        assert sizes.pop("recorder.window_bits", 0) <= nflows * windows
-    # A store that is empty between exchanges (an idle node has no chain)
-    # may be missing from either run.
-    grown = {k: (before.get(k, 0), n) for k, n in after.items()
-             if n > before.get(k, 0) + 10}
+    # single_cell collides the most; fading_rate as dcf+oar+est fades its
+    # links and keeps Est's windows; pcf_infra runs the point coordinator.
+    grown = {}
+    for name, variant in (("single_cell", None),
+                          ("fading_rate", "dcf+oar+est"),
+                          ("pcf_infra", None)):
+        short, before = _footprint(name, variant, 2_000_000)
+        long, after = _footprint(name, variant, 8_000_000)
+        # The exact p95 keeps every delay, and the fairness series needs one
+        # bin per flow and window: both are as long as the output.
+        for r, sizes in ((short, before), (long, after)):
+            rec = r.recorder
+            nflows = len(rec.flow_ids)
+            assert sizes.pop("recorder.delays") == nflows + sum(
+                f.delivered_packets for f in r.metrics.flows.values())
+            windows = r.sim.now // rec.window_us + 1
+            assert sizes.pop("recorder.window_bits", 0) <= nflows * windows
+        # A store that is empty between exchanges (an idle node has no
+        # chain) may be missing from either run.
+        grown.update({"%s: %s" % (name, k): (before.get(k, 0), n)
+                      for k, n in after.items() if n > before.get(k, 0) + 10})
     assert not grown, "stores grow with run length: %s" % grown
