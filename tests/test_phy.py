@@ -218,7 +218,7 @@ def test_fading_links_step_in_sorted_order():
     assert len(set(want.values())) > 1
 
 
-def test_static_cell_build_is_linear_in_memory():
+def test_static_1024_node_build_peaks_under_10_mb():
     # A quadratic set-up stored one link state per node pair: about 100 MB
     # here.  A tracemalloc peak, unlike wall time, is deterministic.
     peak, (_, medium, macs, _) = build_peak(parse_scenario(dense_cell(32)))
