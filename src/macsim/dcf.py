@@ -1,13 +1,10 @@
-"""DCF building blocks: contention window arithmetic, backoff, fragmentation.
+"""DCF building blocks: timing parameters, backoff draws, fragmentation.
 
 The stateful channel-access machine lives in mac.py; everything here is a
 pure function so the rules can be tested in isolation.
 """
 
 from dataclasses import dataclass
-
-SUCCESS = "SUCCESS"
-FAILURE = "FAILURE"
 
 CW_MIN = 16
 CW_MAX = 256
@@ -35,15 +32,6 @@ class MacParams:
     @property
     def difs_us(self):
         return self.sifs_us + 2 * self.slot_us
-
-
-def cw_after(cw, outcome, cw_min=CW_MIN, cw_max=CW_MAX):
-    """Binary exponential backoff: double on failure (capped), reset on success."""
-    if outcome == FAILURE:
-        return min(2 * cw, cw_max)
-    if outcome == SUCCESS:
-        return cw_min
-    raise ValueError("unknown outcome %r" % (outcome,))
 
 
 def draw_backoff(cw, stream):

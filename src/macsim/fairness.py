@@ -24,11 +24,6 @@ def mild_update(cw, collided, factor=MILD_FACTOR, cw_min=16, cw_max=256):
     return max(cw - 1, cw_min)
 
 
-def share_cw_on_hear(local_cw, advertised_cw):
-    """MACAW copies the advertised window outright (copy, not max)."""
-    return advertised_cw
-
-
 def fairness_index(shares, throughputs):
     """Worst-pair min/max ratio of share-normalized throughputs.
 
@@ -96,7 +91,7 @@ class Beb:
         cat.cw = cat.cw_min
 
     def on_failure(self, mac, cat):
-        cat.cw = dcf.cw_after(cat.cw, dcf.FAILURE, cat.cw_min, cat.cw_max)
+        cat.cw = min(2 * cat.cw, cat.cw_max)
 
     def on_transmit(self, mac, frame):
         pass
@@ -123,8 +118,7 @@ class Mild(Beb):
 
     def on_hear(self, mac, frame):
         if frame.adv_cw > 0 and frame.src != mac.node_id:
-            cat = mac.cats[0]
-            cat.cw = share_cw_on_hear(cat.cw, frame.adv_cw)
+            mac.cats[0].cw = frame.adv_cw  # copy, not max
 
 
 class Est(Beb):

@@ -671,45 +671,44 @@ class MacNode:
         self._ica_timer = None
         p = self.params
         st = self.ica
-        st.window_end = ext.ica_primary_data_end(st.rts_end, st.rts_duration,
-                                                 p.sifs_us)
+        window_end = ext.ica_primary_data_end(st.rts_end, st.rts_duration,
+                                              p.sifs_us)
         cat = self.cats[0]
-        sizes = None
+        size = 0
         # Something (likely the CTS) still in the air: not exposed.
         if self.phase == IDLE and cat.queue and self.sense_count == 0 \
                 and not self.self_tx:
             head = cat.queue[0]
-            start, sizes = ext.ica_plan_parallel(self.sim.now, st.window_end,
-                                                 head.remaining,
-                                                 p.frag_threshold,
-                                                 self.fixed_rate, p.sifs_us)
-        if not sizes:
+            start, size = ext.ica_plan_parallel(self.sim.now, window_end,
+                                                head.remaining,
+                                                p.frag_threshold,
+                                                self.fixed_rate)
+        if not size:
             self.set_nav(st.rts_end + st.rts_duration)
             st.clear()
             return
         if self.sim.trace_lines is not None:
             self.sim.trace(self.node_id, "ica_exposed",
-                           "window_end=%d frags=%d" % (st.window_end, len(sizes)))
-        # The chain holds the planned sizes, not each frame's flags.
+                           "window_end=%d frags=1" % window_end)
         self.phase = ICA_WINDOW
         self._cur_cat = cat
-        self._chain = [_ChainElem(head, size, 0, 0) for size in sizes]
+        self._chain = [_ChainElem(head, size, 0, 0)]
         self._chain_idx = 0
         for c in self.cats:
             if c.timer is not None:
                 c.timer.cancel()
                 c.timer = None
-        self.sim.schedule(max(start, self.sim.now), "ica_start", self.node_id,
+        self.sim.schedule(start, "ica_start", self.node_id,
                           self._ica_send_frag)
 
     def _ica_send_frag(self):
         if self.phase != ICA_WINDOW:
             return
-        elem = self._chain[self._chain_idx]
+        elem = self._chain[0]
         pkt = elem.packet
         # A CF response may have sent the packet since; book what goes out.
         size = min(elem.size, pkt.remaining)
-        self._chain[self._chain_idx] = elem._replace(size=size)
+        self._chain[0] = elem._replace(size=size)
         mf = 1 if pkt.remaining > size else 0
         frame = Frame(DATA, self.node_id, pkt.dst,
                       duration=self.params.sifs_us + ACK_AIR,
@@ -720,11 +719,7 @@ class MacNode:
             ACK_AIR, "ica_ack_timeout", self._ica_abort))
 
     def _ica_on_ack(self):
-        elem = self._confirm()
-        if elem.packet.remaining > 0 and self._chain_idx < len(self._chain):
-            self.sim.schedule_in(self.params.sifs_us, "ica_next", self.node_id,
-                                 self._ica_send_frag)
-            return
+        self._confirm()
         self._ica_close()
 
     def _ica_abort(self):

@@ -34,6 +34,10 @@ MAX_RATE_FOR_QUALITY = {BAD: 1, LOW: 2, MID: 5.5, HIGH: 11}
 DEFAULT_BASE_FER = {BAD: 0.5, LOW: 0.1, MID: 0.02, HIGH: 0.005}
 FER_BASE_SIZE = 300  # [bytes]
 
+# Received power is clamped at this distance [m]: the inverse square law
+# has no finite value at 0.
+MIN_DISTANCE_M = 0.01
+
 # Reception outcomes.
 RECEIVED, COLLIDED, ERRORED, NOT_HEARD = "RECEIVED", "COLLIDED", "ERRORED", "NOT_HEARD"
 
@@ -46,6 +50,13 @@ def airtime(payload_bytes, rate):
         raise ValueError("negative payload")
     num, den = _US_PER_BYTE[rate]
     return PLCP_US + -(-payload_bytes * num // den)  # ceil division
+
+
+def largest_payload(budget_us, rate):
+    """Largest payload whose `airtime` at `rate` fits in `budget_us` (0 if
+    none)."""
+    num, den = _US_PER_BYTE[rate]
+    return max(0, (budget_us - PLCP_US) * den // num)
 
 
 def frame_error_prob(payload_bytes, base_fer, base_size=FER_BASE_SIZE):
@@ -86,9 +97,11 @@ class Topology:
 
 
 def power_at(d):
-    """Unit transmit power over distance squared; used by the capture rule."""
-    if d * d <= 0:  # also below about 1e-162 m, where d * d underflows
-        return float("inf")
+    """Unit transmit power over distance squared; used by the capture rule.
+    Distances below MIN_DISTANCE_M count as MIN_DISTANCE_M, so co-located
+    senders arrive at equal finite power and collide."""
+    if d < MIN_DISTANCE_M:
+        d = MIN_DISTANCE_M
     return 1.0 / (d * d)
 
 

@@ -23,6 +23,19 @@ def shipped(name, duration_us, variant=None):
     return s
 
 
+def ica_frag(duration_us, variant="dcf+ica"):
+    """ica_string with a slow primary sender (node 2 at 2 Mbps) and an
+    exposed node 3 that fragments at 400 bytes: each exposed window is long
+    enough for several fragments, and its one frame is capped at 400."""
+    with open(os.path.join(SCENARIOS, "ica_string.txt")) as fh:
+        text = fh.read().replace("[mac]\n", "[mac]\nnode.2.data_rate = 2\n"
+                                 "node.3.frag_threshold = 400\n")
+    s = parse_scenario(text)
+    s.duration_us = duration_us
+    s.variant = variant
+    return s
+
+
 def single_cell(n_senders, packet_bytes, seed, duration_us, variant="dcf",
                 mac_lines=(), sim_lines=(), link_lines=(), flow_kind=None):
     """n_senders backlogged senders, nodes 1..n, all transmitting to node 0.
@@ -136,7 +149,8 @@ def small_scenarios(draw, every_token=False):
     spots = []
     for i in range(n):
         if spots and draw(st.integers(0, 9)) == 0:
-            # Two nodes at one point: infinite received power between them.
+            # Two nodes at one point: the received power between them is
+            # clamped at phy.MIN_DISTANCE_M, above the 0.1 m grid.
             x, y = draw(st.sampled_from(spots))
         else:
             x, y = draw(st.tuples(st.integers(0, 400), st.integers(0, 400)))

@@ -2,33 +2,43 @@
 
 import pytest
 
-from macsim.dcf import (FAILURE, SUCCESS, MacParams, cw_after, draw_backoff,
-                        fragment_plan, should_use_rts)
+from macsim.dcf import MacParams, draw_backoff, fragment_plan, should_use_rts
 from macsim.engine import RandomStream
+from macsim.fairness import Beb
 from macsim.frames import ACK_BYTES, CTS_BYTES, RSH_BYTES, RTS_BYTES, Frame, \
     frame_airtime
 import macsim.frames as frames
+from macsim.mac import AccessCategory
+
+
+def _beb_cw(cw, outcomes):
+    """The window after Beb sees each outcome in turn (True = acked)."""
+    beb, cat = Beb(), AccessCategory(0, 50, 2.0, 16, 256)
+    cat.cw = cw
+    seen = []
+    for acked in outcomes:
+        if acked:
+            beb.on_success(None, cat, 8000)
+        else:
+            beb.on_failure(None, cat)
+        seen.append(cat.cw)
+    return seen
 
 
 def test_cw_doubles_on_failure():
-    assert cw_after(16, FAILURE) == 32
+    assert _beb_cw(16, [False]) == [32]
 
 
 def test_cw_capped_at_max():
-    assert cw_after(256, FAILURE) == 256
+    assert _beb_cw(256, [False]) == [256]
 
 
 def test_cw_resets_on_success():
-    assert cw_after(128, SUCCESS) == 16
+    assert _beb_cw(128, [True]) == [16]
 
 
 def test_cw_full_escalation_chain():
-    cw = 16
-    seen = [cw]
-    for _ in range(6):
-        cw = cw_after(cw, FAILURE)
-        seen.append(cw)
-    assert seen == [16, 32, 64, 128, 256, 256, 256]
+    assert _beb_cw(16, [False] * 6) == [32, 64, 128, 256, 256, 256]
 
 
 def test_backoff_degenerate_window():

@@ -1,11 +1,13 @@
 """DCF extensions: reverse-grant ACK durations, EDCF categories, ICA planning."""
 
+from hypothesis import given, settings, strategies as st
+
 from macsim.ext import (IcaState, dcfplus_ack_duration, edcf_expand_cw,
                         edcf_pick_winner, ica_plan_parallel,
                         ica_primary_data_end)
 from macsim.frames import ACK_AIR, CTS_AIR
 from macsim.mac import AccessCategory
-from macsim.phy import airtime
+from macsim.phy import RATES, airtime
 
 SIFS = 10
 
@@ -57,56 +59,60 @@ def test_ica_primary_data_end_arithmetic():
 
 
 def test_ica_state_clear_resets_everything():
-    st = IcaState(rts_duration=500, rts_end=100, xid=7, window_end=900)
+    st = IcaState(rts_duration=500, rts_end=100, xid=7)
     st.clear()
     assert st == IcaState()
 
 
 def test_ica_plan_single_fragment_budget():
-    # 2000 us fits one full 1283-us fragment; the leftover 393 us after the
-    # ACK turnaround is back-filled with a trimmed fragment.
-    start, sizes = ica_plan_parallel(0, 2000, 3000, 1500, 11, SIFS)
-    assert sizes[0] == 1500 and len(sizes) == 2
-    total = sum(airtime(s, 11) for s in sizes) + 2 * SIFS + ACK_AIR
-    assert start + total == 2000  # flush against the window end
+    # 2000 us has room for a 1500-byte fragment and a trimmed second one,
+    # but a window sends one frame: a full fragment, flush at the end.
+    start, size = ica_plan_parallel(0, 2000, 3000, 1500, 11)
+    assert size == 1500
+    assert start + airtime(1500, 11) == 2000
 
 
 def test_ica_plan_empty_when_nothing_fits():
-    start, sizes = ica_plan_parallel(0, 150, 3000, 1500, 11, SIFS)
-    assert sizes == []
+    start, size = ica_plan_parallel(0, 150, 3000, 1500, 11)
+    assert size == 0
 
 
-def test_ica_plan_two_fragments_end_at_window():
+def test_ica_plan_one_frame_ends_at_window():
+    # A window that two fragments and an ACK turnaround would fill exactly
+    # still gets one, started late so that it ends with the primary DATA.
     frag_air = airtime(1500, 11)
-    turnaround = 2 * SIFS + ACK_AIR
-    window = 2 * frag_air + turnaround
-    start, sizes = ica_plan_parallel(0, window, 3000, 1500, 11, SIFS)
-    assert sizes == [1500, 1500]
-    assert start == 0
-    end = start + sum(airtime(s, 11) for s in sizes) + turnaround
-    assert end == window
+    window = 2 * frag_air + 2 * SIFS + ACK_AIR
+    start, size = ica_plan_parallel(0, window, 3000, 1500, 11)
+    assert size == 1500
+    assert start == window - frag_air > 0
 
 
-def test_ica_plan_trims_final_fragment():
-    window = airtime(1500, 11) + 2 * SIFS + ACK_AIR + airtime(700, 11)
-    start, sizes = ica_plan_parallel(0, window, 4000, 1500, 11, SIFS)
-    assert sizes[0] == 1500
-    assert len(sizes) == 2 and sizes[1] < 1500  # trimmed to the leftover
-    total = sum(airtime(s, 11) for s in sizes) + 2 * SIFS + ACK_AIR
-    assert start + total <= window
+def test_ica_plan_trims_frame_to_window():
+    # At 2 Mbps a byte takes 4 us: a window 3 us longer than 700 bytes fits
+    # no 701st byte, and the frame starts 3 us in to end flush.
+    window = airtime(700, 2) + 3
+    start, size = ica_plan_parallel(0, window, 4000, 1500, 2)
+    assert (start, size) == (3, 700)
 
 
-def test_ica_plan_never_overruns_window():
-    for window in range(200, 6000, 137):
-        start, sizes = ica_plan_parallel(0, window, 5000, 1500, 11, SIFS)
-        if not sizes:
-            continue
-        total = sum(airtime(s, 11) for s in sizes)
-        total += (len(sizes) - 1) * (2 * SIFS + ACK_AIR)
-        assert start + total <= window
-        assert start >= 0
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.integers(0, 50_000), st.integers(-100, 30_000),
+       st.integers(1, 2304), st.integers(1, 2346), st.sampled_from(RATES))
+def test_ica_plan_never_overruns_window(budget_start, window, remaining,
+                                        threshold, rate):
+    window_end = budget_start + window
+    start, size = ica_plan_parallel(budget_start, window_end, remaining,
+                                    threshold, rate)
+    cap = min(remaining, threshold)
+    assert 0 <= size <= cap
+    # Maximal: one more byte would overrun, unless a cap binds.
+    assert size == cap or budget_start + airtime(size + 1, rate) > window_end
+    if size:
+        assert start + airtime(size, rate) == window_end
+        assert start >= budget_start
 
 
 def test_ica_plan_small_remainder_uses_it_all():
-    start, sizes = ica_plan_parallel(0, 10_000, 400, 1500, 11, SIFS)
-    assert sizes == [400]
+    start, size = ica_plan_parallel(0, 10_000, 400, 1500, 11)
+    assert size == 400
+    assert start + airtime(400, 11) == 10_000

@@ -1,13 +1,17 @@
 """Fairness schemes: MILD, fairness index, estimation backoff, SCFQ/DFS."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from scfq import ScfqTags, scfq_oracle
 
 from macsim.engine import RandomStream
-from macsim.fairness import (Est, dfs_backoff, estimation_backoff_update,
-                             fairness_index, mild_update, share_cw_on_hear)
+from macsim.fairness import (Est, Mild, dfs_backoff,
+                             estimation_backoff_update, fairness_index,
+                             mild_update)
+from macsim.frames import DATA, Frame
+from macsim.mac import AccessCategory
 
 
 # -- MILD -------------------------------------------------------------------
@@ -30,9 +34,14 @@ def test_mild_overflowing_factor_clamps_to_cw_max():
 
 
 def test_share_cw_copy_semantics():
-    assert share_cw_on_hear(16, 64) == 64
-    assert share_cw_on_hear(64, 16) == 16  # copy, not max
-    assert share_cw_on_hear(32, 32) == 32
+    # A heard window replaces the local one outright: copy, not max.  Own
+    # frames and frames that advertise nothing leave it alone.
+    mac = SimpleNamespace(node_id=0, cats=[AccessCategory(0, 50, 2.0, 16, 256)])
+    seen = []
+    for src, adv in ((1, 64), (2, 16), (0, 200), (3, 0), (1, 32)):
+        Mild().on_hear(mac, Frame(DATA, src, 0, adv_cw=adv))
+        seen.append(mac.cats[0].cw)
+    assert seen == [64, 16, 16, 16, 32]
 
 
 # -- fairness index ---------------------------------------------------------

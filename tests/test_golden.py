@@ -14,7 +14,7 @@ import hashlib
 import os
 
 import pytest
-from conftest import SCENARIOS, jittered_grid, shipped, single_cell
+from conftest import SCENARIOS, ica_frag, jittered_grid, shipped, single_cell
 
 from macsim import harness, metrics
 from macsim.scenario import parse_scenario
@@ -33,7 +33,8 @@ from macsim.scenario import parse_scenario
 # lossy control frames, where all three reverse-grant timeouts fire;
 # "2way_frag" fragments 1400-byte packets both ways; "ica_frag" is
 # ica_string with a slow primary sender and a fragmenting exposed node, so
-# each exposed window plans several fragments.
+# each exposed window is long enough for several fragments but sends one,
+# capped at the fragment threshold.
 GOLDEN = {
     ("single_cell", None, 2_000_000): (
         "3a54a7c2cc95f9466a57f9e8ba13259a21a3ce6dd122b9c7e80699c6cdf44e2c",
@@ -87,8 +88,8 @@ GOLDEN = {
         "0bdf513e90be0f3d9623453c694c343ca0a8c9f702b5e47ad57ef371c374c9bc",
         "7e362baaeba34d5e3d79d4a4b9d6b486a6de3850e3d672aa0603d30260f4f804"),
     ("ica_frag", "dcf+ica", 1_000_000): (
-        "e41484102f098070084eb79ed0eca569249fe5d47d7942290fb8e1d470b266a5",
-        "f5693e490c19413c6af12f53b870de87c7a98e162228176b7408804bc8c6bef9"),
+        "40d4d1ba65919440b86a750eebb53238ca98c564216172e99311ee02d66aa706",
+        "3d3cd6c904d7d8d339ef280dceb9be1656964b07a6b4974bc2d051f10ae1107c"),
 }
 
 # Generated cases: not files under scenarios/.
@@ -127,12 +128,7 @@ def run_digests(name, variant, duration_us):
             4, 1400, seed=2, duration_us=duration_us, variant="dcf+2way",
             mac_lines=["frag_threshold = 500"]), 4, 1400))
     elif name == "ica_frag":
-        with open(os.path.join(SCENARIOS, "ica_string.txt")) as fh:
-            text = fh.read().replace("[mac]\n", "[mac]\nnode.2.data_rate = 2\n"
-                                     "node.3.frag_threshold = 400\n")
-        s = parse_scenario(text)
-        s.duration_us = duration_us
-        s.variant = variant
+        s = ica_frag(duration_us, variant)
     else:
         s = shipped(name, duration_us, variant)
     result = harness.run(s, trace=True)

@@ -3,7 +3,7 @@
 import ast
 import os
 
-from conftest import shipped, single_cell
+from conftest import ica_frag, shipped, single_cell
 from macsim import harness
 from macsim import mac as mac_mod
 from macsim.frames import ACK_AIR, CTS_AIR, DATA, RTS_AIR, Frame
@@ -268,6 +268,28 @@ def test_oar_burst_carries_multiple_packets_per_cts():
     assert data_count > cts_count  # several DATA frames ride one handshake
 
 
+def test_ica_window_sends_one_frame_flush_with_primary_data():
+    # ica_frag's windows have room for several 400-byte fragments, but the
+    # ACK of any but the last would reach node 3 during the primary DATA.
+    lines = [line.split("\t") for line in
+             harness.run(ica_frag(1_000_000), trace=True).trace_lines]
+    kinds = [kind for _, _, kind, _ in lines]
+    assert "ica_next" not in kinds
+    windows = [(node, int(detail.split()[0][len("window_end="):]))
+               for _, node, kind, detail in lines if kind == "ica_exposed"]
+    starts = [i for i, kind in enumerate(kinds) if kind == "ica_start"]
+    assert len(windows) == len(starts) > 50
+    for (node, window_end), i in zip(windows, starts):
+        # The start event sends the window's only DATA, which ends with
+        # the primary DATA.
+        _, src, kind, detail = lines[i + 1]
+        assert (src, kind) == (node, "tx_start") and " DATA " in detail
+        end = next(int(t) for t, src, kind, _ in lines[i + 2:]
+                   if src == node and kind == "tx_end")
+        assert end == window_end
+    assert kinds.count("ica_abort") <= 0.05 * len(windows)
+
+
 def _estimate_samples(mac):
     """(time, bits) samples held by any traffic estimator the node keeps."""
     samples = []
@@ -314,3 +336,51 @@ def test_every_macnode_attribute_is_assigned_in_init():
                    for attr, line in assigned(f).items()
                    if attr not in fields)
     assert not stray, "assigned outside __init__: %s" % ", ".join(stray)
+
+
+# perfbench/layers.py wraps these by name to count calls, so they stay in
+# src/ until it reads the run's own counters instead (ROADMAP item 2).
+_UNREFERENCED_OK = {
+    "Topology.can_hear": "perfbench/layers.py wraps it by name",
+    "Topology.can_sense": "perfbench/layers.py wraps it by name",
+    "Topology.received_power": "perfbench/layers.py wraps it by name",
+}
+
+
+def test_every_src_function_is_referenced_in_src():
+    # A helper that only tests call is code the model does not run.  A
+    # reference is a name, an attribute, an imported name or a string, since
+    # some hooks (`on_hear`) are looked up with getattr.
+    src = os.path.dirname(mac_mod.__file__)
+    defs, refs = {}, set()
+
+    def collect(node, prefix):
+        """{qualified name: name} of every non-dunder def under `node`."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                qual = prefix + child.name
+                if isinstance(child, ast.FunctionDef) and not (
+                        child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    defs[qual] = child.name
+                collect(child, qual + ".")
+            else:
+                collect(child, prefix)
+
+    for fname in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, fname)) as fh:
+            tree = ast.parse(fh.read())
+        collect(tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                refs.add(node.value)
+    unused = sorted(q for q, name in defs.items() if name not in refs)
+    assert unused == sorted(_UNREFERENCED_OK), \
+        "defs with no reference in src/: %s" % unused

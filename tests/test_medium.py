@@ -157,20 +157,21 @@ def test_capture_needs_the_ratio(far, outcome, collided):
     assert stats.collision_events == 1
 
 
-def test_capture_colocated_senders_have_infinite_power():
-    # Both senders sit on node 0: each frame arrives at infinite power,
-    # neither is strictly stronger, and inf < ratio * inf is false, so
-    # both frames are captured.
+def test_capture_colocated_senders_collide():
+    # Both senders sit on node 0: each frame arrives at the power clamped at
+    # MIN_DISTANCE_M, neither is stronger, and neither beats the other by
+    # the capture ratio, so they collide like any equal-power pair.
     positions = [(5, 5), (5, 5), (5, 5)]
     sim, medium, _, _ = _cell(positions)
-    assert medium.reach(1).power[0] == medium.reach(2).power[0] == float("inf")
+    assert medium.reach(1).power[0] == medium.reach(2).power[0] == \
+        phy.power_at(phy.MIN_DISTANCE_M)
     got, stats = _receptions(positions, [(1, 0), (2, 0)])
-    assert got == {1: phy.RECEIVED, 2: phy.RECEIVED}
-    assert stats.collision_events == 0
-    # A later start still loses to the preamble rule.  (It ends before
-    # node 0 answers the first RTS, which would make it NOT_HEARD.)
-    got, _ = _receptions(positions, [(1, 0), (2, 5)])
-    assert got == {1: phy.RECEIVED, 2: phy.COLLIDED}
+    assert got == {1: phy.COLLIDED, 2: phy.COLLIDED}
+    assert stats.collision_events == 1
+    # A later start does not help either frame.
+    got, stats = _receptions(positions, [(1, 0), (2, 5)])
+    assert got == {1: phy.COLLIDED, 2: phy.COLLIDED}
+    assert stats.collision_events == 1
 
 
 # -- what a frame's resolution looks at --------------------------------------

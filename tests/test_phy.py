@@ -6,8 +6,9 @@ from setup_sweep import build_peak
 
 from macsim import phy
 from macsim.engine import RandomStream
-from macsim.phy import (BAD, HIGH, LOW, MID, LinkQualityProcess, Topology,
-                        airtime, frame_error_prob, resolve_capture,
+from macsim.phy import (BAD, HIGH, LOW, MID, MIN_DISTANCE_M,
+                        LinkQualityProcess, Topology, airtime,
+                        frame_error_prob, largest_payload, resolve_capture,
                         validate_matrix)
 from macsim.scenario import parse_scenario
 
@@ -48,6 +49,17 @@ def test_airtime_monotone_in_size_and_rate():
     for size in (40, 500, 1500):
         times = [airtime(size, r) for r in phy.RATES]
         assert times == sorted(times, reverse=True)
+
+
+@pytest.mark.parametrize("rate", phy.RATES)
+def test_largest_payload_matches_airtime_scan(rate):
+    # Budgets from below the PLCP header to past a 2,304-byte MSDU at 1 Mbps.
+    size = 0
+    for budget in range(-50, 20_001):
+        while airtime(size + 1, rate) <= budget:
+            size += 1
+        want = size if airtime(size, rate) <= budget else 0
+        assert largest_payload(budget, rate) == want, budget
 
 
 # -- frame error probability ------------------------------------------------
@@ -92,10 +104,16 @@ def test_received_power_inverse_square():
     assert topo.received_power(2, 0) == pytest.approx(1 / 16)
 
 
-def test_received_power_infinite_where_distance_squared_underflows():
-    topo = Topology({0: (0, 0), 1: (1e-320, 0)}, hear_range=10,
-                    sense_range=10)
-    assert topo.received_power(1, 0) == float("inf")
+def test_received_power_clamped_below_min_distance():
+    # At distance 0, and where d * d would underflow, the power is that at
+    # MIN_DISTANCE_M; at MIN_DISTANCE_M and beyond the clamp changes nothing.
+    topo = Topology({0: (0, 0), 1: (0, 0), 2: (1e-320, 0),
+                     3: (MIN_DISTANCE_M, 0), 4: (0.02, 0)},
+                    hear_range=10, sense_range=10)
+    cap = 1.0 / (MIN_DISTANCE_M * MIN_DISTANCE_M)
+    assert topo.received_power(1, 0) == topo.received_power(2, 0) == cap
+    assert topo.received_power(3, 0) == cap
+    assert topo.received_power(4, 0) == 1.0 / (0.02 * 0.02)
 
 
 # -- capture ----------------------------------------------------------------
