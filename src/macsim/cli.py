@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 scenario (parse/validation) error.
 
 import argparse
 import sys
+from types import SimpleNamespace
 
 from . import harness, metrics as metrics_mod
 from .scenario import ScenarioError, parse_scenario
@@ -84,14 +85,24 @@ def main(argv=None):
     if args.command == "run":
         s = _load(args.scenario, args.seed)
         try:
-            result = harness.run(s, trace=args.trace is not None)
+            sim, medium, _, recorder = harness.build(s)
         except ScenarioError as e:
             sys.stderr.write("%s: %s\n" % (args.scenario, e))
             sys.exit(2)
-        _emit(metrics_mod.format_csv({s.variant: result.metrics}), args.out)
-        if args.trace is not None:
+        if args.trace is None:
+            sim.run_until(s.duration_us)
+        else:
+            # Each line goes to the file as it is traced; the bytes are
+            # "\n".join(lines) + "\n", so an empty trace is one newline.
             with open(args.trace, "w") as fh:
-                fh.write("\n".join(result.trace_lines) + "\n")
+                sim.enable_trace(SimpleNamespace(
+                    append=lambda line: fh.write(line + "\n")))
+                sim.run_until(s.duration_us)
+                if fh.tell() == 0:
+                    fh.write("\n")
+        _emit(metrics_mod.format_csv(
+            {s.variant: recorder.finalize(s.duration_us, medium.stats)}),
+            args.out)
         return 0
 
     if args.command == "compare":

@@ -59,10 +59,13 @@ class Simulator:
         self._queue = []
         self._seq = 0
         self.dispatched = 0
-        self.trace_lines = None  # list of "time\tnode\tkind\tdetail" when tracing
+        # "time\tnode\tkind\tdetail" lines when tracing: a list, or any
+        # sink with `append(line)`.
+        self.trace_lines = None
 
-    def enable_trace(self):
-        self.trace_lines = []
+    def enable_trace(self, sink=None):
+        """Trace into `sink`, or into a new list."""
+        self.trace_lines = [] if sink is None else sink
 
     def trace(self, node, kind, detail=""):
         if self.trace_lines is not None:

@@ -6,24 +6,31 @@ reaches `sense_range`; decoding reaches `hear_range`.
 
 Node positions never change after `harness.build`, so who senses and hears
 a sender, and at what power, is static.  The medium measures each distance
-from a sender once, on that sender's first transmission, and keeps the
-answer in that sender's reach table: the hearer table, (node id, MacNode,
-received power) for every node that hears the sender, in id order; the
-same powers as a {node id: power} map; the bound
-`on_sense_enter`/`on_sense_exit` methods of every node in sense range, in
-id order (hear range never exceeds sense range, so those cover the hearers
+from a sender once, on that sender's first transmission, in one loop over
+the node positions, and keeps the answer in that sender's reach table: the
+hearer table, (node id, MacNode, received power) for every node that hears
+the sender, in id order; the same powers as a {node id: power} map; the
+MacNodes in sense range, in id order, which get the two carrier-sense
+edges (hear range never exceeds sense range, so those cover the hearers
 too); and the clean rate, the highest rate at which the sender's frames
 have zero error rate at every hearer (0 on fading links, or when a
 hearer's link state has a nonzero base error rate).  Moving a node, or
 changing a static link's state, after the first transmission would leave
 the table stale.
 
+Each reach table also caches, per other sender, whether the two senders'
+frames interact: one sent by a hearer of the other (half duplex), or one
+that some node hears together with the other.  Hearing comes from one
+`hear_range` and a symmetric distance, so the answer is the same from
+both sides; it is computed the first time frames of the two senders are
+on the air together and stored in both tables.  A table holds at most one
+entry per node, so the cache is bounded by N, not by run length.
+
 Each transmission keeps one concurrency list, as (txid, sender, start,
 sender's power map) in txid order.  It holds every other frame on the air
-at some point during it that can change an outcome at one of its hearers:
-one sent by a hearer (half duplex), or one that some hearer also hears.
-A frame left out is inaudible at every hearer and was sent by none of
-them.  Outcomes are resolved when a transmission ends:
+at some point during it whose sender interacts with its own.  A frame left
+out is inaudible at every hearer and was sent by none of them.  Outcomes
+are resolved when a transmission ends:
 
 - a frame with an empty list whose error rate is 0 at every hearer (sent
   at or below its sender's clean rate, or a control frame exempt from
@@ -41,6 +48,8 @@ Nodes that only sense the sender are not visited by the pass; they see
 only the two carrier-sense edges.
 """
 
+from math import hypot
+
 from . import phy
 from .frames import CONTROL_KINDS, DATA, DATA_CF_ACK, ACK, frame_airtime
 
@@ -50,13 +59,13 @@ _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
 class _Reach:
     """One sender's reach table; see the module docstring."""
 
-    __slots__ = ("hearers", "power", "enter", "exit", "clean_rate")
+    __slots__ = ("hearers", "power", "sensing", "links", "clean_rate")
 
     def __init__(self, hearers, sensing, clean_rate):
         self.hearers = hearers  # [(node id, MacNode, power)], by id
         self.power = {nid: p for nid, _, p in hearers}
-        self.enter = [mac.on_sense_enter for mac in sensing]
-        self.exit = [mac.on_sense_exit for mac in sensing]
+        self.sensing = sensing  # [MacNode] in sense range, by id
+        self.links = {}  # other sender id -> whether their frames interact
         self.clean_rate = clean_rate
 
 
@@ -180,14 +189,16 @@ class Medium:
         reach = self._reach_of.get(sender_id)
         if reach is None:
             topo = self.topology
+            positions = topo.positions
+            sense, hear = topo.sense_range, topo.hear_range
+            sx, sy = positions[sender_id]
             hearers, sensing = [], []
             for other, mac in sorted(self.macs.items()):
-                if other == sender_id:
-                    continue
-                d = topo.distance(sender_id, other)
-                if d <= topo.sense_range:
+                ox, oy = positions[other]
+                d = hypot(sx - ox, sy - oy)  # as Topology.distance
+                if d <= sense and other != sender_id:
                     sensing.append(mac)
-                    if d <= topo.hear_range:  # never above sense_range
+                    if d <= hear:  # never above sense_range
                         hearers.append((other, mac, phy.power_at(d)))
             reach = self._reach_of[sender_id] = _Reach(
                 hearers, sensing, self._clean_rate(sender_id, hearers))
@@ -224,22 +235,27 @@ class Medium:
                 sender_id, frame.dst, frame.kind, frame.payload_bytes, rate,
                 frame.duration))
 
-        # Each frame on the air overlaps the new one, and the reverse.  A
-        # list takes the other frame only if one of its hearers sent it
-        # (half duplex) or hears it too; no other frame changes an outcome.
+        # Each frame on the air overlaps the new one, and the reverse.  The
+        # two lists take each other's frame only if one sender hears the
+        # other (half duplex) or some node hears both; no other frame
+        # changes an outcome.  Hearing is symmetric, so one test per sender
+        # pair serves both lists, and it is cached in both reach tables.
         mine = tx.concurrent
         entry = tx.entry
-        power = reach.power
-        keys = power.keys()
+        links = reach.links
         for t2 in self.active.values():  # txid order
-            p2 = t2.reach.power
-            shared = not keys.isdisjoint(p2.keys())
-            if shared or t2.sender in power:
+            linked = links.get(t2.sender)
+            if linked is None:
+                power = reach.power
+                p2 = t2.reach.power
+                linked = links[t2.sender] = t2.reach.links[sender_id] = (
+                    t2.sender in power
+                    or not power.keys().isdisjoint(p2.keys()))
+            if linked:
                 mine.append(t2.entry)
-            if shared or sender_id in p2:
                 t2.concurrent.append(entry)
-        for enter in reach.enter:
-            enter()
+        for mac in reach.sensing:
+            mac.on_sense_enter()
 
         self.active[tx.txid] = tx
         sim.schedule(tx.end, "tx_end", sender_id, lambda: self._end(tx, on_end))
@@ -314,8 +330,8 @@ class Medium:
                             stats.ack_collisions += 1
                     elif outcome == phy.ERRORED:
                         stats.errored += 1
-        for leave in tx.reach.exit:
-            leave()
+        for mac in tx.reach.sensing:
+            mac.on_sense_exit()
 
     def _live_txids(self):
         """Every txid a later collision can name: each frame on the air and

@@ -211,8 +211,11 @@ def parse_scenario(text):
             _err(lineno, "expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        s.key_lines[(section, key)] = lineno
+        first = s.key_lines.setdefault((section, key), lineno)
         try:
+            if first != lineno and section not in _POSITIONAL:
+                raise ValueError("duplicate key %r in [%s] (first set on line "
+                                 "%d)" % (key, section, first))
             _POSITIONAL.get(section, _parse_key)(s, section, key,
                                                  value.strip())
         except (ValueError, ScenarioError) as e:
@@ -244,7 +247,13 @@ def _parse_override(s, key, value):
     if len(parts) != 3 or row is None or not row.where & _NODE:
         raise ValueError("unknown per-node [mac] key %r" % key)
     nid = _int(parts[1])
-    s.key_lines.setdefault(("node", nid), s.key_lines[("mac", key)])
+    lineno = s.key_lines[("mac", key)]
+    s.key_lines.setdefault(("node", nid), lineno)
+    # Another spelling of the node id names the same override.
+    first = s.key_lines.setdefault(("node", nid, parts[2]), lineno)
+    if first != lineno:
+        raise ValueError("duplicate key %r in [mac] (first set on line %d)"
+                         % (key, first))
     s.node_overrides.setdefault(nid, {})[parts[2]] = _value(row, parts[2], value)
 
 

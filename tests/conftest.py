@@ -47,7 +47,10 @@ def single_cell(n_senders, packet_bytes, seed, duration_us, variant="dcf",
     lines += ["[nodes]", "0 = 0 0"]
     for i in range(1, n_senders + 1):
         lines.append("%d = %d 0" % (i, i))
-    lines += ["[links]", "hear_range = 50", "base_fer_high = 0"]
+    lines += ["[links]", "hear_range = 50"]
+    # A key may be set once: `link_lines` can replace the error-free default.
+    if not any(line.startswith("base_fer_high") for line in link_lines):
+        lines.append("base_fer_high = 0")
     lines += list(link_lines)
     lines += ["[mac]", "variant = %s" % variant]
     lines += list(mac_lines)

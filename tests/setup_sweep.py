@@ -1,5 +1,8 @@
 """Set-up cost of one static cell as the node count grows: seconds and
-tracemalloc peak of `harness.build` for N = 81, 289 and 1,024 nodes.
+tracemalloc peak of `harness.build` for N = 81, 289 and 1,024 nodes, and
+of building every reach table of the medium for N = 81 and 289.  The reach
+tables are what the first transmissions pay, O(N^2); at 1,024 nodes they
+hold about a million hearer entries, which would dominate the sweep.
 
     PYTHONPATH=src python tests/setup_sweep.py
 
@@ -16,6 +19,7 @@ from macsim import harness
 from macsim.scenario import parse_scenario
 
 SIDES = (9, 17, 32)  # N = side * side
+REACH_SIDES = (9, 17)
 
 
 def build_peak(s):
@@ -43,12 +47,41 @@ def build_cost(side):
     return best, build_peak(s)[0]
 
 
+def reach_cost(side):
+    """(best of three seconds, tracemalloc peak bytes) to build every reach
+    table of a freshly built `dense_cell(side)`."""
+    s = parse_scenario(dense_cell(side))
+    best = float("inf")
+    for _ in range(3):
+        _, medium, macs, _ = harness.build(s)
+        gc.collect()
+        t = time.perf_counter()
+        for nid in macs:
+            medium.reach(nid)
+        best = min(best, time.perf_counter() - t)
+    _, medium, macs, _ = harness.build(s)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for nid in macs:
+            medium.reach(nid)
+        return best, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main():
-    print("| N | build s | tracemalloc peak MB |")
-    print("|---|---|---|")
+    print("| N | build s | tracemalloc peak MB | reach tables s "
+          "| reach tables peak MB |")
+    print("|---|---|---|---|---|")
     for side in SIDES:
         seconds, peak = build_cost(side)
-        print("| %d | %.4f | %.1f |" % (side * side, seconds, peak / 2**20))
+        reach = "- | -"
+        if side in REACH_SIDES:
+            reach_s, reach_peak = reach_cost(side)
+            reach = "%.4f | %.1f" % (reach_s, reach_peak / 2**20)
+        print("| %d | %.4f | %.1f | %s |" % (side * side, seconds,
+                                             peak / 2**20, reach))
 
 
 if __name__ == "__main__":

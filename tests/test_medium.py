@@ -75,14 +75,24 @@ def test_reach_tables_match_topology(name):
                                  for b in hearing]
         assert table.power == {b: p for b, _, p in table.hearers}
         # Every node in sense range, sense-only ones too, gets both edges.
-        assert table.enter == [macs[b].on_sense_enter for b in sensing]
-        assert table.exit == [macs[b].on_sense_exit for b in sensing]
+        assert table.sensing == [macs[b] for b in sensing]
         assert table.clean_rate == _clean_rate(medium, a, hearing)
         sense_only += len(sensing) - len(hearing)
         clean.add(table.clean_rate)
     if name.startswith("grid"):
         # The grid must exercise nodes that sense a sender but cannot hear it.
         assert sense_only > 0
+        # Each cached link test is the direct rule, held alike by both
+        # senders' tables; the grid has pairs on both sides of it.
+        links = set()
+        for a, table in medium._reach_of.items():
+            for b, linked in table.links.items():
+                other = medium._reach_of[b]
+                assert linked == (b in table.power or not set(
+                    table.power).isdisjoint(other.power))
+                assert other.links[a] is linked
+                links.add(linked)
+        assert links == {False, True}
     assert clean == {"grid_mixed": {0, 5.5, 11}, "fading_rate": {0}}.get(
         name, {11})
 

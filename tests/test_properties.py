@@ -2,12 +2,16 @@
 memory that stays flat over a long run."""
 
 import gc
+import os
+import subprocess
+import sys
 from collections import deque
 
 import pytest
-from conftest import shipped, small_scenarios
+from conftest import SCENARIOS, shipped, small_scenarios
 from hypothesis import given, settings
 
+import macsim
 from macsim import harness, metrics
 from macsim.mac import MacNode, Packet
 from macsim.metrics import Recorder
@@ -132,3 +136,44 @@ def test_memory_stays_flat_over_a_long_run():
         grown.update({"%s: %s" % (name, k): (before.get(k, 0), n)
                       for k, n in after.items() if n > before.get(k, 0) + 10})
     assert not grown, "stores grow with run length: %s" % grown
+
+
+# Runs `macsim run --trace` and prints the peak RSS of this process in kB.
+# On Linux, ru_maxrss carries the parent's peak over through fork and exec,
+# so a child of a large test process would report that; VmHWM is the peak
+# of the child's own address space.
+_TRACED_PEAK = """
+import sys
+from macsim import cli
+cli.main(["run", sys.argv[1], "--trace", sys.argv[2], "--out", sys.argv[3]])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def test_traced_run_memory_stays_flat(tmp_path):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads VmHWM from /proc")
+    with open(os.path.join(SCENARIOS, "single_cell.txt")) as fh:
+        text = fh.read()
+    assert "duration_us = 10000000" in text
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(macsim.__file__))))
+    peaks = []
+    for seconds in (10, 40):
+        path = tmp_path / ("cell_%d.txt" % seconds)
+        path.write_text(text.replace("duration_us = 10000000",
+                                     "duration_us = %d" % (seconds * 10**6)))
+        child = subprocess.run(
+            [sys.executable, "-c", _TRACED_PEAK, str(path),
+             str(tmp_path / ("%d.trace" % seconds)),
+             str(tmp_path / ("%d.csv" % seconds))],
+            env=env, stdout=subprocess.PIPE, text=True, timeout=300,
+            check=True)
+        peaks.append(int(child.stdout) / 1024)
+    with open(tmp_path / "40.trace") as fh:
+        lines = sum(1 for _ in fh)
+    assert lines > 500_000  # a kept trace would hold all of them
+    # A trace kept in memory until the run ends adds about 80 MB here.
+    assert peaks[1] - peaks[0] < 5, "peak RSS %.1f MB at 10 s, %.1f MB at " \
+        "40 s" % tuple(peaks)

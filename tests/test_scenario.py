@@ -60,6 +60,27 @@ def test_duplicate_node_rejected():
     _expect_error("[nodes]\n0 = 0 0\n0 = 1 1\n", "duplicate node id 0")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[links]\nhear_range = 50\nhear_range = 0.5\n",
+     "line 3: duplicate key 'hear_range' in [links] (first set on line 2)"),
+    ("[sim]\nseed = 1\n[nodes]\n0 = 0 0\n[sim]\nseed = 2\n",
+     "line 6: duplicate key 'seed' in [sim] (first set on line 2)"),
+    ("[mac]\nnode.1.phi = 2\nrts_threshold = 0\nnode.1.phi = 3\n",
+     "line 4: duplicate key 'node.1.phi' in [mac] (first set on line 2)"),
+    ("[mac]\nnode.1.phi = 2\nnode.01.phi = 3\n",
+     "line 3: duplicate key 'node.01.phi' in [mac] (first set on line 2)"),
+    ("[pcf]\ncfp_max_us = 5\n[pcf]\ncfp_max_us = 6\n",
+     "line 4: duplicate key 'cfp_max_us' in [pcf] (first set on line 2)"),
+])
+def test_duplicate_key_rejected_naming_both_lines(text, message):
+    _expect_error(text, message)
+
+
+def test_duplicate_flow_keeps_its_own_message():
+    _expect_error(MINIMAL + "1 = 0 1 backlogged 100\n",
+                  "line 8: duplicate flow id 1")
+
+
 def test_flow_with_unknown_node_named():
     _expect_error(MINIMAL + "2 = 1 9 backlogged 100\n", "unknown node 9")
 
@@ -101,10 +122,13 @@ def test_unknown_variant_token_rejected():
 
 
 def test_per_node_overrides():
+    # Neither the plain key nor another node's override repeats a key.
     s = parse_scenario(MINIMAL + "[mac]\nnode.1.phi = 0.75\n"
-                       "node.1.variant = dcf+dfs\n")
+                       "node.1.variant = dcf+dfs\nvariant = dcf+arf\n"
+                       "node.0.phi = 2\n")
     assert s.node_overrides[1]["phi"] == 0.75
     assert s.node_overrides[1]["variant"] == "dcf+dfs"
+    assert s.variant == "dcf+arf" and s.node_overrides[0]["phi"] == 2
 
 
 def test_matrix_needs_sixteen_entries():
@@ -262,6 +286,11 @@ _REJECTED = [
     ("hear_range = 50", "hear_range = inf", "expected a finite float, got 'inf'"),
     ("hear_range = 50", "hear_range = -5", "hear_range must be >= 0"),
     ("hear_range = 50", "dwell_us = -1", "dwell_us must be >= 0"),
+    # The last value used to win: at 0.5 m every packet was lost, exit 0.
+    ("base_fer_high = 0", "base_fer_high = 0\nhear_range = 0.5",
+     "duplicate key 'hear_range' in [links] (first set on line 15)"),
+    ("duration_us = 10000000", "duration_us = 10000000\n[sim]\nseed = 2",
+     "duplicate key 'seed' in [sim] (first set on line 3)"),
     ("rts_threshold = 500", "variant = dcf+arf+rbar",
      "variant 'dcf+arf+rbar': two tokens set rate_policy"),
     ("rts_threshold = 500", "variant = dcf+mild+est",
