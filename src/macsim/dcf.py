@@ -47,15 +47,12 @@ def should_use_rts(payload_bytes, rts_threshold):
 
 
 def fragment_plan(payload_bytes, frag_threshold):
-    """Split a payload into (size, more_fragments, fragment_number) tuples."""
+    """Split a payload into fragment sizes, each at most `frag_threshold`."""
     if frag_threshold < 1:
         raise ValueError("frag_threshold must be >= 1")
     plan = []
-    remaining = payload_bytes
-    number = 0
-    while remaining > frag_threshold:
-        plan.append((frag_threshold, 1, number))
-        remaining -= frag_threshold
-        number += 1
-    plan.append((remaining, 0, number))
+    while payload_bytes > frag_threshold:
+        plan.append(frag_threshold)
+        payload_bytes -= frag_threshold
+    plan.append(payload_bytes)
     return plan

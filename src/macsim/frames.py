@@ -24,6 +24,7 @@ CF_POLL_BYTES = 20
 CF_END_BYTES = 20
 BEACON_BYTES = 50
 RSH_BYTES = 10  # RBAR reservation sub-header, prepended at 1 Mbps
+MAX_MSDU_BYTES = 2304  # the largest packet a flow may carry
 
 CONTROL_RATE = 1  # Mbps
 
@@ -48,8 +49,6 @@ class Frame:
     dst: int
     duration: int = 0  # NAV value [us]
     payload_bytes: int = 0
-    more_fragments: int = 0
-    fragment_number: int = 0
     # Simulator-internal bookkeeping.
     packet: object = None  # DATA: the Packet this payload is part of
     xid: int = -1  # exchange id, so NAV corrections target the right one

@@ -5,6 +5,7 @@ from dataclasses import fields
 from . import fairness, rate, scenario as scn_mod
 from .dcf import MacParams
 from .engine import Simulator
+from .frames import CTS_AIR
 from .mac import AccessCategory, MacNode, Packet
 from .medium import Medium
 from .metrics import Recorder
@@ -26,9 +27,6 @@ class RunResult:
         self.medium = medium
         self.macs = macs
         self.recorder = recorder
-
-    def queued_packets(self):
-        return sum(mac.queued_packets() for mac in self.macs.values())
 
 
 def _rate_scheme(name, mac, fixed_rate):
@@ -80,7 +78,6 @@ def build(s, variant=None, trace=False):
         params = MacParams(**{k: mac[k] for k in _PARAM_KEYS if k in mac})
         if flags["two_way"]:
             params.rts_threshold = _NO_RTS
-        cats = None
         if flags["edcf"]:
             if not s.edcf_cats:
                 raise ScenarioError("edcf variant needs an [edcf] section")
@@ -91,15 +88,19 @@ def build(s, variant=None, trace=False):
                                  "category %d AIFS %d below DIFS %d"
                                  % (i, aifs, params.difs_us))
                 cats.append(AccessCategory(i, aifs, pf, cw_min, cw_max))
+        else:  # plain DCF: one category at DIFS
+            cats = [AccessCategory(0, params.difs_us, 2.0, params.cw_min,
+                                   params.cw_max)]
+        ica_wait = None
+        if flags["ica"]:
+            ica_wait = mac.get("ica_cts_timeout_us",
+                               params.sifs_us + CTS_AIR + params.slot_us)
         fixed_rate = mac.get("data_rate", 11)
         macs[nid] = MacNode(
-            sim, medium, nid, params=params, seed=s.seed,
-            fixed_rate=fixed_rate,
-            rate_scheme=_rate_scheme(flags["rate_policy"], mac, fixed_rate),
-            backoff_scheme=_backoff_scheme(flags["cw_policy"], s, mac),
-            dcfplus=flags["dcfplus"], ica=flags["ica"], categories=cats,
-            ica_cts_timeout_us=mac.get("ica_cts_timeout_us"),
-            recorder=recorder)
+            sim, medium, nid, params, s.seed, fixed_rate,
+            _rate_scheme(flags["rate_policy"], mac, fixed_rate),
+            _backoff_scheme(flags["cw_policy"], s, mac), flags["dcfplus"],
+            ica_wait, cats, recorder)
         any_pcf = any_pcf or flags["pcf"]
 
     if any_pcf or (s.pcf is not None
@@ -118,7 +119,7 @@ def build(s, variant=None, trace=False):
                          "exchange" % (s.pcf["cp_min_us"], floor))
         pc = PointCoordinator(pc_mac, s.pcf["pollable"],
                               s.pcf["superframe_us"], s.pcf["cfp_max_us"],
-                              s.pcf["cp_min_us"], data_rate=data_rate)
+                              s.pcf["cp_min_us"])
         pc.start()
 
     _pid = [0]

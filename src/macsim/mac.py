@@ -11,8 +11,7 @@ same timing skeleton rather than separate state machines.
 from collections import deque, namedtuple
 from dataclasses import dataclass
 
-from . import dcf, ext, fairness, rate as rate_mod
-from .dcf import MacParams
+from . import dcf, ext, rate as rate_mod
 from .engine import RandomStream
 from .frames import (ACK, ACK_AIR, ACK_BYTES, BEACON, CF_ACK, CF_POLL,
                      CF_END, CTS, CTS_AIR, CTS_BYTES, DATA, DATA_CF_ACK, RTS,
@@ -36,7 +35,6 @@ class Packet:
     size: int  # [bytes]
     created: int  # [us]
     remaining: int = 0
-    next_frag: int = 0
     received: int = 0  # bytes from offset 0 the destination holds
 
     def __post_init__(self):
@@ -66,39 +64,33 @@ class AccessCategory:
         self.ready_time = 0
 
 
-# One DATA frame of an exchange's chain: `size` bytes of `packet`, its
-# more-fragments flag and fragment number, and whether it is a whole packet
-# the receiver must not reassemble.
-_ChainElem = namedtuple("_ChainElem", "packet size mf fragno standalone",
-                        defaults=(0,))
+# One DATA frame of an exchange's chain: `size` bytes of `packet`, and
+# whether it is a whole packet the receiver must not reassemble.
+_ChainElem = namedtuple("_ChainElem", "packet size standalone")
 
 
 class MacNode:
-    def __init__(self, sim, medium, node_id, params=None, seed=0,
-                 fixed_rate=11, rate_scheme=None, backoff_scheme=None,
-                 dcfplus=False, ica=False, categories=None,
-                 ica_cts_timeout_us=None, recorder=None):
+    # harness.build resolves every setting: `ica_wait` is the CTS wait after
+    # an overheard RTS (None: ICA off), and `categories` holds the plain-DCF
+    # category or one per EDCF category.
+    def __init__(self, sim, medium, node_id, params, seed, fixed_rate,
+                 rate_scheme, backoff_scheme, dcfplus, ica_wait, categories,
+                 recorder):
         self.sim = sim
         self.medium = medium
         self.node_id = node_id
-        self.params = params or MacParams()
+        self.params = params
         self.rng = RandomStream(seed, node_id)
         self.recorder = recorder
 
         self.fixed_rate = fixed_rate
-        self.rate_scheme = rate_scheme or rate_mod.FixedRate(fixed_rate)
-        self.backoff_scheme = backoff_scheme or fairness.Beb()
+        self.rate_scheme = rate_scheme
+        self.backoff_scheme = backoff_scheme
         # Only a scheme that reads received frames defines `on_hear`.
-        self._on_hear = getattr(self.backoff_scheme, "on_hear", None)
+        self._on_hear = getattr(backoff_scheme, "on_hear", None)
         self.dcfplus = dcfplus
-        self.ica_enabled = ica
-        self.ica_cts_timeout_us = ica_cts_timeout_us
-
-        if categories:
-            self.cats = categories
-        else:
-            p = self.params
-            self.cats = [AccessCategory(0, p.difs_us, 2.0, p.cw_min, p.cw_max)]
+        self.ica_wait = ica_wait
+        self.cats = categories
 
         # Channel state.
         self.sense_count = 0
@@ -304,14 +296,10 @@ class MacNode:
         frag_threshold = self.params.frag_threshold
         burst = self.rate_scheme.burst(cat.queue, data_rate, frag_threshold)
         if burst is not None:
-            last = len(burst) - 1
-            return [_ChainElem(pkt, pkt.remaining, 1 if i < last else 0, 0,
-                               standalone=1)
-                    for i, pkt in enumerate(burst)]
+            return [_ChainElem(pkt, pkt.remaining, 1) for pkt in burst]
         head = cat.queue[0]
-        plan = dcf.fragment_plan(head.remaining, frag_threshold)
-        return [_ChainElem(head, size, mf, head.next_frag + i)
-                for i, (size, mf, _n) in enumerate(plan)]
+        return [_ChainElem(head, size, 0)
+                for size in dcf.fragment_plan(head.remaining, frag_threshold)]
 
     def _start_exchange(self, cat):
         p = self.params
@@ -339,16 +327,20 @@ class MacNode:
     def _on_cts(self, frame):
         self._cancel_timer()
         # Only a receiver-picks scheme's RTS gets a selected rate back.  The
-        # scheme keeps it, and the chain is rebuilt for it: a burst's length
-        # depends on the rate, a fragment plan does not.
-        if frame.selected_rate:
-            self._data_rate = self.rate_scheme.rate = frame.selected_rate
-            self._chain = self._build_chain(self._cur_cat, self._data_rate)
+        # first DATA carries a sub-header if the receiver changed the rate;
+        # the scheme keeps the new rate, and the chain is rebuilt for it: a
+        # burst's length depends on the rate, a fragment plan does not.
+        rsh = 0
+        selected = frame.selected_rate
+        if selected:
+            rsh = int(rate_mod.rbar_needs_rsh(self._data_rate, selected))
+            self._data_rate = self.rate_scheme.rate = selected
+            self._chain = self._build_chain(self._cur_cat, selected)
         self.phase = AWAIT_ACK
         self.sim.schedule_in(self.params.sifs_us, "send_data", self.node_id,
-                             self._send_chain_elem)
+                             lambda: self._send_chain_elem(rsh))
 
-    def _send_chain_elem(self):
+    def _send_chain_elem(self, rsh=0):
         p = self.params
         elem = self._chain[self._chain_idx]
         nxt = (self._chain[self._chain_idx + 1]
@@ -357,14 +349,9 @@ class MacNode:
         if nxt is not None:
             dur += 2 * p.sifs_us + airtime(nxt.size, self._data_rate) + ACK_AIR
         frame = Frame(DATA, self.node_id, elem.packet.dst, duration=dur,
-                      payload_bytes=elem.size, more_fragments=elem.mf,
-                      fragment_number=elem.fragno, packet=elem.packet,
+                      payload_bytes=elem.size, packet=elem.packet,
                       xid=self._xid, frag_offset=elem.packet.offset,
-                      standalone=elem.standalone)
-        rs = self.rate_scheme
-        if self._chain_idx == 0 and rs.receiver_picks \
-                and rate_mod.rbar_needs_rsh(rs.tentative, self._data_rate):
-            frame.rsh = 1
+                      standalone=elem.standalone, rsh=rsh)
         self._transmit(frame, self._data_rate, self._await(
             ACK_AIR, "ack_timeout", lambda: self._on_failure("ack")))
 
@@ -388,7 +375,6 @@ class MacNode:
         elem = self._chain[self._chain_idx]
         pkt = elem.packet
         pkt.remaining -= elem.size
-        pkt.next_frag += 1
         if pkt.remaining == 0 or elem.standalone:
             self._complete_packet(self._cur_cat, pkt)
         self._chain_idx += 1
@@ -526,8 +512,7 @@ class MacNode:
                          replace=(frame.rsh == 1 or frame.xid == self.nav_xid))
 
     def _overhear_cts(self, frame):
-        if self.ica_enabled and self.ica.xid == frame.xid and \
-                self._ica_timer is not None:
+        if self._ica_timer is not None and self.ica.xid == frame.xid:
             self._ica_timer.cancel()
             self._ica_timer = None
             self.ica.clear()
@@ -535,21 +520,18 @@ class MacNode:
         self._overhear(frame)
 
     def _overhear_rts(self, frame):
-        if self.ica_enabled and self.phase == IDLE:
+        if self.ica_wait is not None and self.phase == IDLE:
             self.ica.rts_duration = frame.duration
             self.ica.rts_end = self.sim.now
             self.ica.xid = frame.xid
             if self._ica_timer is not None:
                 self._ica_timer.cancel()
-            p = self.params
-            wait = self.ica_cts_timeout_us
-            if wait is None:
-                wait = p.sifs_us + CTS_AIR + p.slot_us
             self._ica_timer = self.sim.schedule_in(
-                wait, "ica_cts_timeout", self.node_id, self._ica_cts_timeout)
+                self.ica_wait, "ica_cts_timeout", self.node_id,
+                self._ica_cts_timeout)
             # Defer like DCF would, but only until the CTS question is
             # settled; the timeout either frees us (exposed) or re-blocks.
-            self.set_nav(self.sim.now + wait, frame.xid)
+            self.set_nav(self.sim.now + self.ica_wait, frame.xid)
             return
         self._overhear(frame)
 
@@ -589,7 +571,7 @@ class MacNode:
             self._cancel_timer()
             self._finish_exchange()
         elif (self.dcfplus and ack.duration == 0 and frame.standalone == 0
-                and frame.more_fragments == 0 and frame.fragment_number == 0
+                and frame.payload_bytes == frame.packet.size
                 and self.phase == IDLE):
             ack.duration = self._dcfp_offer(frame.src)
         if self.phase == DCFP_WAIT_CTS:
@@ -634,8 +616,7 @@ class MacNode:
                     self.phase = DCFP_WAIT_CTS
                     self._quiet_peer = peer
                     self._cur_cat = cat
-                    self._chain = [_ChainElem(pkt, pkt.size, 0, 0,
-                                              standalone=1)]
+                    self._chain = [_ChainElem(pkt, pkt.size, 1)]
                     self._chain_idx = 0
                     return ext.dcfplus_ack_duration(pkt.size, self.fixed_rate,
                                                     p.sifs_us)
@@ -692,7 +673,7 @@ class MacNode:
                            "window_end=%d frags=1" % window_end)
         self.phase = ICA_WINDOW
         self._cur_cat = cat
-        self._chain = [_ChainElem(head, size, 0, 0)]
+        self._chain = [_ChainElem(head, size, 0)]
         self._chain_idx = 0
         for c in self.cats:
             if c.timer is not None:
@@ -709,12 +690,10 @@ class MacNode:
         # A CF response may have sent the packet since; book what goes out.
         size = min(elem.size, pkt.remaining)
         self._chain[0] = elem._replace(size=size)
-        mf = 1 if pkt.remaining > size else 0
         frame = Frame(DATA, self.node_id, pkt.dst,
                       duration=self.params.sifs_us + ACK_AIR,
-                      payload_bytes=size, more_fragments=mf,
-                      fragment_number=pkt.next_frag, packet=pkt,
-                      xid=self._new_xid(), frag_offset=pkt.offset)
+                      payload_bytes=size, packet=pkt, xid=self._new_xid(),
+                      frag_offset=pkt.offset)
         self._transmit(frame, self.fixed_rate, self._await(
             ACK_AIR, "ica_ack_timeout", self._ica_abort))
 
@@ -767,7 +746,4 @@ class MacNode:
         if was_empty:
             cat.ready_time = self.sim.now
         self._arm(cat)
-
-    def queued_packets(self):
-        return sum(len(c.queue) for c in self.cats)
 

@@ -26,11 +26,11 @@ both sides; it is computed the first time frames of the two senders are
 on the air together and stored in both tables.  A table holds at most one
 entry per node, so the cache is bounded by N, not by run length.
 
-Each transmission keeps one concurrency list, as (txid, sender, start,
-sender's power map) in txid order.  It holds every other frame on the air
-at some point during it whose sender interacts with its own.  A frame left
-out is inaudible at every hearer and was sent by none of them.  Outcomes
-are resolved when a transmission ends:
+Each transmission keeps one concurrency list: the entries [txid, sender,
+start, sender's power map, episode link] of every other frame on the air
+at some point during it whose sender interacts with its own, in txid
+order.  A frame left out is inaudible at every hearer and was sent by none
+of them.  Outcomes are resolved when a transmission ends:
 
 - a frame with an empty list whose error rate is 0 at every hearer (sent
   at or below its sender's clean rate, or a control frame exempt from
@@ -46,6 +46,12 @@ are resolved when a transmission ends:
 
 Nodes that only sense the sender are not visited by the pass; they see
 only the two carrier-sense edges.
+
+A collision at a frame's destination joins it and the concurrent frames
+audible there in one collision episode, a union-find over the entries:
+the link is None outside any episode, True at a root, else an older entry
+of the episode.  No entry links to itself, so there is no reference cycle,
+and an episode is freed with the last frame holding one of its entries.
 """
 
 from math import hypot
@@ -82,59 +88,44 @@ class _Tx:
         self.end = end
         self.reach = reach
         # This frame's item in the concurrency lists of other frames.
-        self.entry = (txid, sender, start, reach.power)
+        self.entry = [txid, sender, start, reach.power, None]
         # The entry of every frame on the air at some point during this one,
-        # in txid order; plain tuples, so no _Tx holds another alive.
+        # in txid order; plain lists, so no _Tx holds another alive.
         self.concurrent = []
 
 
 class MediumStats:
+    """Counters of transmissions and their outcomes at the destination.
+    Each entry that joins an episode adds one to `collision_events`, and
+    each join of two episodes takes one off: it counts the episodes."""
+
     def __init__(self):
         self.total_transmissions = 0
         self.collided_transmissions = 0
         self.ack_collisions = 0
         self.errored = 0
-        self._closed_episodes = 0
-        self._episode_parent = {}  # union-find over the open episodes' txids
+        self.collision_events = 0
 
-    # Tiny union-find over tx ids so one multi-frame pile-up counts once.
-    def _find(self, x):
-        p = self._episode_parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+    def _root(self, e):
+        """The root entry of `e`'s episode; an entry in none starts one."""
+        if e[4] is None:
+            e[4] = True
+            self.collision_events += 1
+        while e[4] is not True:
+            e = e[4]
+        return e
 
-    def record_collision(self, txid, overlap_ids, live):
-        """Join `txid` and `overlap_ids` in one episode, then count and
-        forget every episode that no later call can join: `live` holds each
-        txid that can still appear, those on the air and those in the
-        concurrency list of a frame on the air."""
-        p = self._episode_parent
-        for t in (txid, *overlap_ids):
-            p.setdefault(t, t)
-        root = self._find(txid)
-        for t in overlap_ids:
-            r = self._find(t)
-            if r != root:
-                p[max(r, root)] = min(r, root)
-                root = min(r, root)
-        roots = {t: self._find(t) for t in p}
-        open_roots = {r for t, r in roots.items() if t in live}
-        self._closed_episodes += len(set(roots.values()) - open_roots)
-        self._episode_parent = {t: r for t, r in roots.items()
-                                if r in open_roots}
-
-    @property
-    def collision_events(self):
-        return self._closed_episodes + len(
-            {self._find(x) for x in self._episode_parent})
-
-    @property
-    def collision_fraction(self):
-        if self.total_transmissions == 0:
-            return 0.0
-        return self.collision_events / self.total_transmissions
+    def record_collision(self, entry, overlapping):
+        """Join `entry` and the `overlapping` entries in one episode, each
+        newer root linked under the older one."""
+        root = self._root(entry)
+        for e in overlapping:
+            r = self._root(e)
+            if r is not root:
+                if r[0] < root[0]:
+                    root, r = r, root
+                r[4] = root
+                self.collision_events -= 1
 
 
 class Medium:
@@ -153,6 +144,7 @@ class Medium:
         self.stats = MediumStats()
         self.pending_fire = {}  # node id -> access timer deadline (genie mode)
         self._reach_of = {}  # sender id -> _Reach
+        self._by_id = None  # sorted(macs.items()), made with the first table
         self._quality_stream = None
         if quality.dwell_us > 0 and quality.matrix is not None:
             from .engine import RandomStream
@@ -192,8 +184,10 @@ class Medium:
             positions = topo.positions
             sense, hear = topo.sense_range, topo.hear_range
             sx, sy = positions[sender_id]
+            if self._by_id is None:
+                self._by_id = sorted(self.macs.items())
             hearers, sensing = [], []
-            for other, mac in sorted(self.macs.items()):
+            for other, mac in self._by_id:
                 ox, oy = positions[other]
                 d = hypot(sx - ox, sy - oy)  # as Topology.distance
                 if d <= sense and other != sender_id:
@@ -323,23 +317,14 @@ class Medium:
                 elif hearer == dst:
                     if outcome == phy.COLLIDED:
                         stats.collided_transmissions += 1
-                        stats.record_collision(tx.txid, [
-                            e[0] for e in concurrent if hearer in e[3]],
-                            self._live_txids())
+                        stats.record_collision(tx.entry, [
+                            e for e in concurrent if hearer in e[3]])
                         if kind == ACK:
                             stats.ack_collisions += 1
                     elif outcome == phy.ERRORED:
                         stats.errored += 1
         for mac in tx.reach.sensing:
             mac.on_sense_exit()
-
-    def _live_txids(self):
-        """Every txid a later collision can name: each frame on the air and
-        each frame in the concurrency list of one."""
-        live = set(self.active)
-        for t in self.active.values():
-            live.update(e[0] for e in t.concurrent)
-        return live
 
     def _fer(self, tx, hearer):
         """Frame error rate at `hearer` of a frame that errors can hit."""

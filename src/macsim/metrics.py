@@ -31,9 +31,14 @@ class Metrics:
     flows: dict = field(default_factory=dict)  # flow id -> FlowMetrics
     collision_events: int = 0
     total_transmissions: int = 0
-    collision_fraction: float = 0.0
     ack_collisions: int = 0
     fairness_series: list = field(default_factory=list)  # (window idx, value)
+
+    @property
+    def collision_fraction(self):
+        if self.total_transmissions == 0:
+            return 0.0
+        return self.collision_events / self.total_transmissions
 
     @property
     def aggregate_delivered_bits(self):
@@ -134,7 +139,6 @@ class Recorder:
             m.flows[fid] = fm
         m.collision_events = medium_stats.collision_events
         m.total_transmissions = medium_stats.total_transmissions
-        m.collision_fraction = medium_stats.collision_fraction
         m.ack_collisions = medium_stats.ack_collisions
         m.fairness_series = self._fairness_series(duration_us)
         return m

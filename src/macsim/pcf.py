@@ -11,7 +11,8 @@ period (CP) that fills the rest of the superframe runs plain DCF.
 """
 
 from .frames import (BEACON, BROADCAST, CF_END, CF_POLL, BEACON_BYTES,
-                     CF_END_BYTES, CF_POLL_BYTES, Frame, control_airtime)
+                     CF_END_BYTES, CF_POLL_BYTES, MAX_MSDU_BYTES, Frame,
+                     control_airtime)
 from .phy import airtime
 
 POLL_AIR = control_airtime(CF_POLL_BYTES)
@@ -38,8 +39,7 @@ def min_cp_us(params, max_bytes, rate):
 class PointCoordinator:
     """Attach to the PC node's MacNode; drives CFP timing off its carrier sense."""
 
-    def __init__(self, mac, pollable, superframe_us, cfp_max_us, cp_min_us,
-                 data_rate=11):
+    def __init__(self, mac, pollable, superframe_us, cfp_max_us, cp_min_us):
         if not pollable:
             raise ValueError("need at least one pollable station")
         if cfp_max_us + cp_min_us > superframe_us:
@@ -51,7 +51,6 @@ class PointCoordinator:
         self.pollable = list(pollable)
         self.superframe_us = superframe_us
         self.cfp_max_us = cfp_max_us
-        self.data_rate = data_rate
         self.pos = 0  # round-robin cursor, persists across superframes
         self.state = _OFF
         self.cfp_end = 0
@@ -100,14 +99,15 @@ class PointCoordinator:
     def _next_poll(self):
         if self.state != _POLLING:
             return
-        worst = (POLL_AIR + airtime(self.mac.params.frag_threshold,
-                                    self.data_rate)
-                 + 2 * self.mac.params.sifs_us + self.mac.params.pifs_us)
+        # A polled station sends its whole head packet at its own rate.
+        target = self.pollable[self.pos]
+        p = self.mac.params
+        worst = (POLL_AIR + 2 * p.sifs_us + p.pifs_us + airtime(
+            MAX_MSDU_BYTES, self.mac.medium.macs[target].fixed_rate))
         if self._polled >= len(self.pollable) \
                 or self.sim.now + worst + CF_END_AIR > self.cfp_end:
             self._send_cf_end()
             return
-        target = self.pollable[self.pos]
         self.pos = (self.pos + 1) % len(self.pollable)
         self._polled += 1
         poll = Frame(CF_POLL, self.mac.node_id, target,

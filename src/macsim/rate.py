@@ -102,17 +102,9 @@ class Arf(FixedRate):
 
 class Rbar(FixedRate):
     """Receiver-based auto rate: each exchange starts at the rate the
-    receiver last selected (`rate`), which rides on the RTS as `tentative`."""
+    receiver last selected (`rate`), the tentative rate on the RTS."""
 
     receiver_picks = True
-
-    def __init__(self, rate):
-        self.rate = rate
-        self.tentative = rate
-
-    def pick(self, now):
-        self.tentative = self.rate
-        return self.rate
 
 
 class Oar(Rbar):

@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from . import dcf, phy
+from . import dcf, frames, phy
 
 BACKLOGGED = "backlogged"
 CBR = "cbr"
@@ -136,7 +136,8 @@ _PROB = ("in [0, 1]", lambda v: 0 <= v <= 1)
 _OPEN_PROB = ("in (0, 1)", lambda v: 0 < v < 1)
 _CAPTURE = ("> 1, or an exact power tie would let one radio receive two "
             "overlapping frames", lambda v: v > 1)
-_MSDU = ("in [1, 2304], the 802.11 MSDU limit", lambda v: 1 <= v <= 2304)
+_MSDU = ("in [1, %d], the 802.11 MSDU limit" % frames.MAX_MSDU_BYTES,
+         lambda v: 1 <= v <= frames.MAX_MSDU_BYTES)
 
 # Where a key may appear: in its section, as a [mac] `node.N.key`, or both.
 _PLAIN, _NODE, _BOTH = 1, 2, 3

@@ -66,15 +66,15 @@ def test_rts_threshold_boundary_inclusive():
 
 
 def test_fragment_plan_even_split():
-    assert fragment_plan(3000, 1500) == [(1500, 1, 0), (1500, 0, 1)]
+    assert fragment_plan(3000, 1500) == [1500, 1500]
 
 
 def test_fragment_plan_no_fragmentation():
-    assert fragment_plan(1000, 1500) == [(1000, 0, 0)]
+    assert fragment_plan(1000, 1500) == [1000]
 
 
 def test_fragment_plan_remainder():
-    assert fragment_plan(3001, 1500) == [(1500, 1, 0), (1500, 1, 1), (1, 0, 2)]
+    assert fragment_plan(3001, 1500) == [1500, 1500, 1]
 
 
 def test_interframe_space_ordering():

@@ -313,14 +313,45 @@ def _reference_capture(candidates, powers, capture_ratio):
     return strongest
 
 
+class _ReferenceStats:
+    """The medium's counters, with collision episodes kept as a union-find
+    over txids that never forgets one: `collision_events` counts its
+    components at the end of the run."""
+
+    def __init__(self):
+        self.total_transmissions = 0
+        self.collided_transmissions = 0
+        self.ack_collisions = 0
+        self.errored = 0
+        self.parent = {}  # txid -> txid of the same episode
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def record_collision(self, txid, overlap_ids):
+        for t in (txid, *overlap_ids):
+            self.parent.setdefault(t, t)
+        for t in overlap_ids:
+            a, b = self.find(txid), self.find(t)
+            self.parent[max(a, b)] = min(a, b)
+
+    @property
+    def collision_events(self):
+        return len({self.find(t) for t in self.parent})
+
+
 class ReferenceMedium(Medium):
     """The medium as it was before concurrency lists: one overlap set per
     hearer per transmission, one `_resolve` call per hearer, the general
     capture rule over the whole overlapping group with powers read from the
-    Topology, and an error rate for every frame that errors can hit."""
+    Topology, an error rate for every frame that errors can hit, and a
+    txid union-find for the collision episodes."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.stats = _ReferenceStats()
         self._ref_reach = {}  # sender id -> [(node id, MacNode, hears)]
 
     def _reach_list(self, sender_id):
@@ -381,10 +412,8 @@ class ReferenceMedium(Medium):
                 self.macs[hearer].on_frame(tx.frame, tx.rate, tx.start)
             elif outcome == phy.COLLIDED and hearer == tx.frame.dst:
                 self.stats.collided_transmissions += 1
-                # Every txid stays live: no episode closes before the end.
                 self.stats.record_collision(
-                    tx.txid, [t.txid for t in tx.overlaps[hearer]],
-                    range(self._next_txid))
+                    tx.txid, [t.txid for t in tx.overlaps[hearer]])
                 if tx.frame.kind == ACK:
                     self.stats.ack_collisions += 1
             elif outcome == phy.ERRORED and hearer == tx.frame.dst:

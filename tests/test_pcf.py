@@ -1,10 +1,14 @@
 """Point coordination: superframe structure, polling, silence recovery."""
 
+import os
+
 import pytest
+from conftest import SCENARIOS
 
 from macsim import harness
 from macsim.dcf import MacParams
-from macsim.pcf import min_cp_us
+from macsim.pcf import BEACON_AIR, min_cp_us
+from macsim.phy import airtime
 from macsim.scenario import ScenarioError, parse_scenario
 
 
@@ -141,3 +145,45 @@ def test_pcf_throughput_and_no_collisions():
     assert m.flows[1].delivered_bits > 0
     assert m.collision_events == 0
     assert m.flows[1].drops == 0
+
+
+def _overruns(trace):
+    """CF responses in `trace` that end after the CFP end announced by the
+    beacon before them: its end plus its duration field."""
+    cfp_end, late = None, []
+    for t, line in _events(trace, "tx_start"):
+        fields = line.split("\t")[3].split()  # src->dst kind len rate dur
+        kind = fields[1]
+        size, rate, dur = (f.split("=")[1] for f in fields[2:])
+        if kind == "BEACON":
+            cfp_end = t + BEACON_AIR + int(dur)
+        elif kind == "DATA_CF_ACK" and t + airtime(int(size),
+                                                     float(rate)) > cfp_end:
+            late.append(line)
+    return late
+
+
+@pytest.mark.parametrize("packet_bytes,mac_lines,polled", [
+    # Responses longer than the coordinator's frag_threshold.
+    (2304, "", True),
+    # A responder slower than [mac]'s rate: its largest response at 1 Mbps
+    # never fits the 6,000 us CFP, so the coordinator polls no one.
+    (1500, "node.1.data_rate = 1\n", False),
+])
+def test_cf_responses_end_within_the_announced_cfp(packet_bytes, mac_lines,
+                                                   polled):
+    # A polled station sends its whole head packet at its own rate, so the
+    # coordinator budgets the largest packet at the station's rate.
+    with open(os.path.join(SCENARIOS, "pcf_infra.txt")) as fh:
+        text = fh.read()
+    text = text.replace("cfp_max_us = 30000", "cfp_max_us = 6000")
+    text = text.replace("[mac]\n", "[mac]\n" + mac_lines)
+    text = text.replace("1 = 1 2 backlogged 500",
+                        "1 = 1 2 backlogged %d\n2 = 2 1 backlogged %d"
+                        % (packet_bytes, packet_bytes))
+    r = harness.run(parse_scenario(text), trace=True)
+    responses = [l for _, l in _events(r.trace_lines, "tx_start")
+                 if "DATA_CF_ACK" in l]
+    assert (len(responses) > 10) == polled
+    assert _overruns(r.trace_lines) == []
+    assert all(f.delivered_bits > 0 for f in r.metrics.flows.values())

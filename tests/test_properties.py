@@ -92,12 +92,22 @@ def _footprint(name, variant, duration_us):
     Simulator (its heap too), Medium, MediumStats, link-quality process,
     MacNodes, their access categories, rate and backoff schemes and point
     coordinator, and the Recorder, after a run of shipped scenario `name`
-    cut to `duration_us`."""
-    r = harness.run(shipped(name, duration_us, variant))
+    cut to `duration_us`.  Also the medium's live concurrency entries,
+    counted before any cyclic collection: the run has the collector off,
+    so only reference counting frees them."""
+    gc.disable()
+    try:
+        r = harness.run(shipped(name, duration_us, variant))
+        medium = r.medium
+        powers = {id(reach.power) for reach in medium._reach_of.values()}
+        entries = sum(type(o) is list and len(o) == 5 and id(o[3]) in powers
+                      for o in gc.get_objects())
+    finally:
+        gc.enable()
     gc.collect()
     sizes = {"live Packets": sum(isinstance(o, Packet)
-                                 for o in gc.get_objects())}
-    medium = r.medium
+                                 for o in gc.get_objects()),
+             "live concurrency entries": entries}
     owners = [("recorder", r.recorder), ("sim", r.sim), ("medium", medium),
               ("medium.stats", medium.stats), ("quality", medium.quality)]
     for nid, mac in r.macs.items():
