@@ -8,8 +8,6 @@ only: the exposed node hears the primary sender, so the ACK of an earlier
 fragment would reach it while the primary DATA is still on the air.
 """
 
-from dataclasses import dataclass
-
 from .frames import ACK_AIR, CTS_AIR
 from .phy import airtime, largest_payload
 
@@ -40,22 +38,11 @@ def edcf_pick_winner(ready):
 
 # -- ICA --------------------------------------------------------------------
 
-@dataclass
-class IcaState:
-    rts_duration: int = 0
-    rts_end: int = -1  # when the overheard RTS left the air [us]
-    xid: int = -1
-
-    def clear(self):
-        self.rts_duration = 0
-        self.rts_end = -1
-        self.xid = -1
-
-
-def ica_primary_data_end(rts_end, rts_duration, sifs_us):
-    """The RTS duration runs to the end of the primary ACK; back off one
-    SIFS and one ACK to get the primary DATA end."""
-    return rts_end + rts_duration - sifs_us - ACK_AIR
+def ica_primary_data_end(nav_end, sifs_us):
+    """An overheard RTS reserves the air until `nav_end`, its end plus its
+    duration: the end of the primary ACK.  Back off one SIFS and one ACK to
+    get the primary DATA end."""
+    return nav_end - sifs_us - ACK_AIR
 
 
 def ica_plan_parallel(budget_start, window_end, remaining_bytes, frag_threshold,

@@ -10,6 +10,7 @@ from collections import deque
 
 from . import dcf
 from .frames import ACK_AIR
+from .phy import PLCP_US
 
 MILD_FACTOR = 1.5
 EST_WINDOW_US = 100_000
@@ -166,7 +167,7 @@ class Est(Beb):
         if frame.src != mac.node_id:
             data_air = frame.duration - 2 * mac.params.sifs_us - ACK_AIR
             rate = frame.selected_rate or mac.fixed_rate
-            bits = max(0, (data_air - 192)) * rate
+            bits = max(0, (data_air - PLCP_US)) * rate
             if bits > 0:
                 self.note_others(mac.sim.now, bits)
 

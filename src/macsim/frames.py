@@ -24,6 +24,7 @@ CF_POLL_BYTES = 20
 CF_END_BYTES = 20
 BEACON_BYTES = 50
 RSH_BYTES = 10  # RBAR reservation sub-header, prepended at 1 Mbps
+RSH_AIR = RSH_BYTES * 8  # [us] at 1 Mbps, no second preamble
 MAX_MSDU_BYTES = 2304  # the largest packet a flow may carry
 
 CONTROL_RATE = 1  # Mbps
@@ -57,7 +58,7 @@ class Frame:
     # Variant extension fields.
     tentative_rate: float = 0.0  # RBAR, on RTS
     selected_rate: float = 0.0  # RBAR, on CTS
-    size: int = 0  # RBAR/OAR, advertised data bytes on RTS and CTS
+    size: int = 0  # RBAR, advertised data bytes on RTS
     rsh: int = 0  # RBAR reservation sub-header present on DATA
     adv_cw: int = 0  # MACAW shared contention window (0 = absent)
 
@@ -70,5 +71,5 @@ def frame_airtime(frame, rate):
     """Time on air, including the RSH prefix when present."""
     t = airtime(frame.payload_bytes, rate)
     if frame.rsh:
-        t += RSH_BYTES * 8  # prefix rides at 1 Mbps, no second preamble
+        t += RSH_AIR
     return t

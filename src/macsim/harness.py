@@ -108,11 +108,12 @@ def build(s, variant=None, trace=False):
         if s.pcf is None:
             raise ScenarioError("pcf variant needs a [pcf] section")
         pc_mac = macs[s.pcf["coordinator"]]
-        data_rate = s.mac.get("data_rate", 11)
-        # The CP must fit one worst-case exchange.  The floor depends on the
-        # coordinator's MAC parameters, so it is checked here rather than in
+        # The CP must fit one worst-case exchange of any node: the largest
+        # fragment at the node's data rate.  The floor depends on per-node
+        # MAC settings, so it is checked here rather than in
         # scenario._validate.
-        floor = min_cp_us(pc_mac.params, pc_mac.params.frag_threshold, data_rate)
+        floor = max(min_cp_us(pc_mac.params, m.params.frag_threshold,
+                              m.fixed_rate) for m in macs.values())
         if s.pcf["cp_min_us"] < floor:
             scn_mod._err(s.key_lines[("pcf", "cp_min_us")],
                          "cp_min_us %d below the %d us needed for one full "

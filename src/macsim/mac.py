@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from . import dcf, ext, rate as rate_mod
 from .engine import RandomStream
 from .frames import (ACK, ACK_AIR, ACK_BYTES, BEACON, CF_ACK, CF_POLL,
-                     CF_END, CTS, CTS_AIR, CTS_BYTES, DATA, DATA_CF_ACK, RTS,
-                     RTS_BYTES, Frame)
+                     CF_END, CTS, CTS_AIR, CTS_BYTES, DATA, DATA_CF_ACK,
+                     RSH_AIR, RTS, RTS_BYTES, Frame)
 from .phy import airtime
 
 IDLE = "idle"
@@ -109,10 +109,12 @@ class MacNode:
         self._data_rate = fixed_rate
         self._xid = -1
         self._next_xid = node_id * 1_000_000
-        self._quiet_peer = None  # DCF+ peer of a granted or offered slot
 
-        # ICA state.
-        self.ica = ext.IcaState()
+        # ICA state.  The overheard RTS sets both fields before it arms
+        # `_ica_timer`; they are read only while that timer is pending or
+        # the phase is ICA_WINDOW.
+        self._ica_xid = -1  # exchange id of the overheard RTS
+        self._ica_nav_end = 0  # its end plus its duration: the primary ACK end
         self._ica_timer = None
 
         # PCF coordinator hook (set externally for the point coordinator).
@@ -203,8 +205,6 @@ class MacNode:
                 cat.backoff_slots = slots if slots > 0 else 0
                 ev.cancel()
                 cat.timer = None
-        if self.medium.genie_tiebreak:
-            self.medium.pending_fire.pop(self.node_id, None)
         self.idle_since = None
 
     # Every caller has just tested that the node is virtually idle.
@@ -249,22 +249,26 @@ class MacNode:
         else:
             ev = self.sim.reschedule(ev, fire)
         cat.timer = cat.fire_ev = ev
-        if self.medium.genie_tiebreak:
-            self.medium.pending_fire[self.node_id] = fire
 
     def _on_access_fire(self, cat):
         cat.timer = None
-        if self.medium.genie_tiebreak:
-            self.medium.pending_fire.pop(self.node_id, None)
-            if self.medium.genie_defers(self.node_id, self.sim.now):
-                cat.backoff_slots = 0
-                return
+        now = self.sim.now
+        medium = self.medium
+        # Genie tie-break: a frame that started at this instant, or an
+        # access timer of a lower-id node due now, takes the slot.
+        if medium.genie_tiebreak and (
+                any(t.start == now for t in medium.active.values())
+                or any(c.timer is not None and c.timer.time == now
+                       for nid, mac in medium.macs.items()
+                       if nid < self.node_id for c in mac.cats)):
+            cat.backoff_slots = 0
+            return
         cat.backoff_slots = None
         # Virtual collision between this node's own categories.
         ready = [cat]
         for other in self.cats:
             if other is not cat and other.timer is not None \
-                    and other.timer.time == self.sim.now:
+                    and other.timer.time == now:
                 ready.append(other)
         if len(ready) > 1:
             winner = ext.edcf_pick_winner(ready)
@@ -383,8 +387,7 @@ class MacNode:
     def _complete_packet(self, cat, pkt):
         if pkt in cat.queue:
             cat.queue.remove(pkt)
-        if self.recorder is not None:
-            self.recorder.on_sender_done(pkt)
+        self.recorder.on_sender_done(pkt)
         cat.ready_time = self.sim.now
 
     # The only way back to IDLE.  Its callers have cancelled the response
@@ -394,7 +397,6 @@ class MacNode:
         self._timer = None
         self._chain = None
         self._cur_cat = None
-        self._quiet_peer = None
         self._maybe_idle_edge()
 
     def _on_failure(self, kind):
@@ -410,8 +412,7 @@ class MacNode:
         if cat.retry_count > self.params.retry_limit:
             cat.retry_count = 0
             cat.cw = cat.cw_min
-            if self.recorder is not None:
-                self.recorder.on_drop(pkt)
+            self.recorder.on_drop(pkt)
             if self.sim.trace_lines is not None:
                 self.sim.trace(self.node_id, "drop", "pkt=%d" % pkt.pid)
             self._complete_packet(cat, pkt)  # keeps backlogged sources fed
@@ -512,18 +513,16 @@ class MacNode:
                          replace=(frame.rsh == 1 or frame.xid == self.nav_xid))
 
     def _overhear_cts(self, frame):
-        if self._ica_timer is not None and self.ica.xid == frame.xid:
+        if self._ica_timer is not None and self._ica_xid == frame.xid:
             self._ica_timer.cancel()
             self._ica_timer = None
-            self.ica.clear()
         self.backoff_scheme.on_overhear_cts(self, frame)
         self._overhear(frame)
 
     def _overhear_rts(self, frame):
         if self.ica_wait is not None and self.phase == IDLE:
-            self.ica.rts_duration = frame.duration
-            self.ica.rts_end = self.sim.now
-            self.ica.xid = frame.xid
+            self._ica_xid = frame.xid
+            self._ica_nav_end = self.sim.now + frame.duration
             if self._ica_timer is not None:
                 self._ica_timer.cancel()
             self._ica_timer = self.sim.schedule_in(
@@ -546,10 +545,9 @@ class MacNode:
         if frame.tentative_rate:
             selected = rate_mod.rbar_select_rate(
                 self.medium.quality.state(frame.src, self.node_id))
-            rsh = 80 if rate_mod.rbar_needs_rsh(frame.tentative_rate,
-                                                selected) else 0
+            rsh = RSH_AIR if rate_mod.rbar_needs_rsh(frame.tentative_rate,
+                                                     selected) else 0
             cts.selected_rate = selected
-            cts.size = frame.size
             cts.duration = (2 * p.sifs_us + airtime(frame.size, selected)
                             + rsh + ACK_AIR)
         else:
@@ -567,7 +565,10 @@ class MacNode:
         ack = Frame(ACK, self.node_id, frame.src, payload_bytes=ACK_BYTES,
                     xid=frame.xid)
         ack.duration = max(0, frame.duration - p.sifs_us - ACK_AIR)
-        if self.phase == DCFP_WAIT_REV and frame.src == self._quiet_peer:
+        # In DCFP_WAIT_REV the ACK that asked for the grant came from the
+        # destination of this node's own chain.
+        if (self.phase == DCFP_WAIT_REV
+                and frame.src == self._chain[0].packet.dst):
             self._cancel_timer()
             self._finish_exchange()
         elif (self.dcfplus and ack.duration == 0 and frame.standalone == 0
@@ -595,8 +596,7 @@ class MacNode:
         if end > pkt.received:
             pkt.received = end
         if pkt.received >= pkt.size:
-            if self.recorder is not None:
-                self.recorder.on_delivered(pkt)
+            self.recorder.on_delivered(pkt)
             if self.sim.trace_lines is not None:
                 self.sim.trace(self.node_id, "deliver",
                                "flow=%d pkt=%d" % (pkt.flow_id, pkt.pid))
@@ -614,7 +614,6 @@ class MacNode:
                 if pkt.dst == peer and pkt.remaining == pkt.size \
                         and pkt.size <= p.frag_threshold:
                     self.phase = DCFP_WAIT_CTS
-                    self._quiet_peer = peer
                     self._cur_cat = cat
                     self._chain = [_ChainElem(pkt, pkt.size, 1)]
                     self._chain_idx = 0
@@ -626,7 +625,6 @@ class MacNode:
         """We sent DATA, the ACK asks for a reverse slot: answer with CTS."""
         p = self.params
         self.phase = DCFP_WAIT_REV
-        self._quiet_peer = ack.src
         cts = Frame(CTS, self.node_id, ack.src, payload_bytes=CTS_BYTES,
                     duration=max(0, ack.duration - p.sifs_us - CTS_AIR),
                     xid=ack.xid)
@@ -651,9 +649,7 @@ class MacNode:
     def _ica_cts_timeout(self):
         self._ica_timer = None
         p = self.params
-        st = self.ica
-        window_end = ext.ica_primary_data_end(st.rts_end, st.rts_duration,
-                                              p.sifs_us)
+        window_end = ext.ica_primary_data_end(self._ica_nav_end, p.sifs_us)
         cat = self.cats[0]
         size = 0
         # Something (likely the CTS) still in the air: not exposed.
@@ -665,8 +661,7 @@ class MacNode:
                                                 p.frag_threshold,
                                                 self.fixed_rate)
         if not size:
-            self.set_nav(st.rts_end + st.rts_duration)
-            st.clear()
+            self.set_nav(self._ica_nav_end)
             return
         if self.sim.trace_lines is not None:
             self.sim.trace(self.node_id, "ica_exposed",
@@ -707,8 +702,7 @@ class MacNode:
         self._ica_close()
 
     def _ica_close(self):
-        self.set_nav(self.ica.rts_end + self.ica.rts_duration)
-        self.ica.clear()
+        self.set_nav(self._ica_nav_end)
         self.cats[0].ready_time = self.sim.now
         self._finish_exchange()
 
@@ -727,8 +721,7 @@ class MacNode:
             def done():
                 pkt.remaining = 0
                 self._complete_packet(cat, pkt)
-                if self.recorder is not None:
-                    self.recorder.on_cf_sent(pkt)
+                self.recorder.on_cf_sent(pkt)
 
             self._reply("send_cf_data", resp, self.fixed_rate, done)
         else:

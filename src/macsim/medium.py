@@ -129,12 +129,12 @@ class MediumStats:
 
 
 class Medium:
-    def __init__(self, sim, topology, quality, base_fer=None, capture_ratio=10.0,
-                 control_fer=False, seed=0, genie_tiebreak=False):
+    def __init__(self, sim, topology, quality, base_fer, capture_ratio,
+                 control_fer, seed, genie_tiebreak):
         self.sim = sim
         self.topology = topology
         self.quality = quality
-        self.base_fer = dict(phy.DEFAULT_BASE_FER if base_fer is None else base_fer)
+        self.base_fer = base_fer
         self.capture_ratio = capture_ratio
         self.control_fer = control_fer
         self.genie_tiebreak = genie_tiebreak
@@ -142,7 +142,6 @@ class Medium:
         self.active = {}  # txid -> _Tx
         self._next_txid = 0
         self.stats = MediumStats()
-        self.pending_fire = {}  # node id -> access timer deadline (genie mode)
         self._reach_of = {}  # sender id -> _Reach
         self._by_id = None  # sorted(macs.items()), made with the first table
         self._quality_stream = None
@@ -158,21 +157,6 @@ class Medium:
         self.quality.step(self._quality_stream)
         self.sim.schedule_in(self.quality.dwell_us, "quality_step", "-",
                              self._step_quality)
-
-    # -- genie tie-break (collision-free mode for scheduler equivalence runs) --
-
-    def genie_defers(self, node_id, fire_time):
-        """True when a lower-id node's access timer fires at the same instant.
-
-        A transmission that already started at this exact instant also wins
-        the slot (its owner's timer has dispatched and left the registry).
-        The registry is kept only with `genie_tiebreak` on, and only then is
-        this called.
-        """
-        if any(t.start == fire_time for t in self.active.values()):
-            return True
-        return any(t == fire_time and n < node_id
-                   for n, t in self.pending_fire.items() if n != node_id)
 
     # -- static reach tables --
 

@@ -6,6 +6,8 @@ contention until the contention-free period (CFP) would end at the latest.
 The PC then polls stations round-robin, one response per poll, recovering
 with a PIFS timeout when a polled station stays silent, and closes the CFP
 early with a CF-END once everyone had a turn or the time budget runs out.
+A station whose largest response would overrun the CFP is passed over, and
+that is its turn; when no station left fits, the CF-END leaves the cursor.
 The polling position carries over between superframes, and the contention
 period (CP) that fills the rest of the superframe runs plain DCF.
 """
@@ -100,16 +102,20 @@ class PointCoordinator:
         if self.state != _POLLING:
             return
         # A polled station sends its whole head packet at its own rate.
-        target = self.pollable[self.pos]
         p = self.mac.params
-        worst = (POLL_AIR + 2 * p.sifs_us + p.pifs_us + airtime(
-            MAX_MSDU_BYTES, self.mac.medium.macs[target].fixed_rate))
-        if self._polled >= len(self.pollable) \
-                or self.sim.now + worst + CF_END_AIR > self.cfp_end:
+        macs = self.mac.medium.macs
+        n = len(self.pollable)
+        for skip in range(n - self._polled):  # the stations yet to have a turn
+            target = self.pollable[(self.pos + skip) % n]
+            worst = (POLL_AIR + 2 * p.sifs_us + p.pifs_us
+                     + airtime(MAX_MSDU_BYTES, macs[target].fixed_rate))
+            if self.sim.now + worst + CF_END_AIR <= self.cfp_end:
+                break
+        else:
             self._send_cf_end()
             return
-        self.pos = (self.pos + 1) % len(self.pollable)
-        self._polled += 1
+        self.pos = (self.pos + skip + 1) % n
+        self._polled += skip + 1
         poll = Frame(CF_POLL, self.mac.node_id, target,
                      payload_bytes=CF_POLL_BYTES)
         self.state = _WAIT_RESPONSE

@@ -176,6 +176,7 @@ def small_scenarios(draw, every_token=False):
               "rts_threshold = %d" % draw(st.sampled_from([0, 500, 3000]))]
     variants = [variant] * n
     frag = [1500] * n
+    rates = [11] * n
     if every_token:
         frag = [draw(st.sampled_from([400, 1500]))] * n
         lines.append("frag_threshold = %d" % frag[0])
@@ -189,6 +190,8 @@ def small_scenarios(draw, every_token=False):
                 lines.append("node.%d.%s = %s" % (i, key, value))
                 if key == "frag_threshold":
                     frag[i] = int(value)
+                elif key == "data_rate":
+                    rates[i] = float(value)
     lines.append("[flows]")
     for fid in range(1, draw(st.integers(2, 2 * n)) + 1):
         src = draw(st.integers(0, n - 1))
@@ -212,8 +215,8 @@ def small_scenarios(draw, every_token=False):
         polled = draw(st.lists(st.sampled_from(
             [i for i in range(n) if i != pc]), min_size=1, unique=True))
         cfp = draw(st.integers(2_000, 15_000))
-        # The CP must fit the coordinator's worst-case exchange.
-        cp = min_cp_us(MacParams(frag_threshold=frag[pc]), frag[pc], 11)
+        # The CP must fit the worst-case exchange of every node.
+        cp = max(min_cp_us(MacParams(), f, r) for f, r in zip(frag, rates))
         cp += draw(st.integers(0, 5_000))
         lines += ["[pcf]", "coordinator = %d" % pc,
                   "pollable = %s" % " ".join(map(str, polled)),

@@ -15,7 +15,7 @@ from macsim import harness
 from macsim.engine import RandomStream
 from macsim.frames import ACK_AIR, CTS_AIR, RTS_AIR
 from macsim.mac import Packet
-from macsim.metrics import format_csv
+from macsim.metrics import Recorder, format_csv
 from macsim.phy import airtime, frame_error_prob
 from macsim.rate import oar_burst_len
 from macsim.scenario import parse_scenario
@@ -203,10 +203,12 @@ def _dfs_order_instance(rnd, seed):
               "[mac]", "variant = dcf+dfs", "rts_threshold = 100000",
               "dfs_scaling = 1", "dfs_random = 0"]
     lines += ["node.%d.phi = %s" % (f + 1, flows[f][0]) for f in flows]
-    sim, medium, macs, recorder = harness.build(
+    sim, _, macs, _ = harness.build(
         parse_scenario("\n".join(lines) + "\n"), trace=True)
+    # Packets are injected outside any [flows] entry.
+    recorder = Recorder(sim, list(flows))
     for mac in macs.values():
-        mac.recorder = None  # packets are injected outside any [flows] entry
+        mac.recorder = recorder
     pid = 0
     for f, (phi, lengths) in sorted(flows.items()):
         for bits in lengths:

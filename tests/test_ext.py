@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from macsim.ext import (IcaState, dcfplus_ack_duration, edcf_expand_cw,
+from macsim.ext import (dcfplus_ack_duration, edcf_expand_cw,
                         edcf_pick_winner, ica_plan_parallel,
                         ica_primary_data_end)
 from macsim.frames import ACK_AIR, CTS_AIR
@@ -54,14 +54,8 @@ def test_ica_primary_data_end_arithmetic():
     # The overheard RTS duration runs through the primary ACK; the usable
     # window ends one SIFS + ACK airtime earlier.
     rts_end, duration = 1000, 3000
-    assert ica_primary_data_end(rts_end, duration, SIFS) == \
+    assert ica_primary_data_end(rts_end + duration, SIFS) == \
         1000 + 3000 - SIFS - ACK_AIR
-
-
-def test_ica_state_clear_resets_everything():
-    st = IcaState(rts_duration=500, rts_end=100, xid=7)
-    st.clear()
-    assert st == IcaState()
 
 
 def test_ica_plan_single_fragment_budget():

@@ -34,7 +34,9 @@ from macsim.scenario import parse_scenario
 # "2way_frag" fragments 1400-byte packets both ways; "ica_frag" is
 # ica_string with a slow primary sender and a fragmenting exposed node, so
 # each exposed window is long enough for several fragments but sends one,
-# capped at the fragment threshold.
+# capped at the fragment threshold.  A "_genie" suffix runs a case with
+# genie_tiebreak on; in the edcf cell every node has two categories whose
+# timers can tie with another node's.
 GOLDEN = {
     ("single_cell", None, 2_000_000): (
         "3a54a7c2cc95f9466a57f9e8ba13259a21a3ce6dd122b9c7e80699c6cdf44e2c",
@@ -90,10 +92,17 @@ GOLDEN = {
     ("ica_frag", "dcf+ica", 1_000_000): (
         "40d4d1ba65919440b86a750eebb53238ca98c564216172e99311ee02d66aa706",
         "3d3cd6c904d7d8d339ef280dceb9be1656964b07a6b4974bc2d051f10ae1107c"),
+    ("dfs_weighted_genie", None, 2_000_000): (
+        "515d79c8998174f960937b8485c466e7b8a1a3feb6eb802b96bb3ac4ae011595",
+        "dea530166bb5c6e7632db5e2dcfb8b0fcde12a4ab4d6dd0ec76792e54552d680"),
+    ("edcf_genie", None, 300_000): (
+        "8230c06c5e2144e688cf9160ecc23a7769aa5f95d89b2dd0c43beff94c51dfe4",
+        "a09c8e83474e0c2b6094de1e7f70ca890785f15fde58b87a963ef6523f63d8fa"),
 }
 
 # Generated cases: not files under scenarios/.
-GENERATED = {"grid", "dense", "edcf", "plus", "2way_frag", "ica_frag"}
+GENERATED = {"grid", "dense", "edcf", "plus", "2way_frag", "ica_frag",
+             "dfs_weighted_genie", "edcf_genie"}
 
 
 def _with_reverse_flows(text, n_senders, packet_bytes):
@@ -105,6 +114,8 @@ def _with_reverse_flows(text, n_senders, packet_bytes):
 
 def run_digests(name, variant, duration_us):
     """(csv sha256, trace sha256) of one run, as `macsim run --trace` writes."""
+    genie = name.endswith("_genie")
+    name = name.removesuffix("_genie")
     if name == "grid":
         s = parse_scenario(jittered_grid(5, 7, duration_us))
     elif name == "dense":
@@ -131,6 +142,7 @@ def run_digests(name, variant, duration_us):
         s = ica_frag(duration_us, variant)
     else:
         s = shipped(name, duration_us, variant)
+    s.genie_tiebreak = s.genie_tiebreak or genie
     result = harness.run(s, trace=True)
     csv = metrics.format_csv({s.variant: result.metrics})
     trace = "\n".join(result.trace_lines) + "\n"

@@ -194,6 +194,20 @@ def test_cli_run_bad_pcf_exit_2(tmp_path, old, new, message):
     assert message in res.stderr
 
 
+def test_cli_run_cp_floor_fits_the_slowest_node_exit_2(tmp_path):
+    # Node 1 sends at 1 Mbps: its exchange, not one at [mac]'s rate, sets
+    # the contention-period floor.
+    with open(os.path.join(SCENARIOS, "pcf_infra.txt")) as fh:
+        text = fh.read()
+    bad = tmp_path / "pcf.txt"
+    bad.write_text(text.replace("[mac]\n", "[mac]\nnode.1.data_rate = 1\n")
+                   .replace("cp_min_us = 20000", "cp_min_us = 10000"))
+    res = _cli(["run", str(bad)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert ("line 25: cp_min_us 10000 below the 18332 us needed for one "
+            "full exchange") in res.stderr
+
 def test_cli_validate_rejects_what_run_rejects_at_build(tmp_path):
     # The contention-period floor depends on the built coordinator's MAC
     # parameters, so only harness.build can check it.

@@ -8,6 +8,7 @@ from macsim import harness
 from macsim import mac as mac_mod
 from macsim.frames import ACK_AIR, CTS_AIR, DATA, RTS_AIR, Frame
 from macsim.mac import Packet
+from macsim.metrics import Recorder
 from macsim.scenario import parse_scenario
 
 
@@ -297,6 +298,27 @@ def _estimate_samples(mac):
         for name in ("_own", "_others"):
             samples += list(getattr(obj, name, ()))
     return samples
+
+
+def test_genie_tiebreak_sees_every_category_timer():
+    # Nodes 1 and 2 both reach the medium at t=90 on category 0, and node 2
+    # dispatches first.  Node 1 armed its category 1, due at t=170, last:
+    # the tie-break must still see its category 0 timer, so node 1 sends.
+    sim, medium, macs, _ = harness.build(parse_scenario(
+        "[sim]\nduration_us = 1000\ngenie_tiebreak = 1\n"
+        "[nodes]\n0 = 0 0\n1 = 1 0\n2 = 2 0\n"
+        "[links]\nhear_range = 50\nbase_fer_high = 0\n"
+        "[mac]\nvariant = dcf+edcf\nrts_threshold = 3000\n"
+        "[edcf]\ncat0 = 50 2.0 16 256\ncat1 = 70 2.0 16 256\n"), trace=True)
+    recorder = Recorder(sim, [0, 1, 2])
+    for mac in macs.values():
+        mac.recorder = recorder
+    for node, cat, slots, fid in ((2, 0, 2, 0), (1, 0, 2, 1), (1, 1, 5, 2)):
+        mac = macs[node]
+        mac.cats[cat].backoff_slots = slots
+        mac.enqueue(Packet(fid, fid, node, 0, 500, 0), cat)
+    sim.run_until(1000)
+    assert _tx_starts(sim.trace_lines)[0][:2] == (90, 1)
 
 
 def test_only_estimation_backoff_keeps_traffic_samples():

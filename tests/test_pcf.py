@@ -163,17 +163,9 @@ def _overruns(trace):
     return late
 
 
-@pytest.mark.parametrize("packet_bytes,mac_lines,polled", [
-    # Responses longer than the coordinator's frag_threshold.
-    (2304, "", True),
-    # A responder slower than [mac]'s rate: its largest response at 1 Mbps
-    # never fits the 6,000 us CFP, so the coordinator polls no one.
-    (1500, "node.1.data_rate = 1\n", False),
-])
-def test_cf_responses_end_within_the_announced_cfp(packet_bytes, mac_lines,
-                                                   polled):
-    # A polled station sends its whole head packet at its own rate, so the
-    # coordinator budgets the largest packet at the station's rate.
+def _short_cfp_run(packet_bytes, mac_lines):
+    """Traced pcf_infra run with a 6,000 us CFP and backlogged flows of
+    `packet_bytes` from node 1 to 2 and back."""
     with open(os.path.join(SCENARIOS, "pcf_infra.txt")) as fh:
         text = fh.read()
     text = text.replace("cfp_max_us = 30000", "cfp_max_us = 6000")
@@ -181,9 +173,32 @@ def test_cf_responses_end_within_the_announced_cfp(packet_bytes, mac_lines,
     text = text.replace("1 = 1 2 backlogged 500",
                         "1 = 1 2 backlogged %d\n2 = 2 1 backlogged %d"
                         % (packet_bytes, packet_bytes))
-    r = harness.run(parse_scenario(text), trace=True)
+    return harness.run(parse_scenario(text), trace=True)
+
+
+@pytest.mark.parametrize("packet_bytes,mac_lines,polled", [
+    # Responses longer than the coordinator's frag_threshold.
+    (2304, "", True),
+    # A responder slower than [mac]'s rate: its largest response at 1 Mbps
+    # never fits the 6,000 us CFP, so the coordinator polls only node 2.
+    (1500, "node.1.data_rate = 1\n", False),
+])
+def test_cf_responses_end_within_the_announced_cfp(packet_bytes, mac_lines,
+                                                   polled):
+    # A polled station sends its whole head packet at its own rate, so the
+    # coordinator budgets the largest packet at the station's rate.
+    r = _short_cfp_run(packet_bytes, mac_lines)
     responses = [l for _, l in _events(r.trace_lines, "tx_start")
                  if "DATA_CF_ACK" in l]
     assert (len(responses) > 10) == polled
     assert _overruns(r.trace_lines) == []
     assert all(f.delivered_bits > 0 for f in r.metrics.flows.values())
+
+
+def test_station_that_cannot_fit_is_passed_over():
+    # Node 1 comes first in turn, but its largest response at 1 Mbps never
+    # fits the CFP: the coordinator passes it over and polls node 2.
+    r = _short_cfp_run(1500, "node.1.data_rate = 1\n")
+    polls = [l.split("\t")[3].split()[0] for _, l in
+             _events(r.trace_lines, "tx_start") if "CF_POLL" in l]
+    assert polls and set(polls) == {"0->2"}
