@@ -1,11 +1,12 @@
 """Command-line interface: run, compare, validate.
 
-Exit codes: 0 success, 1 usage error, 2 scenario (parse/validation) error.
+Exit codes: 0 success, 1 usage error (an output path that cannot be
+written among them), 2 scenario (read/parse/validation) error.
 """
 
 import argparse
+import os
 import sys
-from types import SimpleNamespace
 
 from . import harness, metrics as metrics_mod
 from .scenario import ScenarioError, parse_scenario
@@ -41,12 +42,43 @@ def _build_parser():
     return parser
 
 
+class _TraceFile:
+    """The `run --trace` sink: keeps at most BLOCK lines and writes them
+    with one write each, as "\n".join(lines) + "\n", so the file's bytes
+    are those of the in-memory trace and memory holds one block."""
+
+    BLOCK = 4096
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.lines = []
+
+    def append(self, line):
+        lines = self.lines
+        lines.append(line)
+        if len(lines) >= self.BLOCK:
+            self.flush()
+
+    def flush(self):
+        if self.lines:
+            self.fh.write("\n".join(self.lines) + "\n")
+            self.lines = []
+
+
 def _load(path, seed=None):
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         sys.stderr.write("error: %s\n" % e)
+        sys.exit(2)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # Number lines as the parser does, up to and with the bad byte.
+        line = len((data[:e.start].decode("utf-8") + "x").splitlines())
+        sys.stderr.write("%s: line %d: not UTF-8 text (byte 0x%02x)\n"
+                         % (path, line, data[e.start]))
         sys.exit(2)
     try:
         s = parse_scenario(text)
@@ -56,6 +88,21 @@ def _load(path, seed=None):
     if seed is not None:
         s.seed = seed
     return s
+
+
+def _check_writable(option, path):
+    """Exit 1 unless `path` can be opened for writing; a file that was not
+    there is not left behind, and one that was is not truncated."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as e:
+        sys.stderr.write("error: %s: %s\n" % (option, e))
+        sys.exit(1)
+    if not existed:
+        os.remove(path)
 
 
 def _emit(text, path):
@@ -89,17 +136,20 @@ def main(argv=None):
         except ScenarioError as e:
             sys.stderr.write("%s: %s\n" % (args.scenario, e))
             sys.exit(2)
+        # Both output paths are checked before the run, and after the
+        # scenario is accepted, so a rejected one leaves no file.
+        _check_writable("--out", args.out)
+        _check_writable("--trace", args.trace)
         if args.trace is None:
             sim.run_until(s.duration_us)
         else:
-            # Each line goes to the file as it is traced; the bytes are
-            # "\n".join(lines) + "\n", so an empty trace is one newline.
             with open(args.trace, "w") as fh:
-                sim.enable_trace(SimpleNamespace(
-                    append=lambda line: fh.write(line + "\n")))
+                sink = _TraceFile(fh)
+                sim.enable_trace(sink)
                 sim.run_until(s.duration_us)
+                sink.flush()
                 if fh.tell() == 0:
-                    fh.write("\n")
+                    fh.write("\n")  # an empty trace is one newline
         _emit(metrics_mod.format_csv(
             {s.variant: recorder.finalize(s.duration_us, medium.stats)}),
             args.out)
@@ -110,6 +160,7 @@ def main(argv=None):
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         if not variants:
             parser.error("--variants must name at least one variant")
+        _check_writable("--out", args.out)
         try:
             table = harness.compare(variants, s)
         except ScenarioError as e:

@@ -69,7 +69,7 @@ class Simulator:
 
     def trace(self, node, kind, detail=""):
         if self.trace_lines is not None:
-            self.trace_lines.append("%d\t%s\t%s\t%s" % (self.now, node, kind, detail))
+            self.trace_lines.append(f"{self.now}\t{node}\t{kind}\t{detail}")
 
     def schedule(self, time, kind, target, fn):
         """Enqueue `fn` to run at `time`.  Returns a cancellable Event handle."""
@@ -115,6 +115,8 @@ class Simulator:
             raise SchedulingError("run_until(%d) before clock t=%d" % (t_end, self.now))
         count = 0
         q = self._queue
+        # The engine's own line per dispatched event, when tracing.
+        emit = None if self.trace_lines is None else self.trace_lines.append
         while q and q[0][0] <= t_end:
             time, seq, ev = heappop(q)
             if ev.cancelled:
@@ -126,8 +128,8 @@ class Simulator:
                 continue
             ev.queued = None
             self.now = time
-            if self.trace_lines is not None:
-                self.trace(ev.target, ev.kind)
+            if emit is not None:
+                emit(f"{time}\t{ev.target}\t{ev.kind}\t")
             ev.fn()
             count += 1
         self.dispatched += count

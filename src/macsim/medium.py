@@ -209,9 +209,10 @@ class Medium:
         self._next_txid += 1
         self.stats.total_transmissions += 1
         if sim.trace_lines is not None:
-            sim.trace(sender_id, "tx_start", "%s->%s %s len=%d rate=%s dur=%d" % (
-                sender_id, frame.dst, frame.kind, frame.payload_bytes, rate,
-                frame.duration))
+            sim.trace_lines.append(
+                f"{sim.now}\t{sender_id}\ttx_start\t{sender_id}->{frame.dst} "
+                f"{frame.kind} len={frame.payload_bytes} rate={rate} "
+                f"dur={frame.duration}")
 
         # Each frame on the air overlaps the new one, and the reverse.  The
         # two lists take each other's frame only if one sender hears the
@@ -244,7 +245,7 @@ class Medium:
         if on_end is not None:
             on_end()
         sim = self.sim
-        tracing = sim.trace_lines is not None
+        lines = sim.trace_lines
         frame, sender, start, rate = tx.frame, tx.sender, tx.start, tx.rate
         kind = frame.kind
         concurrent = tx.concurrent
@@ -254,10 +255,12 @@ class Medium:
         fer_free = rate <= tx.reach.clean_rate or (kind in CONTROL_KINDS
                                                    and not self.control_fer)
         if fer_free and not concurrent:
-            if tracing:
-                detail = "%s from %s %s" % (phy.RECEIVED, sender, kind)
+            if lines is not None:
+                # Every hearer's line differs only in the node field.
+                stamp = f"{sim.now}\t"
+                tail = f"\trx\t{phy.RECEIVED} from {sender} {kind}"
                 for hearer, mac, _ in tx.reach.hearers:
-                    sim.trace(hearer, "rx", detail)
+                    lines.append(f"{stamp}{hearer}{tail}")
                     mac.on_frame(frame, rate, start)
             else:
                 for _, mac, _ in tx.reach.hearers:
@@ -293,9 +296,9 @@ class Medium:
                             outcome = (phy.ERRORED if fer > 0.0
                                        and mac.rng.bernoulli(fer)
                                        else phy.RECEIVED)
-                if tracing:
-                    sim.trace(hearer, "rx", "%s from %s %s" % (
-                        outcome, sender, kind))
+                if lines is not None:
+                    lines.append(
+                        f"{sim.now}\t{hearer}\trx\t{outcome} from {sender} {kind}")
                 if outcome == phy.RECEIVED:
                     mac.on_frame(frame, rate, start)
                 elif hearer == dst:

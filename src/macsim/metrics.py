@@ -159,7 +159,9 @@ class Recorder:
             key = (min(k, nwin - 1), fid)
             bins[key] = bins.get(key, 0) + bits
         shares = [self.shares[f] for f in self.flow_ids]
-        for k in range(nwin):
+        # Only windows that hold a delivery, in window order: a window
+        # index below 0 means the run is shorter than one window.
+        for k in sorted({k for k, _ in bins if k >= 0}):
             w = [bins.get((k, f), 0) for f in self.flow_ids]
             if all(v == 0 for v in w):
                 continue

@@ -1,16 +1,34 @@
-"""Shared helpers: scenario text builders used across the test modules."""
+"""Shared helpers used across the test modules: scenario text builders and
+an in-process command-line call."""
 
+import contextlib
+import io
 import os
 import random
 
 from hypothesis import strategies as st
 
+from macsim import cli
 from macsim.dcf import MacParams
 from macsim.pcf import min_cp_us
 from macsim.scenario import parse_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scenarios")
+
+
+def cli_main(args):
+    """Exit code and stderr of one in-process `macsim` call.  An exception
+    other than SystemExit (a traceback from the real command) fails the
+    test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
 
 
 def shipped(name, duration_us, variant=None):

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from conftest import SCENARIOS, single_cell
-from macsim import harness
+from conftest import SCENARIOS, cli_main, single_cell
+from macsim import cli, engine, harness
 from macsim.metrics import CSV_HEADER, format_csv
 from macsim.scenario import ScenarioError, parse_scenario
 
@@ -248,3 +248,79 @@ def test_cli_run_zero_cw_min_exit_2(tmp_path):
 def test_cli_missing_file_exit_2(tmp_path):
     res = _cli(["run", str(tmp_path / "nope.txt")])
     assert res.returncode == 2
+
+
+def test_cli_trace_file_is_the_in_memory_trace(tmp_path):
+    # pcf_infra traces several blocks of the streaming sink.
+    path = os.path.join(SCENARIOS, "pcf_infra.txt")
+    with open(path) as fh:
+        text = fh.read()
+    trace = tmp_path / "pcf.trace"
+    assert cli_main(["run", path, "--trace", str(trace)]) == (0, "")
+    lines = harness.run(parse_scenario(text), trace=True).trace_lines
+    assert len(lines) > 3 * cli._TraceFile.BLOCK
+    assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_cli_empty_trace_is_one_newline(tmp_path):
+    path = tmp_path / "idle.txt"
+    path.write_text("[sim]\nduration_us = 1000\n[nodes]\n0 = 0 0\n1 = 5 0\n")
+    trace = tmp_path / "idle.trace"
+    assert cli_main(["run", str(path), "--trace", str(trace)]) == (0, "")
+    assert harness.run(parse_scenario(path.read_text()),
+                       trace=True).trace_lines == []
+    assert trace.read_bytes() == b"\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_non_utf8_scenario_exit_2_naming_its_line(scenario_file, command):
+    good = scenario_file.read_bytes()
+    scenario_file.write_bytes(b"\xff\xfe" + good)
+    assert cli_main([command, str(scenario_file)]) == (
+        2, "%s: line 1: not UTF-8 text (byte 0xff)\n" % scenario_file)
+    lines = good.split(b"\n")
+    lines[4] += b" \xc3"  # a truncated two-byte sequence on line 5
+    scenario_file.write_bytes(b"\n".join(lines))
+    assert cli_main([command, str(scenario_file)]) == (
+        2, "%s: line 5: not UTF-8 text (byte 0xc3)\n" % scenario_file)
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if the simulation starts."""
+    def run_until(self, t_end):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(engine.Simulator, "run_until", run_until)
+
+
+@pytest.mark.parametrize("command, option", [
+    (["run"], "--out"), (["run"], "--trace"),
+    (["compare", "--variants=dcf"], "--out")],
+    ids=["run-out", "run-trace", "compare-out"])
+def test_cli_unwritable_output_exit_1_before_the_run(scenario_file, tmp_path,
+                                                     no_run, command, option):
+    bad = tmp_path / "missing" / "x.txt"
+    code, err = cli_main(command + [str(scenario_file), option, str(bad)])
+    assert code == 1
+    assert err.startswith("error: %s: " % option) and err.count("\n") == 1
+    assert str(bad) in err
+
+
+def test_cli_output_check_leaves_no_file_and_truncates_none(scenario_file,
+                                                            tmp_path):
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("kept\n")
+    bad = tmp_path / "missing" / "t.txt"
+    for out in (kept, new):
+        assert cli_main(["run", str(scenario_file), "--out", str(out),
+                         "--trace", str(bad)])[0] == 1
+    assert kept.read_text() == "kept\n"
+    assert not new.exists()
+
+
+def test_cli_rejected_scenario_leaves_no_trace_file(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("[sim]\nwat = 1\n")
+    trace = tmp_path / "t.txt"
+    assert cli_main(["run", str(bad), "--trace", str(trace)])[0] == 2
+    assert not trace.exists()

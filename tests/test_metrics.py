@@ -1,5 +1,7 @@
 """Recorder bookkeeping and CSV emission."""
 
+import sys
+
 import pytest
 
 from macsim.engine import Simulator
@@ -85,6 +87,36 @@ def test_fairness_series_counts_late_deliveries_in_the_last_window():
     _deliver(sim, rec, 1, 2, 10, created=0, at=230)
     m = rec.finalize(250, MediumStats())
     assert m.fairness_series == [(1, 1.0)]
+
+
+def _calls(fn):
+    """fn's result and the number of Python and builtin calls it made."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_fairness_series_work_tracks_occupied_windows_not_run_length():
+    # 1 us windows over 0.1 s: 100,000 windows, three of them occupied
+    # (the late delivery counts in the last whole window).
+    sim, rec = _recorder(window_us=1)
+    _deliver(sim, rec, 0, 1, 10, created=0, at=3)
+    _deliver(sim, rec, 1, 2, 10, created=0, at=40_000)
+    _deliver(sim, rec, 2, 1, 10, created=0, at=99_999)
+    _deliver(sim, rec, 3, 2, 10, created=0, at=150_000)
+    m, calls = _calls(lambda: rec.finalize(100_000, MediumStats()))
+    assert m.fairness_series == [(3, 0.0), (40_000, 0.0), (99_999, 1.0)]
+    assert calls < 500
 
 
 def test_zero_flows_metrics_all_zero():

@@ -1,15 +1,13 @@
 """Scenario text parsing and validation."""
 
-import contextlib
-import io
 import os
 import re
 
 import pytest
-from conftest import SCENARIOS
+from conftest import SCENARIOS, cli_main
 from hypothesis import given, settings, strategies as st
 
-from macsim import cli, harness
+from macsim import harness
 from macsim.scenario import (BACKLOGGED, CBR, ScenarioError, parse_scenario,
                              variant_flags)
 
@@ -240,19 +238,6 @@ def test_variant_flags_decomposition():
 
 # -- Out-of-range values, through the command line ---------------------------
 
-def _main(args):
-    """Exit code and stderr of one in-process `macsim` call.  An uncaught
-    exception (a traceback, exit 1 from the real command) fails the test."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(args)
-        except SystemExit as e:
-            code = e.code
-    return code, err.getvalue()
-
-
 # (line of single_cell.txt, what replaces it, message).  The last line of the
 # replacement is the one the message must name.
 _REJECTED = [
@@ -321,7 +306,7 @@ def test_out_of_range_value_exits_2_naming_its_line(tmp_path, command, old,
     line = text.split("\n").index(new.split("\n")[-1]) + 1
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    code, err = _main([command, str(path)])
+    code, err = cli_main([command, str(path)])
     assert code == 2
     assert "line %d: %s" % (line, message) in err
 
@@ -364,7 +349,7 @@ def test_edited_scenario_is_run_or_rejected_never_crashes(tmp_path_factory,
                                                           text):
     path = tmp_path_factory.getbasetemp() / "edited.txt"
     path.write_text(text)
-    validated, _ = _main(["validate", str(path)])
-    ran, _ = _main(["run", str(path)])
+    validated, _ = cli_main(["validate", str(path)])
+    ran, _ = cli_main(["run", str(path)])
     assert validated in (0, 2)
     assert ran == validated
