@@ -73,9 +73,12 @@ def _load(path, seed=None):
         sys.stderr.write("error: %s\n" % e)
         sys.exit(2)
     try:
-        text = data.decode("utf-8")
+        # A leading byte-order mark, as some editors write, is dropped.
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
-        # Number lines as the parser does, up to and with the bad byte.
+        # Number lines as the parser does, up to and with the bad byte;
+        # `e.object` is the data after any byte-order mark.
+        data = e.object
         line = len((data[:e.start].decode("utf-8") + "x").splitlines())
         sys.stderr.write("%s: line %d: not UTF-8 text (byte 0x%02x)\n"
                          % (path, line, data[e.start]))

@@ -130,11 +130,12 @@ class MacNode:
         return (self.sense_count == 0 and not self.self_tx
                 and self.nav_until <= self.sim.now)
 
-    # The two carrier-sense edges run once per node in range of every
-    # transmission, so they test _virtually_idle inline: the first sensed
-    # frame makes an idle node busy, and the last one ending may idle it.
+    # The medium keeps `sense_count`: it counts each frame in sense range
+    # in and out, and calls these two only when the count crosses 0/1 while
+    # the node is virtually free (a busy or an idle edge), or on every start
+    # and end at a node that carries a point coordinator.  So each tests the
+    # edge again, for the coordinator's calls.
     def on_sense_enter(self):
-        self.sense_count += 1
         if (self.sense_count == 1 and not self.self_tx
                 and self.nav_until <= self.sim.now):
             self._on_busy_edge()
@@ -142,7 +143,6 @@ class MacNode:
             self.pcf.on_sense_enter()
 
     def on_sense_exit(self):
-        self.sense_count -= 1
         if (self.sense_count == 0 and not self.self_tx
                 and self.nav_until <= self.sim.now):
             self._on_idle_edge()
@@ -252,6 +252,8 @@ class MacNode:
 
     def _on_access_fire(self, cat):
         cat.timer = None
+        if not cat.queue:
+            return  # a CF response sent the packet after the timer was armed
         now = self.sim.now
         medium = self.medium
         # Genie tie-break: a frame that started at this instant, or an
@@ -275,8 +277,9 @@ class MacNode:
             for loser in ready:
                 if loser is winner:
                     continue
-                loser.timer.cancel()
-                loser.timer = None
+                if loser is not cat:  # `cat`'s own timer has just fired
+                    loser.timer.cancel()
+                    loser.timer = None
                 loser.cw = ext.edcf_expand_cw(loser.cw, loser.pf, loser.cw_max)
                 loser.backoff_slots = dcf.draw_backoff(loser.cw, self.rng)
             if self.sim.trace_lines is not None:
@@ -433,6 +436,8 @@ class MacNode:
         def on_end():
             self.self_tx = False
             self._maybe_idle_edge()
+            if self.pcf is not None:
+                self.pcf.on_tx_end()
             if after is not None:
                 after()
 
@@ -446,12 +451,16 @@ class MacNode:
     def _await(self, air, kind, handler):
         """End-of-frame callback that arms the response timeout: `handler`
         runs, as event `kind`, unless a reply of `air` us comes back within
-        one SIFS and a slot."""
+        one SIFS and a slot.  An exchange that ended while the frame was on
+        the air (a DCF+ offer whose earlier timeout fired) waits for
+        nothing."""
         wait = self.params.sifs_us + air + self.params.slot_us
+        phase = self.phase
 
         def arm():
-            self._timer = self.sim.schedule_in(wait, kind, self.node_id,
-                                               handler)
+            if self.phase == phase:
+                self._timer = self.sim.schedule_in(wait, kind, self.node_id,
+                                                   handler)
 
         return arm
 
@@ -679,6 +688,9 @@ class MacNode:
 
     def _ica_send_frag(self):
         if self.phase != ICA_WINDOW:
+            return
+        if self.self_tx:  # a reply to a frame for this node took the air
+            self._ica_abort()
             return
         elem = self._chain[0]
         pkt = elem.packet

@@ -10,9 +10,9 @@ from a sender once, on that sender's first transmission, in one loop over
 the node positions, and keeps the answer in that sender's reach table: the
 hearer table, (node id, MacNode, received power) for every node that hears
 the sender, in id order; the same powers as a {node id: power} map; the
-MacNodes in sense range, in id order, which get the two carrier-sense
-edges (hear range never exceeds sense range, so those cover the hearers
-too); and the clean rate, the highest rate at which the sender's frames
+MacNodes in sense range, in id order, whose carrier sense it counts
+(hear range never exceeds sense range, so those cover the hearers too);
+and the clean rate, the highest rate at which the sender's frames
 have zero error rate at every hearer (0 on fading links, or when a
 hearer's link state has a nonzero base error rate).  Moving a node, or
 changing a static link's state, after the first transmission would leave
@@ -44,8 +44,16 @@ of them.  Outcomes are resolved when a transmission ends:
   takes its draw); with some, the capture rule (`phy.resolve_capture`)
   does.
 
-Nodes that only sense the sender are not visited by the pass; they see
-only the two carrier-sense edges.
+Nodes that only sense the sender are not visited by the pass.
+
+The medium keeps each node's carrier-sense count (`MacNode.sense_count`,
+the frames on the air in its sense range): a frame's start adds one at
+every node of its sender's `sensing` list, in id order, and its end, after
+the pass, takes it off again.  The count is the model's.  The MacNode is
+called (`on_sense_enter`, `on_sense_exit`) only on a real edge, when the
+count goes from 0 to 1 or from 1 to 0 while neither its NAV nor its own
+frame holds it busy; a node that carries a point coordinator is called at
+every start and end, because the coordinator acts on any of them.
 
 A collision at a frame's destination joins it and the concurrent frames
 audible there in one collision episode, a union-find over the entries:
@@ -233,8 +241,15 @@ class Medium:
             if linked:
                 mine.append(t2.entry)
                 t2.concurrent.append(entry)
+        # Carrier sense: the first frame a node senses is a busy edge only
+        # if neither its NAV nor its own frame holds it busy already.
+        now = sim.now
         for mac in reach.sensing:
-            mac.on_sense_enter()
+            n = mac.sense_count + 1
+            mac.sense_count = n
+            if (n == 1 and not mac.self_tx and mac.nav_until <= now) \
+                    or mac.pcf is not None:
+                mac.on_sense_enter()
 
         self.active[tx.txid] = tx
         sim.schedule(tx.end, "tx_end", sender_id, lambda: self._end(tx, on_end))
@@ -310,8 +325,13 @@ class Medium:
                             stats.ack_collisions += 1
                     elif outcome == phy.ERRORED:
                         stats.errored += 1
+        now = sim.now
         for mac in tx.reach.sensing:
-            mac.on_sense_exit()
+            n = mac.sense_count - 1
+            mac.sense_count = n
+            if (n == 0 and not mac.self_tx and mac.nav_until <= now) \
+                    or mac.pcf is not None:
+                mac.on_sense_exit()
 
     def _fer(self, tx, hearer):
         """Frame error rate at `hearer` of a frame that errors can hit."""

@@ -9,7 +9,10 @@ early with a CF-END once everyone had a turn or the time budget runs out.
 A station whose largest response would overrun the CFP is passed over, and
 that is its turn; when no station left fits, the CF-END leaves the cursor.
 The polling position carries over between superframes, and the contention
-period (CP) that fills the rest of the superframe runs plain DCF.
+period (CP) that fills the rest of the superframe runs plain DCF.  The
+PC's own node takes part in it and answers frames sent to it, and a radio
+sends one frame at a time: a beacon or a poll step that falls due while
+the node's own frame is on the air waits for that frame's end.
 """
 
 from .frames import (BEACON, BROADCAST, CF_END, CF_POLL, BEACON_BYTES,
@@ -28,6 +31,7 @@ _POLLING = "polling"  # between poll steps
 _WAIT_RESPONSE = "wait_response"  # poll sent, PIFS silence timer armed
 _IN_RESPONSE = "in_response"  # carrier went up; waiting for it to drop
 _CP = "cp"  # contention period until the next boundary
+_HELD = "held"  # a poll step fell due while the node's own frame was on air
 
 
 def min_cp_us(params, max_bytes, rate):
@@ -85,6 +89,8 @@ class PointCoordinator:
 
     def _send_beacon(self):
         self._timer = None
+        if self.mac.self_tx:
+            return  # the node's own frame is on the air; see on_tx_end
         end = self.sim.now + BEACON_AIR
         frame = Frame(BEACON, self.mac.node_id, BROADCAST,
                       duration=max(0, self.cfp_end - end),
@@ -100,6 +106,9 @@ class PointCoordinator:
 
     def _next_poll(self):
         if self.state != _POLLING:
+            return
+        if self.mac.self_tx:  # the node's own frame; see on_tx_end
+            self.state = _HELD
             return
         # A polled station sends its whole head packet at its own rate.
         p = self.mac.params
@@ -122,6 +131,8 @@ class PointCoordinator:
         self.mac._transmit(poll, 1, self._arm_silence_timer)
 
     def _arm_silence_timer(self):
+        if self.state != _WAIT_RESPONSE:
+            return  # a frame sensed during the poll, or a held step, decides
         self._timer = self.sim.schedule_in(
             self.mac.params.pifs_us, "poll_timeout", self.mac.node_id,
             self._on_poll_timeout)
@@ -143,6 +154,15 @@ class PointCoordinator:
         self.mac._transmit(frame, 1)
 
     # -- carrier-sense hooks from the owning MacNode -------------------------
+
+    def on_tx_end(self):
+        """The node's own frame ended: a beacon or poll step it held back
+        may go now."""
+        if self.state == _WAIT_BEACON and self._timer is None:
+            self._try_beacon()
+        elif self.state == _HELD:
+            self.state = _POLLING
+            self._schedule_next_poll()
 
     def on_sense_enter(self):
         if self.state == _WAIT_BEACON and self._timer is not None:

@@ -4,22 +4,32 @@ of building every reach table of the medium for N = 81 and 289.  The reach
 tables are what the first transmissions pay, O(N^2); at 1,024 nodes they
 hold about a million hearer entries, which would dominate the sweep.
 
+Then the run cost of a sparse grid as N grows: `jittered_grid` (10 m
+spacing, hear 15 m, sense 25 m, half the nodes backlogged) at N = 64, 256
+and 1,024 over 0.2 s simulated.  Each frame's neighbourhood has the same
+size at every N, so a cost per transmission that grows with N is work
+spent on frames that cannot interact.  The run is timed once, then run
+again to count the carrier-sense calls the medium makes to MacNodes.
+
     PYTHONPATH=src python tests/setup_sweep.py
 
-Prints a Markdown table.  It only reports: it fails only on an exception.
+Prints two Markdown tables.  It only reports: it fails only on an exception.
 """
 
 import gc
 import time
 import tracemalloc
 
-from conftest import dense_cell
+from conftest import dense_cell, jittered_grid
 
 from macsim import harness
+from macsim.mac import MacNode
 from macsim.scenario import parse_scenario
 
 SIDES = (9, 17, 32)  # N = side * side
 REACH_SIDES = (9, 17)
+RUN_SIDES = (8, 16, 32)
+RUN_US = 200_000
 
 
 def build_peak(s):
@@ -70,6 +80,42 @@ def reach_cost(side):
         tracemalloc.stop()
 
 
+def sense_calls(s):
+    """MacNode.on_sense_enter and on_sense_exit calls in a run of `s`."""
+    calls = [0]
+    methods = {name: getattr(MacNode, name)
+               for name in ("on_sense_enter", "on_sense_exit")}
+
+    def counted(method):
+        def call(mac):
+            calls[0] += 1
+            method(mac)
+        return call
+
+    try:
+        for name, method in methods.items():
+            setattr(MacNode, name, counted(method))
+        sim, _, _, _ = harness.build(s)
+        sim.run_until(s.duration_us)
+    finally:
+        for name, method in methods.items():
+            setattr(MacNode, name, method)
+    return calls[0]
+
+
+def run_cost(side):
+    """(us per transmission, us per dispatched event, carrier-sense calls
+    per transmission) of `jittered_grid(side)` over RUN_US."""
+    s = parse_scenario(jittered_grid(side, 1, RUN_US))
+    sim, medium, _, _ = harness.build(s)
+    gc.collect()
+    t = time.perf_counter()
+    sim.run_until(s.duration_us)
+    us = (time.perf_counter() - t) * 1e6
+    tx = medium.stats.total_transmissions
+    return us / tx, us / sim.dispatched, sense_calls(s) / tx
+
+
 def main():
     print("| N | build s | tracemalloc peak MB | reach tables s "
           "| reach tables peak MB |")
@@ -82,6 +128,12 @@ def main():
             reach = "%.4f | %.1f" % (reach_s, reach_peak / 2**20)
         print("| %d | %.4f | %.1f | %s |" % (side * side, seconds,
                                              peak / 2**20, reach))
+    print()
+    print("| N | us per transmission | us per event "
+          "| carrier-sense calls per transmission |")
+    print("|---|---|---|---|")
+    for side in RUN_SIDES:
+        print("| %d | %.1f | %.1f | %.2f |" % (side * side, *run_cost(side)))
 
 
 if __name__ == "__main__":

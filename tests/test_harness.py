@@ -285,6 +285,29 @@ def test_cli_non_utf8_scenario_exit_2_naming_its_line(scenario_file, command):
         2, "%s: line 5: not UTF-8 text (byte 0xc3)\n" % scenario_file)
 
 
+def test_cli_drops_a_byte_order_mark(tmp_path):
+    # Some editors start a UTF-8 file with one.
+    with open(os.path.join(SCENARIOS, "single_cell.txt"), "rb") as fh:
+        plain = fh.read().replace(b"duration_us = 10000000",
+                                  b"duration_us = 500000")
+    paths = {}
+    for name, data in (("plain", plain), ("bom", b"\xef\xbb\xbf" + plain)):
+        paths[name] = tmp_path / (name + ".txt")
+        paths[name].write_bytes(data)
+        assert cli_main(["validate", str(paths[name])]) == (0, "")
+        assert cli_main(["run", str(paths[name]), "--out",
+                         str(tmp_path / (name + ".csv"))]) == (0, "")
+    csv = (tmp_path / "plain.csv").read_bytes()
+    assert csv.startswith(CSV_HEADER.encode())
+    assert (tmp_path / "bom.csv").read_bytes() == csv
+    # Lines keep their numbers after the mark.
+    lines = paths["bom"].read_bytes().split(b"\n")
+    lines[4] += b" \xc3"
+    paths["bom"].write_bytes(b"\n".join(lines))
+    assert cli_main(["validate", str(paths["bom"])]) == (
+        2, "%s: line 5: not UTF-8 text (byte 0xc3)\n" % paths["bom"])
+
+
 @pytest.fixture
 def no_run(monkeypatch):
     """Fail the test if the simulation starts."""

@@ -300,6 +300,70 @@ def _estimate_samples(mac):
     return samples
 
 
+def test_firing_category_that_loses_a_virtual_collision():
+    # Both of node 1's categories are due at 70 us, and cat1, armed first,
+    # fires first.  cat0 has the lower AIFS and wins: cat1 backs off, and
+    # cat0's timer, still pending, sends its frame at the same instant.
+    # The losing category used to cancel its own, spent timer and crash.
+    s = parse_scenario("[sim]\nduration_us = 5000\n[nodes]\n0 = 0 0\n"
+                       "1 = 5 0\n[links]\nhear_range = 50\n"
+                       "base_fer_high = 0\n[mac]\nvariant = dcf+edcf\n"
+                       "[flows]\n1 = 1 0 cbr 100 800 cat=1\n"
+                       "2 = 1 0 cbr 100 800\n[edcf]\ncat0 = 50 2.0 16 256\n"
+                       "cat1 = 70 2.0 16 256\n")
+    sim, medium, macs, recorder = harness.build(s, trace=True)
+    cat0, cat1 = macs[1].cats
+    cat0.backoff_slots, cat1.backoff_slots = 1, 0
+    sim.run_until(s.duration_us)
+    node1 = [line for line in sim.trace_lines
+             if line.split("\t")[1] == "1"]
+    assert node1[2:6] == [
+        "70\t1\taccess_fire\t", "70\t1\tvirtual_collision\twinner=cat0",
+        "70\t1\taccess_fire\t",
+        "70\t1\ttx_start\t1->0 DATA len=100 rate=11 dur=314"]
+    flows = recorder.finalize(s.duration_us, medium.stats).flows
+    assert flows[1].delivered_packets == flows[2].delivered_packets == 1
+
+
+# Node 1 ACKs a DATA frame from node 0 while an earlier reverse-grant offer
+# still waits for its CTS, and that offer's timeout ends the exchange before
+# the ACK ends.  The ACK's end used to arm a second `dcfp_cts_timeout`
+# anyway; it ended node 1's next exchange while its ACK timeout was
+# pending, and that timeout crashed on the chain the exchange had dropped.
+_STALE_OFFER = """\
+[sim]
+duration_us = 45000
+[nodes]
+0 = 17.2 31.4
+1 = 25.3 25.6
+2 = 24.7 10.1
+3 = 17.2 31.4
+[links]
+[mac]
+variant = dcf+plus+ica+2way+edcf+pcf
+node.0.variant = dcf
+[flows]
+1 = 0 1 cbr 50 50000
+2 = 0 1 cbr 50 50000
+13 = 1 0 backlogged 50
+[edcf]
+cat0 = 50 2.0 16 256
+[pcf]
+coordinator = 0
+pollable = 1 2 3
+superframe_us = 16524
+cfp_max_us = 6992
+cp_min_us = 9532
+"""
+
+
+def test_response_timeout_outlived_by_its_exchange_is_not_armed():
+    sim, medium, macs, recorder = harness.build(parse_scenario(_STALE_OFFER))
+    sim.run_until(45_000)
+    assert sim.now == 45_000
+    assert recorder.finalize(45_000, medium.stats).flows[13].delivered_packets
+
+
 def test_genie_tiebreak_sees_every_category_timer():
     # Nodes 1 and 2 both reach the medium at t=90 on category 0, and node 2
     # dispatches first.  Node 1 armed its category 1, due at t=170, last:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from macsim import harness, metrics, phy
 from macsim.engine import Simulator
+from macsim.mac import MacNode
 from macsim.frames import (ACK, CONTROL_KINDS, CONTROL_RATE, DATA, DATA_CF_ACK,
                            RTS, Frame, frame_airtime)
 from macsim.medium import Medium
@@ -237,6 +238,61 @@ def test_frames_far_apart_leave_each_other_out():
     assert got[1, 0, RTS] == got[3, 2, RTS] == phy.RECEIVED
 
 
+def test_sense_calls_reach_a_node_only_on_an_edge_or_its_coordinator(
+        monkeypatch):
+    # Node 0 sends twice.  Node 1's NAV covers the first frame only; node
+    # 2's covers every frame, but node 2 carries a point coordinator.  Then
+    # node 1 sends a long frame of its own, and node 0 a third one inside it.
+    sim, medium, macs, _ = _cell([(0, 0), (5, 0), (10, 0)])
+    calls = []
+    for name in ("on_sense_enter", "on_sense_exit"):
+        method = getattr(MacNode, name)
+        monkeypatch.setattr(MacNode, name, lambda mac, name=name, method=method: (
+            calls.append((sim.now, mac.node_id, name, mac.sense_count)),
+            method(mac)))
+    pcf = []
+    macs[2].pcf = SimpleNamespace(
+        on_sense_enter=lambda: pcf.append((sim.now, "enter")),
+        on_sense_exit=lambda: pcf.append((sim.now, "exit")))
+    macs[1].set_nav(5_000)
+    macs[2].set_nav(100_000)
+    edges = []
+    monkeypatch.setattr(macs[1], "_on_busy_edge",
+                        lambda: edges.append((sim.now, "busy")))
+    monkeypatch.setattr(macs[1], "_on_idle_edge",
+                        lambda: edges.append((sim.now, "idle")))
+    # Node 0's frames are for node 2, which its NAV keeps from answering,
+    # and node 1's for no node; no frame sets a NAV.
+    frame = Frame(RTS, 0, 2, duration=0, xid=7)
+    end = frame_airtime(frame, CONTROL_RATE)
+    own = Frame(DATA, 1, 9, payload_bytes=1000, xid=8)
+    own_end = 15_000 + frame_airtime(own, 1)
+    _send(sim, medium, [(1_000, frame, CONTROL_RATE),
+                        (10_000, frame, CONTROL_RATE),
+                        (16_000, frame, CONTROL_RATE)])
+    sim.schedule(15_000, "test_send", 1, lambda: macs[1]._transmit(own, 1))
+    sim.run_until(30_000)
+    assert own_end > 16_000 + end
+    assert calls == [
+        (1_000, 2, "on_sense_enter", 1), (1_000 + end, 2, "on_sense_exit", 0),
+        (10_000, 1, "on_sense_enter", 1), (10_000, 2, "on_sense_enter", 1),
+        (10_000 + end, 1, "on_sense_exit", 0),
+        (10_000 + end, 2, "on_sense_exit", 0),
+        # Node 1 is sending its own frame: neither edge reaches it.
+        (15_000, 0, "on_sense_enter", 1), (15_000, 2, "on_sense_enter", 1),
+        (16_000, 2, "on_sense_enter", 2), (16_000 + end, 2, "on_sense_exit", 1),
+        (own_end, 0, "on_sense_exit", 0), (own_end, 2, "on_sense_exit", 0)]
+    # The NAV's own expiry is node 1's idle edge at 5,000, and its own
+    # frame's start and end are the others.
+    assert edges == [(5_000, "idle"), (10_000, "busy"), (10_000 + end, "idle"),
+                     (15_000, "busy"), (own_end, "idle")]
+    assert pcf == [
+        (1_000, "enter"), (1_000 + end, "exit"), (10_000, "enter"),
+        (10_000 + end, "exit"), (15_000, "enter"), (16_000, "enter"),
+        (16_000 + end, "exit"), (own_end, "exit")]
+    assert [mac.sense_count for mac in macs.values()] == [0, 0, 0]
+
+
 @pytest.mark.parametrize("name,duration_us,variant", [
     ("single_cell", 300_000, None),
     ("pcf_infra", 300_000, None),
@@ -342,12 +398,34 @@ class _ReferenceStats:
         return len({self.find(t) for t in self.parent})
 
 
+def _reference_sense_enter(mac):
+    """Carrier sense as each node kept it before the medium counted it: a
+    bump and an edge test per node in range, and every start for a point
+    coordinator."""
+    mac.sense_count += 1
+    if (mac.sense_count == 1 and not mac.self_tx
+            and mac.nav_until <= mac.sim.now):
+        mac._on_busy_edge()
+    if mac.pcf is not None:
+        mac.pcf.on_sense_enter()
+
+
+def _reference_sense_exit(mac):
+    mac.sense_count -= 1
+    if (mac.sense_count == 0 and not mac.self_tx
+            and mac.nav_until <= mac.sim.now):
+        mac._on_idle_edge()
+    if mac.pcf is not None:
+        mac.pcf.on_sense_exit()
+
+
 class ReferenceMedium(Medium):
     """The medium as it was before concurrency lists: one overlap set per
     hearer per transmission, one `_resolve` call per hearer, the general
     capture rule over the whole overlapping group with powers read from the
-    Topology, an error rate for every frame that errors can hit, and a
-    txid union-find for the collision episodes."""
+    Topology, an error rate for every frame that errors can hit, a txid
+    union-find for the collision episodes, and a carrier-sense call to
+    every node in range at each start and end."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -388,7 +466,7 @@ class ReferenceMedium(Medium):
                         mine.add(t2)
                     if t2.sender == other:
                         tx.self_busy.add(other)
-            mac.on_sense_enter()
+            _reference_sense_enter(mac)
 
         for t2 in active:
             if sender_id in t2.overlaps:
@@ -419,7 +497,7 @@ class ReferenceMedium(Medium):
             elif outcome == phy.ERRORED and hearer == tx.frame.dst:
                 self.stats.errored += 1
         for _, mac, _ in self._reach_list(tx.sender):
-            mac.on_sense_exit()
+            _reference_sense_exit(mac)
 
     def _resolve(self, tx, hearer):
         if hearer in tx.self_busy:
@@ -456,9 +534,7 @@ def _output(text):
     return metrics.format_csv({s.variant: result.metrics}), result.trace_lines
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(small_scenarios())
-def test_one_pass_resolution_matches_reference(text):
+def _matches_reference(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "Medium", ReferenceMedium)
         want_csv, want_trace = _output(text)
@@ -469,3 +545,17 @@ def test_one_pass_resolution_matches_reference(text):
                   if a != b), min(len(trace), len(want_trace)))
     assert trace[first:first + 1] == want_trace[first:first + 1]
     assert len(trace) == len(want_trace)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_scenarios())
+def test_one_pass_resolution_matches_reference(text):
+    _matches_reference(text)
+
+
+# Every token brings in the point coordinator, which the medium calls on
+# every carrier-sense start and end, not only on edges.
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_scenarios(every_token=True))
+def test_every_variant_token_matches_reference(text):
+    _matches_reference(text)

@@ -7,6 +7,7 @@ from conftest import SCENARIOS
 
 from macsim import harness
 from macsim.dcf import MacParams
+from macsim.frames import CF_POLL, CF_POLL_BYTES, Frame
 from macsim.pcf import BEACON_AIR, min_cp_us
 from macsim.phy import airtime
 from macsim.scenario import ScenarioError, parse_scenario
@@ -73,6 +74,76 @@ def test_beacon_opens_each_superframe_after_pifs():
     # Beacons recur once per superframe period.
     gaps = [b - a for (a, _), (b, _) in zip(beacons, beacons[1:])]
     assert all(abs(g - 60000) <= 5000 for g in gaps)
+
+
+def _one_frame_at_a_time(trace):
+    """Fail if a node starts a frame while its own is on the air."""
+    sending = set()
+    for line in trace:
+        t, node, kind, _ = line.split("\t")
+        if kind == "tx_start":
+            assert node not in sending, "node %s sends twice at %s" % (node, t)
+            sending.add(node)
+        elif kind == "tx_end":
+            sending.discard(node)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_coordinator_with_dcf_traffic_sends_one_frame_at_a_time(seed):
+    # The coordinator's node also sends DCF frames.  At these seeds a
+    # beacon's PIFS ends while one is on the air: the beacon waits for the
+    # frame's end and a new PIFS, where it used to go out at once.
+    text = _pcf_text(extra_flows="2 = 0 1 backlogged 500")
+    r = harness.run(parse_scenario(text.replace("seed = 1",
+                                                "seed = %d" % seed)),
+                    trace=True)
+    _one_frame_at_a_time(r.trace_lines)
+    beacons = [t for t, l in _events(r.trace_lines, "tx_start")
+               if "BEACON" in l]
+    assert len(beacons) == 5  # one per 60 ms superframe
+    assert r.metrics.flows[2].delivered_packets > 0
+
+
+def test_poll_step_due_during_the_coordinator_s_own_poll_waits_for_its_end():
+    # Node 2 coordinates and senses, but cannot decode, node 1.  Node 1's
+    # ACK starts and ends while node 2's CF-Poll to node 0 (which is sending
+    # and cannot hear it) is on the air, 128,492-128,844 us.  The ACK's end
+    # reads as the end of a response and makes the next poll step due at
+    # 128,823; it used to send CF-END over the poll.  Now the step waits
+    # for the poll's end, and no silence timer is armed for the poll.
+    s = parse_scenario(
+        "[sim]\nduration_us = 130000\n[nodes]\n0 = 0.0 0.0\n1 = 0.0 1.2\n"
+        "2 = 13.2 5.8\n[links]\nhear_range = 13\nsense_range = 14\n"
+        "[mac]\nvariant = dcf+plus+ica+2way+edcf+pcf\n"
+        "[flows]\n1 = 0 1 cbr 50 50000\n[edcf]\ncat0 = 50 2.0 16 256\n"
+        "[pcf]\ncoordinator = 2\npollable = 0\nsuperframe_us = 12786\n"
+        "cfp_max_us = 3254\ncp_min_us = 9532\n")
+    r = harness.run(s, trace=True)
+    _one_frame_at_a_time(r.trace_lines)
+    assert [l for l in r.trace_lines if 128_800 <= int(l.split("\t")[0])
+            and l.split("\t")[1] == "2"] == [
+        "128823\t2\tcf_poll_gap\t", "128844\t2\ttx_end\t",
+        "128854\t2\tcf_poll_gap\t", "128854\t2\tcf_end\tpolled=1",
+        "128854\t2\ttx_start\t2->-1 CF_END len=20 rate=1 dur=0",
+        "129206\t2\ttx_end\t"]
+
+
+def test_cf_response_that_empties_the_queue_leaves_no_access_to_take():
+    # The response's end arms node 1's access timer while its one packet is
+    # still queued; the packet then leaves with the response, and the timer
+    # fires on an empty queue.  It used to start an exchange and crash.
+    s = parse_scenario("[sim]\nduration_us = 20000\n[nodes]\n0 = 0 0\n"
+                       "1 = 5 0\n[links]\nhear_range = 50\n"
+                       "base_fer_high = 0\n[flows]\n1 = 1 0 cbr 100 800\n")
+    sim, medium, macs, recorder = harness.build(s, trace=True)
+    poll = Frame(CF_POLL, 0, 1, payload_bytes=CF_POLL_BYTES)
+    sim.schedule(10, "test_poll", 0, lambda: macs[1].on_frame(poll, 1, 10))
+    sim.run_until(s.duration_us)
+    assert _events(sim.trace_lines, "access_fire")
+    assert [l for _, l in _events(sim.trace_lines, "tx_start")] == [
+        "20\t1\ttx_start\t1->0 DATA_CF_ACK len=100 rate=11 dur=0"]
+    flow = recorder.finalize(s.duration_us, medium.stats).flows[1]
+    assert flow.generated_packets == flow.delivered_packets == 1
 
 
 def test_polls_round_robin_and_cf_end_closes_cfp():

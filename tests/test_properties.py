@@ -5,15 +5,16 @@ import gc
 import os
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from conftest import SCENARIOS, shipped, small_scenarios
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import macsim
 from macsim import harness, metrics
 from macsim.mac import MacNode, Packet
+from macsim.medium import Medium
 from macsim.metrics import Recorder
 from macsim.scenario import parse_scenario
 
@@ -24,11 +25,68 @@ def _run(text):
     return r, metrics.format_csv({s.variant: r.metrics}), r.trace_lines
 
 
+# Found with more examples than the test runs: node 3 has planned an ICA
+# fragment for 689,380 us, and at 689,331 it answers a DATA frame for it
+# with an ACK.  The fragment used to go out over its own ACK; now the
+# window is aborted.
+_ICA_UNDER_OWN_ACK = """\
+[sim]
+seed = 10000
+duration_us = 690000
+capture_ratio = 1.01
+control_fer = 1
+[nodes]
+0 = 8.8 19.5
+1 = 3.7 39.2
+2 = 0.0 4.8
+3 = 11.9 34.1
+4 = 24.7 7.2
+5 = 19.5 8.2
+6 = 2.6 22.8
+7 = 8.0 34.1
+8 = 21.0 11.3
+9 = 19.5 8.2
+10 = 0.0 0.0
+[links]
+hear_range = 27
+dwell_us = 1115
+matrix = 0.5 0.5 0 0  0.25 0.5 0.25 0  0 0.25 0.5 0.25  0 0 0.5 0.5
+[mac]
+variant = dcf+oar+ica+edcf
+rts_threshold = 0
+node.1.variant = dcf+dfs
+[flows]
+1 = 8 0 cbr 50 50000
+2 = 0 1 cbr 50 50000
+3 = 0 1 cbr 50 50000
+4 = 9 0 cbr 50 50000
+5 = 6 0 cbr 50 50000 cat=1
+6 = 0 3 backlogged 606
+8 = 3 0 backlogged 50
+9 = 6 2 cbr 383 50000
+10 = 1 0 backlogged 524
+12 = 5 2 cbr 128 50000
+16 = 5 0 backlogged 50
+20 = 2 0 backlogged 50
+[edcf]
+cat0 = 50 2.0 16 256
+cat1 = 71 2.0 15 256
+[pcf]
+coordinator = 5
+pollable = 1
+superframe_us = 14128
+cfp_max_us = 3584
+cp_min_us = 7423
+"""
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(small_scenarios(every_token=True))
+@example(text=_ICA_UNDER_OWN_ACK)
 def test_every_variant_token_keeps_the_invariants(text):
     generated, dropped = [], []
-    reassemble = MacNode._reassemble
+    reassemble, mac_transmit = MacNode._reassemble, MacNode._transmit
+    medium_transmit, medium_end = Medium.transmit, Medium._end
     on_generated, on_drop = Recorder.on_generated, Recorder.on_drop
 
     def checked(mac, frame):
@@ -45,8 +103,32 @@ def test_every_variant_token_keeps_the_invariants(text):
             dropped.append(pkt.pid)
         on_drop(rec, pkt)
 
+    def one_frame(mac, *args):
+        # A node has at most one frame of its own on the air.
+        assert not mac.self_tx, "node %d sends twice at once" % mac.node_id
+        return mac_transmit(mac, *args)
+
+    def sense_counts(medium):
+        # Each node counts the frames on the air in its sense range.
+        on_air = Counter(mac.node_id for tx in medium.active.values()
+                         for mac in tx.reach.sensing)
+        assert {nid: mac.sense_count for nid, mac in medium.macs.items()} \
+            == {nid: on_air[nid] for nid in medium.macs}
+
+    def transmit(medium, *args):
+        end = medium_transmit(medium, *args)
+        sense_counts(medium)
+        return end
+
+    def end(medium, *args):
+        medium_end(medium, *args)
+        sense_counts(medium)
+
     with pytest.MonkeyPatch.context() as mp:
         for owner, name, fn in ((MacNode, "_reassemble", checked),
+                                (MacNode, "_transmit", one_frame),
+                                (Medium, "transmit", transmit),
+                                (Medium, "_end", end),
                                 (Recorder, "on_generated", generate),
                                 (Recorder, "on_drop", drop)):
             mp.setattr(owner, name, fn)

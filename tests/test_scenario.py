@@ -353,3 +353,39 @@ def test_edited_scenario_is_run_or_rejected_never_crashes(tmp_path_factory,
     ran, _ = cli_main(["run", str(path)])
     assert validated in (0, 2)
     assert ran == validated
+
+
+# Byte-level damage to a shipped scenario: flipped bits, bytes that are not
+# UTF-8 (a lone continuation byte, a truncated sequence, an overlong form, a
+# surrogate, 0xff), a cut, and a NUL.
+_NOT_UTF8 = [b"\x80", b"\xc3", b"\xe2\x82", b"\xc0\xaf", b"\xed\xa0\x80",
+             b"\xff"]
+
+
+@st.composite
+def _damaged_scenarios(draw):
+    """A shipped scenario's bytes, damaged one to three times."""
+    with open(os.path.join(SCENARIOS, draw(st.sampled_from(_SHIPPED))),
+              "rb") as fh:
+        data = bytearray(fh.read())
+    for kind in draw(st.lists(st.sampled_from(["flip", "utf8", "cut", "nul"]),
+                              min_size=1, max_size=3)):
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip" and data:
+            data[min(at, len(data) - 1)] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "utf8":
+            data[at:at] = draw(st.sampled_from(_NOT_UTF8))
+        elif kind == "cut":
+            del data[at:]
+        elif kind == "nul":
+            data[at:at] = b"\x00"
+    return bytes(data)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_damaged_scenarios())
+def test_damaged_scenario_bytes_validate_or_exit_2(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "damaged.txt"
+    path.write_bytes(data)
+    code, err = cli_main(["validate", str(path)])
+    assert code in (0, 2), err
