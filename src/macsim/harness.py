@@ -167,16 +167,18 @@ def build(s, variant=None, trace=False):
 
 
 def run(s, variant=None, trace=False):
-    sim, medium, macs, recorder = build(s, variant, trace)
+    return _run_built(s, *build(s, variant, trace))
+
+
+def _run_built(s, sim, medium, macs, recorder):
     sim.run_until(s.duration_us)
     metrics = recorder.finalize(s.duration_us, medium.stats)
     return RunResult(metrics, sim.trace_lines, sim, medium, macs, recorder)
 
 
 def compare(variants, s):
-    """One isolated run per variant, same scenario and seed."""
+    """One isolated run per variant, same scenario and seed, built first."""
     if not variants:
         raise ScenarioError("compare needs at least one variant")
-    for v in variants:
-        variant_flags(v)
-    return {v: run(s, variant=v).metrics for v in variants}
+    built = {v: build(s, variant=v) for v in variants}
+    return {v: _run_built(s, *b).metrics for v, b in built.items()}

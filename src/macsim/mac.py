@@ -117,9 +117,6 @@ class MacNode:
         self._ica_nav_end = 0  # its end plus its duration: the primary ACK end
         self._ica_timer = None
 
-        # PCF coordinator hook (set externally for the point coordinator).
-        self.pcf = None
-
         medium.register(self)
 
     # ------------------------------------------------------------------
@@ -129,25 +126,6 @@ class MacNode:
     def _virtually_idle(self):
         return (self.sense_count == 0 and not self.self_tx
                 and self.nav_until <= self.sim.now)
-
-    # The medium keeps `sense_count`: it counts each frame in sense range
-    # in and out, and calls these two only when the count crosses 0/1 while
-    # the node is virtually free (a busy or an idle edge), or on every start
-    # and end at a node that carries a point coordinator.  So each tests the
-    # edge again, for the coordinator's calls.
-    def on_sense_enter(self):
-        if (self.sense_count == 1 and not self.self_tx
-                and self.nav_until <= self.sim.now):
-            self._on_busy_edge()
-        if self.pcf is not None:
-            self.pcf.on_sense_enter()
-
-    def on_sense_exit(self):
-        if (self.sense_count == 0 and not self.self_tx
-                and self.nav_until <= self.sim.now):
-            self._on_idle_edge()
-        if self.pcf is not None:
-            self.pcf.on_sense_exit()
 
     # set_nav runs for nearly every overheard frame, and mostly extends a
     # pending NAV, so the expiry Event is moved with Simulator.reschedule
@@ -216,6 +194,11 @@ class MacNode:
             if cat.timer is None and cat.queue:
                 self._arm_now(cat, now)
 
+    # The medium keeps `sense_count` and calls these two only when it
+    # crosses 0/1 while the node is virtually free: a busy or an idle edge.
+    on_sense_enter = _on_busy_edge
+    on_sense_exit = _on_idle_edge
+
     # ------------------------------------------------------------------
     # access arming
     # ------------------------------------------------------------------
@@ -225,7 +208,7 @@ class MacNode:
             return
         if self.phase != IDLE or not self._virtually_idle():
             return
-        if self.idle_since is None:
+        if self.idle_since is None:  # a NAV ends now: its expiry edge arms
             return
         self._arm_now(cat, self.sim.now)
 
@@ -436,8 +419,6 @@ class MacNode:
         def on_end():
             self.self_tx = False
             self._maybe_idle_edge()
-            if self.pcf is not None:
-                self.pcf.on_tx_end()
             if after is not None:
                 after()
 

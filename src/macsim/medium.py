@@ -52,8 +52,10 @@ every node of its sender's `sensing` list, in id order, and its end, after
 the pass, takes it off again.  The count is the model's.  The MacNode is
 called (`on_sense_enter`, `on_sense_exit`) only on a real edge, when the
 count goes from 0 to 1 or from 1 to 0 while neither its NAV nor its own
-frame holds it busy; a node that carries a point coordinator is called at
-every start and end, because the coordinator acts on any of them.
+frame holds it busy.  The point coordinator (`coordinator`, set before the
+first frame) acts on every start and end its node senses: a reach table
+keeps it as `pcf` if its node senses the sender, and the medium calls it
+after the count loop, and calls `on_tx_end` after its own node's frames.
 
 A collision at a frame's destination joins it and the concurrent frames
 audible there in one collision episode, a union-find over the entries:
@@ -73,12 +75,13 @@ _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
 class _Reach:
     """One sender's reach table; see the module docstring."""
 
-    __slots__ = ("hearers", "power", "sensing", "links", "clean_rate")
+    __slots__ = ("hearers", "power", "sensing", "pcf", "links", "clean_rate")
 
-    def __init__(self, hearers, sensing, clean_rate):
+    def __init__(self, hearers, sensing, pcf, clean_rate):
         self.hearers = hearers  # [(node id, MacNode, power)], by id
         self.power = {nid: p for nid, _, p in hearers}
         self.sensing = sensing  # [MacNode] in sense range, by id
+        self.pcf = pcf  # the coordinator if its node senses the sender
         self.links = {}  # other sender id -> whether their frames interact
         self.clean_rate = clean_rate
 
@@ -147,6 +150,7 @@ class Medium:
         self.control_fer = control_fer
         self.genie_tiebreak = genie_tiebreak
         self.macs = {}  # node id -> MacNode
+        self.coordinator = None  # the PointCoordinator, set before any frame
         self.active = {}  # txid -> _Tx
         self._next_txid = 0
         self.stats = MediumStats()
@@ -186,8 +190,10 @@ class Medium:
                     sensing.append(mac)
                     if d <= hear:  # never above sense_range
                         hearers.append((other, mac, phy.power_at(d)))
+            pc = self.coordinator
             reach = self._reach_of[sender_id] = _Reach(
-                hearers, sensing, self._clean_rate(sender_id, hearers))
+                hearers, sensing, pc if pc and pc.mac in sensing else None,
+                self._clean_rate(sender_id, hearers))
         return reach
 
     def _clean_rate(self, sender_id, hearers):
@@ -247,9 +253,10 @@ class Medium:
         for mac in reach.sensing:
             n = mac.sense_count + 1
             mac.sense_count = n
-            if (n == 1 and not mac.self_tx and mac.nav_until <= now) \
-                    or mac.pcf is not None:
+            if n == 1 and not mac.self_tx and mac.nav_until <= now:
                 mac.on_sense_enter()
+        if reach.pcf is not None:
+            reach.pcf.on_sense_enter()
 
         self.active[tx.txid] = tx
         sim.schedule(tx.end, "tx_end", sender_id, lambda: self._end(tx, on_end))
@@ -259,6 +266,9 @@ class Medium:
         del self.active[tx.txid]
         if on_end is not None:
             on_end()
+        pcf = self.coordinator
+        if pcf is not None and pcf.mac.node_id == tx.sender:
+            pcf.on_tx_end()
         sim = self.sim
         lines = sim.trace_lines
         frame, sender, start, rate = tx.frame, tx.sender, tx.start, tx.rate
@@ -329,9 +339,10 @@ class Medium:
         for mac in tx.reach.sensing:
             n = mac.sense_count - 1
             mac.sense_count = n
-            if (n == 0 and not mac.self_tx and mac.nav_until <= now) \
-                    or mac.pcf is not None:
+            if n == 0 and not mac.self_tx and mac.nav_until <= now:
                 mac.on_sense_exit()
+        if tx.reach.pcf is not None:
+            tx.reach.pcf.on_sense_exit()
 
     def _fer(self, tx, hearer):
         """Frame error rate at `hearer` of a frame that errors can hit."""

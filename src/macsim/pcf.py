@@ -43,7 +43,7 @@ def min_cp_us(params, max_bytes, rate):
 
 
 class PointCoordinator:
-    """Attach to the PC node's MacNode; drives CFP timing off its carrier sense."""
+    """Sends through the PC node's MacNode; the medium calls its hooks."""
 
     def __init__(self, mac, pollable, superframe_us, cfp_max_us, cp_min_us):
         if not pollable:
@@ -63,7 +63,7 @@ class PointCoordinator:
         self._polled = 0
         self._timer = None
         self._boundary = 0
-        mac.pcf = self
+        mac.medium.coordinator = self
 
     def start(self):
         self._boundary = self.sim.now
@@ -153,7 +153,7 @@ class PointCoordinator:
                            "polled=%d" % self._polled)
         self.mac._transmit(frame, 1)
 
-    # -- carrier-sense hooks from the owning MacNode -------------------------
+    # -- carrier-sense hooks, called by the medium ---------------------------
 
     def on_tx_end(self):
         """The node's own frame ended: a beacon or poll step it held back

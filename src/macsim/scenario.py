@@ -125,6 +125,8 @@ def _pollable(value):
     ids = [_int(v) for v in value.split()]
     if not ids:
         raise ValueError("pollable needs at least one node id")
+    if len(set(ids)) < len(ids):
+        raise ValueError("pollable names a node twice")
     return ids
 
 
@@ -342,6 +344,8 @@ def _validate(s):
                 _err(line(("pcf", None)), "[pcf] missing key %r" % key)
         refs.append((("pcf", "coordinator"), s.pcf["coordinator"]))
         refs += [(("pcf", "pollable"), nid) for nid in s.pcf["pollable"]]
+        if s.pcf["coordinator"] in s.pcf["pollable"]:
+            _err(line(("pcf", "pollable")), "pollable names the coordinator")
     for at, nid in refs:
         if nid not in s.positions:
             _err(line(at), "references unknown node %d" % nid)

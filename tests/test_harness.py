@@ -62,6 +62,18 @@ def test_compare_invalid_variant_rejected():
         assert str(err.value) == message
 
 
+def test_compare_builds_every_variant_before_running_any(monkeypatch):
+    # dcf builds, edcf does not: the scenario has no [edcf] section.
+    runs = []
+    monkeypatch.setattr(engine.Simulator, "run_until",
+                        lambda sim, until: runs.append(until))
+    s = parse_scenario(single_cell(2, 500, 1, 100_000))
+    with pytest.raises(ScenarioError) as err:
+        harness.compare(["dcf", "dcf+edcf"], s)
+    assert str(err.value) == "edcf variant needs an [edcf] section"
+    assert runs == []
+
+
 def test_cbr_flow_paces_arrivals():
     # 1 Mbps of 500-byte packets over 0.1 s = 25 packets.
     text = single_cell(1, 500, seed=1, duration_us=100_000,

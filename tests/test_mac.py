@@ -364,6 +364,28 @@ def test_response_timeout_outlived_by_its_exchange_is_not_armed():
     assert recorder.finalize(45_000, medium.stats).flows[13].delivered_packets
 
 
+def test_packet_arriving_as_the_nav_ends_arms_at_the_expiry_idle_edge():
+    # The NAV ends at 1,000 us and a packet arrives at that instant, before
+    # the NAV expiry event runs: the node is virtually idle but has no idle
+    # edge yet.  It must not arm from the busy edge's missing `idle_since`;
+    # the expiry's idle edge arms it, counting from 1,000 us.
+    sim, medium, macs, recorder = harness.build(parse_scenario(
+        "[sim]\nduration_us = 2000\n[nodes]\n0 = 0 0\n1 = 5 0\n"
+        "[links]\nhear_range = 50\n[flows]\n"))
+    mac = macs[0]
+    cat = mac.cats[0]
+    cat.backoff_slots = 3
+    seen = []
+    sim.schedule(1_000, "test_arrival", 0, lambda: mac.enqueue(
+        Packet(0, 0, 0, 1, 500, 1_000)))
+    sim.schedule(1_000, "probe", 0, lambda: seen.append(cat.timer))
+    mac.set_nav(1_000)
+    sim.run_until(1_000)
+    assert seen == [None]
+    assert mac.idle_since == cat.count_start == 1_000
+    assert cat.timer.time == 1_000 + mac.params.difs_us + 3 * mac.params.slot_us
+
+
 def test_genie_tiebreak_sees_every_category_timer():
     # Nodes 1 and 2 both reach the medium at t=90 on category 0, and node 2
     # dispatches first.  Node 1 armed its category 1, due at t=170, last:

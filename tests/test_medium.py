@@ -238,12 +238,16 @@ def test_frames_far_apart_leave_each_other_out():
     assert got[1, 0, RTS] == got[3, 2, RTS] == phy.RECEIVED
 
 
-def test_sense_calls_reach_a_node_only_on_an_edge_or_its_coordinator(
+def test_sense_calls_reach_a_node_only_on_an_edge_and_the_coordinator_always(
         monkeypatch):
-    # Node 0 sends twice.  Node 1's NAV covers the first frame only; node
-    # 2's covers every frame, but node 2 carries a point coordinator.  Then
-    # node 1 sends a long frame of its own, and node 0 a third one inside it.
-    sim, medium, macs, _ = _cell([(0, 0), (5, 0), (10, 0)])
+    # A MacNode's sense hooks are its plain edge handlers.
+    assert vars(MacNode)["on_sense_enter"] is vars(MacNode)["_on_busy_edge"]
+    assert vars(MacNode)["on_sense_exit"] is vars(MacNode)["_on_idle_edge"]
+    # Node 0 sends twice.  Node 1's NAV covers the first frame only, and
+    # node 2's both; node 2 carries the coordinator.  Then node 1 sends a
+    # long frame of its own, and node 0 a third one inside it.  Node 3, out
+    # of everyone's range, sends one frame, and node 2 one of its own.
+    sim, medium, macs, _ = _cell([(0, 0), (5, 0), (10, 0), (100, 0)])
     calls = []
     for name in ("on_sense_enter", "on_sense_exit"):
         method = getattr(MacNode, name)
@@ -251,46 +255,61 @@ def test_sense_calls_reach_a_node_only_on_an_edge_or_its_coordinator(
             calls.append((sim.now, mac.node_id, name, mac.sense_count)),
             method(mac)))
     pcf = []
-    macs[2].pcf = SimpleNamespace(
-        on_sense_enter=lambda: pcf.append((sim.now, "enter")),
-        on_sense_exit=lambda: pcf.append((sim.now, "exit")))
+
+    def hook(name):
+        return lambda: pcf.append(
+            (sim.now, name, macs[2].sense_count, macs[2].self_tx))
+
+    medium.coordinator = SimpleNamespace(
+        mac=macs[2], on_sense_enter=hook("enter"), on_sense_exit=hook("exit"),
+        on_tx_end=hook("tx_end"))
+    assert not medium._reach_of  # no frame was sent yet
     macs[1].set_nav(5_000)
-    macs[2].set_nav(100_000)
+    macs[2].set_nav(12_000)
     edges = []
     monkeypatch.setattr(macs[1], "_on_busy_edge",
                         lambda: edges.append((sim.now, "busy")))
     monkeypatch.setattr(macs[1], "_on_idle_edge",
                         lambda: edges.append((sim.now, "idle")))
-    # Node 0's frames are for node 2, which its NAV keeps from answering,
-    # and node 1's for no node; no frame sets a NAV.
+    # Node 0's frames are for node 2, which its NAV or node 1's frame keeps
+    # from answering, and the others' for no node; no frame sets a NAV.
     frame = Frame(RTS, 0, 2, duration=0, xid=7)
     end = frame_airtime(frame, CONTROL_RATE)
     own = Frame(DATA, 1, 9, payload_bytes=1000, xid=8)
     own_end = 15_000 + frame_airtime(own, 1)
+    far = Frame(RTS, 3, 9, duration=0, xid=9)
+    pc_own = Frame(DATA, 2, 9, payload_bytes=100, xid=10)
+    pc_end = 50_000 + frame_airtime(pc_own, 1)
     _send(sim, medium, [(1_000, frame, CONTROL_RATE),
                         (10_000, frame, CONTROL_RATE),
-                        (16_000, frame, CONTROL_RATE)])
+                        (16_000, frame, CONTROL_RATE),
+                        (40_000, far, CONTROL_RATE)])
     sim.schedule(15_000, "test_send", 1, lambda: macs[1]._transmit(own, 1))
-    sim.run_until(30_000)
-    assert own_end > 16_000 + end
+    sim.schedule(50_000, "test_send", 2, lambda: macs[2]._transmit(pc_own, 1))
+    sim.run_until(60_000)
+    assert 16_000 + end < own_end < 40_000
     assert calls == [
-        (1_000, 2, "on_sense_enter", 1), (1_000 + end, 2, "on_sense_exit", 0),
-        (10_000, 1, "on_sense_enter", 1), (10_000, 2, "on_sense_enter", 1),
-        (10_000 + end, 1, "on_sense_exit", 0),
-        (10_000 + end, 2, "on_sense_exit", 0),
-        # Node 1 is sending its own frame: neither edge reaches it.
+        (10_000, 1, "on_sense_enter", 1), (10_000 + end, 1, "on_sense_exit", 0),
+        # Node 1 is sending its own frame: neither edge reaches it, and
+        # node 2 gets only the count's 0/1 crossings.
         (15_000, 0, "on_sense_enter", 1), (15_000, 2, "on_sense_enter", 1),
-        (16_000, 2, "on_sense_enter", 2), (16_000 + end, 2, "on_sense_exit", 1),
-        (own_end, 0, "on_sense_exit", 0), (own_end, 2, "on_sense_exit", 0)]
+        (own_end, 0, "on_sense_exit", 0), (own_end, 2, "on_sense_exit", 0),
+        (50_000, 0, "on_sense_enter", 1), (50_000, 1, "on_sense_enter", 1),
+        (pc_end, 0, "on_sense_exit", 0), (pc_end, 1, "on_sense_exit", 0)]
     # The NAV's own expiry is node 1's idle edge at 5,000, and its own
     # frame's start and end are the others.
-    assert edges == [(5_000, "idle"), (10_000, "busy"), (10_000 + end, "idle"),
-                     (15_000, "busy"), (own_end, "idle")]
+    assert edges == [(5_000, "idle"), (15_000, "busy"), (own_end, "idle")]
+    # The coordinator gets every start and end its node senses, after the
+    # counts moved, nothing of node 3's frame, and the end of its node's
+    # own frame after the node's own end callback.
     assert pcf == [
-        (1_000, "enter"), (1_000 + end, "exit"), (10_000, "enter"),
-        (10_000 + end, "exit"), (15_000, "enter"), (16_000, "enter"),
-        (16_000 + end, "exit"), (own_end, "exit")]
-    assert [mac.sense_count for mac in macs.values()] == [0, 0, 0]
+        (1_000, "enter", 1, False), (1_000 + end, "exit", 0, False),
+        (10_000, "enter", 1, False), (10_000 + end, "exit", 0, False),
+        (15_000, "enter", 1, False), (16_000, "enter", 2, False),
+        (16_000 + end, "exit", 1, False), (own_end, "exit", 0, False),
+        (pc_end, "tx_end", 0, False)]
+    assert medium.reach(3).pcf is None and medium.reach(2).pcf is None
+    assert [mac.sense_count for mac in macs.values()] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("name,duration_us,variant", [
@@ -401,13 +420,14 @@ class _ReferenceStats:
 def _reference_sense_enter(mac):
     """Carrier sense as each node kept it before the medium counted it: a
     bump and an edge test per node in range, and every start for a point
-    coordinator."""
+    coordinator, at its node's turn in the loop."""
     mac.sense_count += 1
     if (mac.sense_count == 1 and not mac.self_tx
             and mac.nav_until <= mac.sim.now):
         mac._on_busy_edge()
-    if mac.pcf is not None:
-        mac.pcf.on_sense_enter()
+    pcf = mac.medium.coordinator
+    if pcf is not None and pcf.mac is mac:
+        pcf.on_sense_enter()
 
 
 def _reference_sense_exit(mac):
@@ -415,8 +435,9 @@ def _reference_sense_exit(mac):
     if (mac.sense_count == 0 and not mac.self_tx
             and mac.nav_until <= mac.sim.now):
         mac._on_idle_edge()
-    if mac.pcf is not None:
-        mac.pcf.on_sense_exit()
+    pcf = mac.medium.coordinator
+    if pcf is not None and pcf.mac is mac:
+        pcf.on_sense_exit()
 
 
 class ReferenceMedium(Medium):
@@ -424,8 +445,9 @@ class ReferenceMedium(Medium):
     hearer per transmission, one `_resolve` call per hearer, the general
     capture rule over the whole overlapping group with powers read from the
     Topology, an error rate for every frame that errors can hit, a txid
-    union-find for the collision episodes, and a carrier-sense call to
-    every node in range at each start and end."""
+    union-find for the collision episodes, a carrier-sense call to every
+    node in range at each start and end, and the point coordinator's calls
+    where its node's MacNode made them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -478,6 +500,18 @@ class ReferenceMedium(Medium):
 
     def _end(self, tx, on_end):
         del self.active[tx.txid]
+        pcf = self.coordinator
+        if pcf is not None and pcf.mac.node_id == tx.sender:
+            # The coordinator's hook ran inside its node's end callback,
+            # between the idle-edge test and the callback's `after`.
+            mac = pcf.mac
+
+            def idle_edge_then_tx_end():
+                del mac._maybe_idle_edge  # once: `after` may call it again
+                mac._maybe_idle_edge()
+                pcf.on_tx_end()
+
+            mac._maybe_idle_edge = idle_edge_then_tx_end
         if on_end is not None:
             on_end()
         sim = self.sim
@@ -554,7 +588,8 @@ def test_one_pass_resolution_matches_reference(text):
 
 
 # Every token brings in the point coordinator, which the medium calls on
-# every carrier-sense start and end, not only on edges.
+# every carrier-sense start and end, not only on edges, and at the end of
+# its node's own frames.
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(small_scenarios(every_token=True))
 def test_every_variant_token_matches_reference(text):

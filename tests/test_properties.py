@@ -196,8 +196,8 @@ def _footprint(name, variant, duration_us):
         owners += [("mac%d" % nid, mac), ("mac%d.rate" % nid, mac.rate_scheme),
                    ("mac%d.backoff" % nid, mac.backoff_scheme)]
         owners += [("mac%d.cat%d" % (nid, c.index), c) for c in mac.cats]
-        if mac.pcf is not None:
-            owners.append(("mac%d.pcf" % nid, mac.pcf))
+    if medium.coordinator is not None:
+        owners.append(("coordinator", medium.coordinator))
     for label, owner in owners:
         for key, value in vars(owner).items():
             if isinstance(value, (dict, list, set, deque)):

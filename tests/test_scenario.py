@@ -192,6 +192,15 @@ def test_pcf_pollable_must_name_a_node():
     _expect_error(text, "line %d: pollable needs at least one node id" % line)
 
 
+@pytest.mark.parametrize("pollable,message", [
+    # The coordinator would poll itself and wait out a PIFS every CFP.
+    ("0 1 2", "pollable names the coordinator"),
+    ("1 2 1", "pollable names a node twice")])
+def test_pcf_pollable_must_name_other_nodes_once(pollable, message):
+    text, line = _pcf_infra("pollable = 1 2", "pollable = " + pollable)
+    _expect_error(text, "line %d: %s" % (line, message))
+
+
 def test_pcf_periods_must_fit_the_superframe():
     text, line = _pcf_infra("cp_min_us = 20000", "cp_min_us = 40000")
     _expect_error(text, "line %d: cfp_max_us 30000 + cp_min_us 40000 exceeds "
