@@ -79,10 +79,12 @@ class Beb:
     backoff scheme.
 
     The mac calls `draw` for a fresh backoff, `on_success` after each acked
-    DATA frame, `on_failure` after each missed CTS or ACK, `on_transmit` for
-    each frame it sends, `on_overhear_cts` for each CTS addressed to
-    another node, and `on_hear` for each frame it receives if the scheme
-    defines one.
+    DATA frame and `on_failure` after each missed CTS or ACK.  A scheme may
+    also define three hooks, which the mac looks up once and calls only if
+    they exist: `on_transmit` for each frame it sends, `on_overhear_cts` for
+    each CTS it overhears (addressed to another node, or to this one when
+    its exchange is not waiting for it), and `on_hear` for each frame it
+    receives.  Binary exponential backoff defines none of them.
     """
 
     def draw(self, cat, rng):
@@ -93,12 +95,6 @@ class Beb:
 
     def on_failure(self, mac, cat):
         cat.cw = min(2 * cat.cw, cat.cw_max)
-
-    def on_transmit(self, mac, frame):
-        pass
-
-    def on_overhear_cts(self, mac, frame):
-        pass
 
 
 class Mild(Beb):

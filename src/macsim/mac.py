@@ -25,6 +25,9 @@ DCFP_WAIT_CTS = "dcfp_wait_cts"  # data receiver offered a piggyback, waits CTS
 DCFP_WAIT_REV = "dcfp_wait_rev"  # data sender granted it, waits reverse DATA
 ICA_WINDOW = "ica_window"
 
+# The point coordinator's frames, which an overhearing node handles by kind.
+_CF_KINDS = frozenset((BEACON, CF_POLL, CF_ACK, CF_END))
+
 
 @dataclass
 class Packet:
@@ -86,8 +89,11 @@ class MacNode:
         self.fixed_rate = fixed_rate
         self.rate_scheme = rate_scheme
         self.backoff_scheme = backoff_scheme
-        # Only a scheme that reads received frames defines `on_hear`.
+        # A scheme defines only the hooks it needs; see fairness.Beb.
         self._on_hear = getattr(backoff_scheme, "on_hear", None)
+        self._on_transmit = getattr(backoff_scheme, "on_transmit", None)
+        self._on_overhear_cts = getattr(backoff_scheme, "on_overhear_cts",
+                                        None)
         self.dcfplus = dcfplus
         self.ica_wait = ica_wait
         self.cats = categories
@@ -411,7 +417,8 @@ class MacNode:
     # ------------------------------------------------------------------
 
     def _transmit(self, frame, rate, after=None):
-        self.backoff_scheme.on_transmit(self, frame)
+        if self._on_transmit is not None:
+            self._on_transmit(self, frame)
         if self._virtually_idle():
             self._on_busy_edge()
         self.self_tx = True
@@ -454,41 +461,49 @@ class MacNode:
     # reception
     # ------------------------------------------------------------------
 
-    def on_frame(self, frame, rate, start):
+    # A frame addressed to this node is handled by the exchange it belongs
+    # to.  Everything else, and a CTS or ACK the current exchange is not
+    # waiting for, falls through to the overhear tail, which ends in at most
+    # one NAV update.
+    def on_frame(self, frame):
         if self._on_hear is not None:
             self._on_hear(self, frame)
         kind = frame.kind
+        if frame.dst == self.node_id:
+            if kind == RTS:
+                return self._maybe_cts(frame)
+            if kind == DATA or kind == DATA_CF_ACK:
+                return self._on_data(frame)
+            phase = self.phase
+            if kind == ACK and phase == AWAIT_ACK:
+                return self._on_ack(frame)
+            if kind == ACK and phase == ICA_WINDOW:
+                return self._ica_on_ack()
+            if kind == CTS and phase == AWAIT_CTS:
+                return self._on_cts(frame)
+            if kind == CTS and phase == DCFP_WAIT_CTS:
+                return self._dcfp_send_reverse(frame)
+            if kind == CF_POLL:
+                return self._on_poll(frame)
         if kind == RTS:
-            if frame.dst == self.node_id:
-                self._maybe_cts(frame)
-            else:
-                self._overhear_rts(frame)
+            if self.ica_wait is not None and self.phase == IDLE:
+                return self._ica_watch(frame)
         elif kind == CTS:
-            if frame.dst == self.node_id and self.phase == AWAIT_CTS:
-                self._on_cts(frame)
-            elif frame.dst == self.node_id and self.phase == DCFP_WAIT_CTS:
-                self._dcfp_send_reverse(frame)
-            else:
-                self._overhear_cts(frame)
-        elif kind in (DATA, DATA_CF_ACK):
-            if frame.dst == self.node_id:
-                self._on_data(frame)
-            else:
-                self._overhear(frame)
-        elif kind == ACK:
-            if frame.dst == self.node_id and self.phase == AWAIT_ACK:
-                self._on_ack(frame)
-            elif frame.dst == self.node_id and self.phase == ICA_WINDOW:
-                self._ica_on_ack()
-            else:
-                self._overhear(frame)
-        elif kind == BEACON:
-            self.set_nav(self.sim.now + frame.duration, frame.xid)
-        elif kind == CF_POLL:
-            if frame.dst == self.node_id:
-                self._on_poll(frame)
-        elif kind == CF_END:
-            self._nav_reset()
+            if self._ica_timer is not None and self._ica_xid == frame.xid:
+                self._ica_timer.cancel()
+                self._ica_timer = None
+            if self._on_overhear_cts is not None:
+                self._on_overhear_cts(self, frame)
+        elif kind in _CF_KINDS:
+            if kind == BEACON:
+                self.set_nav(self.sim.now + frame.duration, frame.xid)
+            elif kind == CF_END:
+                self._nav_reset()
+            return
+        xid = frame.xid
+        if frame.duration > 0 or xid == self.nav_xid:
+            self.set_nav(self.sim.now + frame.duration, xid,
+                         frame.rsh == 1 or xid == self.nav_xid)
 
     def _nav_reset(self):
         self.nav_until = self.sim.now
@@ -497,32 +512,18 @@ class MacNode:
             self._nav_event.cancel()
         self._maybe_idle_edge()
 
-    def _overhear(self, frame):
-        if frame.duration > 0 or frame.xid == self.nav_xid:
-            self.set_nav(self.sim.now + frame.duration, frame.xid,
-                         replace=(frame.rsh == 1 or frame.xid == self.nav_xid))
-
-    def _overhear_cts(self, frame):
-        if self._ica_timer is not None and self._ica_xid == frame.xid:
+    def _ica_watch(self, frame):
+        """An idle ICA node overheard an RTS: defer like DCF would, but only
+        until the CTS question is settled; the timeout either frees the
+        node (exposed) or re-blocks it."""
+        self._ica_xid = frame.xid
+        self._ica_nav_end = self.sim.now + frame.duration
+        if self._ica_timer is not None:
             self._ica_timer.cancel()
-            self._ica_timer = None
-        self.backoff_scheme.on_overhear_cts(self, frame)
-        self._overhear(frame)
-
-    def _overhear_rts(self, frame):
-        if self.ica_wait is not None and self.phase == IDLE:
-            self._ica_xid = frame.xid
-            self._ica_nav_end = self.sim.now + frame.duration
-            if self._ica_timer is not None:
-                self._ica_timer.cancel()
-            self._ica_timer = self.sim.schedule_in(
-                self.ica_wait, "ica_cts_timeout", self.node_id,
-                self._ica_cts_timeout)
-            # Defer like DCF would, but only until the CTS question is
-            # settled; the timeout either frees us (exposed) or re-blocks.
-            self.set_nav(self.sim.now + self.ica_wait, frame.xid)
-            return
-        self._overhear(frame)
+        self._ica_timer = self.sim.schedule_in(
+            self.ica_wait, "ica_cts_timeout", self.node_id,
+            self._ica_cts_timeout)
+        self.set_nav(self.sim.now + self.ica_wait, frame.xid)
 
     # -- responder side -------------------------------------------------
 

@@ -35,14 +35,15 @@ of them.  Outcomes are resolved when a transmission ends:
 - a frame with an empty list whose error rate is 0 at every hearer (sent
   at or below its sender's clean rate, or a control frame exempt from
   errors) is received by every hearer without further tests;
-- otherwise each hearer, in id order, takes one pass: a hearer that sent
-  one of the concurrent frames loses it (half duplex); then one loop over
-  the concurrent frames collides it as soon as an audible one started
-  earlier or is strictly stronger there, and else collects the audible
-  powers in txid order.  With none audible the frame error draw decides
-  (a frame above a link's rate cap errors with probability 1 and still
-  takes its draw); with some, the capture rule (`phy.resolve_capture`)
-  does.
+- otherwise whether each concurrent frame started earlier is settled once
+  for the frame, and each hearer, in id order, takes one pass: a hearer
+  that sent one of the concurrent frames loses it (half duplex); then one
+  loop over the concurrent frames collides it as soon as an audible one
+  started earlier or is strictly stronger there, and else adds up the
+  audible powers left to right in txid order.  With none audible the
+  frame error draw decides (a frame above a link's rate cap errors with
+  probability 1 and still takes its draw); with some, the capture rule
+  (`phy.resolve_capture`, called once for that hearer with the sum) does.
 
 Nodes that only sense the sender are not visited by the pass.
 
@@ -68,6 +69,7 @@ from math import hypot
 
 from . import phy
 from .frames import CONTROL_KINDS, DATA, DATA_CF_ACK, ACK, frame_airtime
+from .phy import COLLIDED, ERRORED, NOT_HEARD, RECEIVED
 
 _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
 
@@ -271,7 +273,7 @@ class Medium:
             pcf.on_tx_end()
         sim = self.sim
         lines = sim.trace_lines
-        frame, sender, start, rate = tx.frame, tx.sender, tx.start, tx.rate
+        frame, sender, rate = tx.frame, tx.sender, tx.rate
         kind = frame.kind
         concurrent = tx.concurrent
         # On static error-free links up to the reach table's clean rate,
@@ -283,57 +285,58 @@ class Medium:
             if lines is not None:
                 # Every hearer's line differs only in the node field.
                 stamp = f"{sim.now}\t"
-                tail = f"\trx\t{phy.RECEIVED} from {sender} {kind}"
+                tail = f"\trx\t{RECEIVED} from {sender} {kind}"
                 for hearer, mac, _ in tx.reach.hearers:
                     lines.append(f"{stamp}{hearer}{tail}")
-                    mac.on_frame(frame, rate, start)
+                    mac.on_frame(frame)
             else:
                 for _, mac, _ in tx.reach.hearers:
-                    mac.on_frame(frame, rate, start)
+                    mac.on_frame(frame)
         else:
             stats = self.stats
             dst = frame.dst
             ratio = self.capture_ratio
+            start = tx.start
             busy = {e[1] for e in concurrent}
-            others = [(e[2], e[3]) for e in concurrent]  # (start, power map)
+            # Per concurrent frame: whether it started before this one (then
+            # it collides this frame wherever it is audible), its power map.
+            rivals = [(e[2] < start, e[3]) for e in concurrent]
             for hearer, mac, p0 in tx.reach.hearers:  # by id
                 if hearer in busy:
-                    outcome = phy.NOT_HEARD  # half duplex: it was sending
+                    outcome = NOT_HEARD  # half duplex: it was sending
                 else:
-                    audible = []
-                    for st, power in others:
+                    outcome = RECEIVED
+                    rest = None  # the audible rivals' powers, summed
+                    for earlier, power in rivals:  # txid order
                         p = power.get(hearer)
                         if p is not None:
                             # Capture fails outright if the other frame
                             # started first or is strictly stronger.
-                            if st < start or p > p0:
-                                outcome = phy.COLLIDED
+                            if earlier or p > p0:
+                                outcome = COLLIDED
                                 break
-                            audible.append(p)
+                            rest = p if rest is None else rest + p
                     else:
-                        if audible:
-                            outcome = (phy.RECEIVED if phy.resolve_capture(
-                                p0, audible, ratio) else phy.COLLIDED)
-                        elif fer_free:
-                            outcome = phy.RECEIVED
-                        else:
+                        if rest is not None:
+                            if not phy.resolve_capture(p0, rest, ratio):
+                                outcome = COLLIDED
+                        elif not fer_free:
                             fer = self._fer(tx, hearer)
-                            outcome = (phy.ERRORED if fer > 0.0
-                                       and mac.rng.bernoulli(fer)
-                                       else phy.RECEIVED)
+                            if fer > 0.0 and mac.rng.bernoulli(fer):
+                                outcome = ERRORED
                 if lines is not None:
                     lines.append(
                         f"{sim.now}\t{hearer}\trx\t{outcome} from {sender} {kind}")
-                if outcome == phy.RECEIVED:
-                    mac.on_frame(frame, rate, start)
+                if outcome == RECEIVED:
+                    mac.on_frame(frame)
                 elif hearer == dst:
-                    if outcome == phy.COLLIDED:
+                    if outcome == COLLIDED:
                         stats.collided_transmissions += 1
                         stats.record_collision(tx.entry, [
                             e for e in concurrent if hearer in e[3]])
                         if kind == ACK:
                             stats.ack_collisions += 1
-                    elif outcome == phy.ERRORED:
+                    elif outcome == ERRORED:
                         stats.errored += 1
         now = sim.now
         for mac in tx.reach.sensing:

@@ -153,18 +153,15 @@ def validate_matrix(matrix):
             raise ValueError("row %d does not sum to 1" % i)
 
 
-def resolve_capture(power, others, capture_ratio):
+def resolve_capture(power, rest, capture_ratio):
     """True when a frame received at `power` captures the hearer over the
-    overlapping frames received at `others` (in txid order).
+    overlapping frames whose powers there sum to `rest`.
 
-    The frame must beat the sum of the others by the capture ratio.  The
-    medium tests start order (preamble capture) and a strictly stronger
-    rival itself, so this sees only frames that started no earlier and are
-    no stronger.  The sum is folded left to right, as `sum()` did before
-    Python 3.12 compensated it, so the decision is the same on every
-    version.
+    The frame must beat that sum by the capture ratio.  The medium tests
+    start order (preamble capture) and a strictly stronger rival itself,
+    so the sum holds only frames that started no earlier and are no
+    stronger.  The medium folds it left to right in txid order with `+`,
+    never with `sum()`, which Python 3.12 made compensated, so the decision
+    is the same on every version.
     """
-    rest = 0.0
-    for p in others:
-        rest += p
     return not power < capture_ratio * rest

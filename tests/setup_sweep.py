@@ -11,9 +11,16 @@ size at every N, so a cost per transmission that grows with N is work
 spent on frames that cannot interact.  The run is timed once, then run
 again to count the carrier-sense calls the medium makes to MacNodes.
 
+Last the run cost of one cell as N grows: `dense_cell` (every node hears
+every other, every sender backlogged) at N = 25 and 81 over 0.2 s
+simulated.  Every frame reaches N - 1 hearers, so the cost per
+transmission grows with N; the count of `MacNode.on_frame` calls per
+transmission shows the receive fan-out.
+
     PYTHONPATH=src python tests/setup_sweep.py
 
-Prints two Markdown tables.  It only reports: it fails only on an exception.
+Prints three Markdown tables.  It only reports: it fails only on an
+exception.
 """
 
 import gc
@@ -29,6 +36,7 @@ from macsim.scenario import parse_scenario
 SIDES = (9, 17, 32)  # N = side * side
 REACH_SIDES = (9, 17)
 RUN_SIDES = (8, 16, 32)
+CELL_SIDES = (5, 9)
 RUN_US = 200_000
 
 
@@ -80,16 +88,15 @@ def reach_cost(side):
         tracemalloc.stop()
 
 
-def sense_calls(s):
-    """MacNode.on_sense_enter and on_sense_exit calls in a run of `s`."""
+def mac_calls(s, names):
+    """Calls of the named MacNode methods in a run of `s`."""
     calls = [0]
-    methods = {name: getattr(MacNode, name)
-               for name in ("on_sense_enter", "on_sense_exit")}
+    methods = {name: getattr(MacNode, name) for name in names}
 
     def counted(method):
-        def call(mac):
+        def call(mac, *args):
             calls[0] += 1
-            method(mac)
+            method(mac, *args)
         return call
 
     try:
@@ -103,17 +110,18 @@ def sense_calls(s):
     return calls[0]
 
 
-def run_cost(side):
-    """(us per transmission, us per dispatched event, carrier-sense calls
-    per transmission) of `jittered_grid(side)` over RUN_US."""
-    s = parse_scenario(jittered_grid(side, 1, RUN_US))
+def run_cost(text, counted):
+    """(us per transmission, us per dispatched event, calls of the
+    `counted` MacNode methods per transmission) of one timed run of the
+    scenario `text` and one counted run."""
+    s = parse_scenario(text)
     sim, medium, _, _ = harness.build(s)
     gc.collect()
     t = time.perf_counter()
     sim.run_until(s.duration_us)
     us = (time.perf_counter() - t) * 1e6
     tx = medium.stats.total_transmissions
-    return us / tx, us / sim.dispatched, sense_calls(s) / tx
+    return us / tx, us / sim.dispatched, mac_calls(s, counted) / tx
 
 
 def main():
@@ -133,7 +141,16 @@ def main():
           "| carrier-sense calls per transmission |")
     print("|---|---|---|---|")
     for side in RUN_SIDES:
-        print("| %d | %.1f | %.1f | %.2f |" % (side * side, *run_cost(side)))
+        print("| %d | %.1f | %.1f | %.2f |" % (side * side, *run_cost(
+            jittered_grid(side, 1, RUN_US),
+            ("on_sense_enter", "on_sense_exit"))))
+    print()
+    print("| N, one cell | us per transmission | us per event "
+          "| on_frame calls per transmission |")
+    print("|---|---|---|---|")
+    for side in CELL_SIDES:
+        print("| %d | %.1f | %.1f | %.2f |" % (side * side, *run_cost(
+            dense_cell(side, 1, RUN_US), ("on_frame",))))
 
 
 if __name__ == "__main__":

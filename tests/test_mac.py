@@ -190,7 +190,7 @@ def _receive_twice_fragmented():
     first = Frame(DATA, 1, 0, payload_bytes=500, packet=pkt)
     final = Frame(DATA, 1, 0, payload_bytes=500, packet=pkt, frag_offset=500)
     for frame in (first, final, final):
-        macs[0].on_frame(frame, 11, 0)
+        macs[0].on_frame(frame)
     return rec, medium, pkt, sim.trace_lines
 
 

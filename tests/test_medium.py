@@ -7,7 +7,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
-from conftest import jittered_grid, shipped, small_scenarios
+from conftest import dense_cell, jittered_grid, shipped, small_scenarios
 from hypothesis import given, settings
 
 from macsim import harness, metrics, phy
@@ -130,10 +130,10 @@ def _outcomes(sim):
     return got
 
 
-def _receptions(positions, sends, capture_ratio=10):
+def _receptions(positions, sends, capture_ratio=10, hear_range=50):
     """Send an RTS to node 0 from each (sender, start time) in `sends` and
     return node 0's outcome per sender, with the medium's stats."""
-    sim, medium, _, _ = _cell(positions, capture_ratio)
+    sim, medium, _, _ = _cell(positions, capture_ratio, hear_range)
     _send(sim, medium, [(t, Frame(RTS, sender, 0, duration=1000), CONTROL_RATE)
                         for sender, t in sends])
     sim.run_until(2_000)
@@ -183,6 +183,61 @@ def test_capture_colocated_senders_collide():
     got, stats = _receptions(positions, [(1, 0), (2, 5)])
     assert got == {1: phy.COLLIDED, 2: phy.COLLIDED}
     assert stats.collision_events == 1
+
+
+def _counting_capture(monkeypatch):
+    """Count the medium's calls of the capture rule, which it makes through
+    the `phy` module attribute (perfbench counts them there too)."""
+    calls = []
+    rule = phy.resolve_capture
+
+    def counted(power, rest, ratio):
+        calls.append((power, rest, ratio))
+        return rule(power, rest, ratio)
+
+    monkeypatch.setattr(phy, "resolve_capture", counted)
+    return calls
+
+
+# Node 0 hears node 1 at power 4, node 2 at 1 and nodes 3 and 4, 1e8 m away,
+# at 1e-16 each.  Folded left to right, 1.0 + 1e-16 + 1e-16 is exactly 1.0,
+# so node 1's frame meets the ratio of 4; in the other txid order the two
+# small powers add up first and the sum exceeds 1.0 (as test_phy's fold).
+@pytest.mark.parametrize("order,outcome,rest", [
+    ((1, 2, 3, 4), phy.RECEIVED, 1.0),
+    ((3, 4, 2, 1), phy.COLLIDED, 1.0000000000000002),
+])
+def test_capture_sums_rival_powers_left_to_right_in_txid_order(
+        monkeypatch, order, outcome, rest):
+    calls = _counting_capture(monkeypatch)
+    positions = [(0, 0), (0.5, 0), (-1, 0), (0, 1e8), (0, -1e8)]
+    got, _ = _receptions(positions, [(sender, 0) for sender in order],
+                         capture_ratio=4, hear_range=3e8)
+    assert got == {1: outcome, 2: phy.COLLIDED, 3: phy.COLLIDED,
+                   4: phy.COLLIDED}
+    # Every other node sends, so node 0 is the only hearer, and only node
+    # 1's frame there has no rival that is stronger.
+    assert calls == [(4.0, rest, 4.0)]
+
+
+@pytest.mark.parametrize("early", [False, True])
+def test_capture_weaker_frame_that_started_earlier_collides_anyway(
+        monkeypatch, early):
+    # At node 0, node 1's frame is a million times stronger than node 2's
+    # and node 3's.  Node 3 starts with node 1, and on its own node 1
+    # captures over it.  When node 2 started 50 us earlier, node 1's frame
+    # collides without the capture rule being asked.
+    calls = _counting_capture(monkeypatch)
+    positions = [(0, 0), (1, 0), (0, 1000), (0, -1000)]
+    sends = [(2, 0)] * early + [(1, 50), (3, 50)]
+    got, stats = _receptions(positions, sends, hear_range=5000)
+    if early:
+        assert got == {1: phy.COLLIDED, 2: phy.COLLIDED, 3: phy.COLLIDED}
+        assert (stats.collided_transmissions, stats.collision_events) == (3, 1)
+        assert calls == []  # node 0 is the only node not sending
+    else:
+        assert got == {1: phy.RECEIVED, 3: phy.COLLIDED}
+        assert calls[0] == (1.0, 1e-6, 10.0)  # node 0 asks first, by id
 
 
 # -- what a frame's resolution looks at --------------------------------------
@@ -453,6 +508,7 @@ class ReferenceMedium(Medium):
         super().__init__(*args, **kwargs)
         self.stats = _ReferenceStats()
         self._ref_reach = {}  # sender id -> [(node id, MacNode, hears)]
+        self.capture_questions = 0
 
     def _reach_list(self, sender_id):
         """(node id, MacNode, hears) for every node sensing `sender_id`."""
@@ -521,7 +577,7 @@ class ReferenceMedium(Medium):
                 sim.trace(hearer, "rx", "%s from %s %s" % (
                     outcome, tx.sender, tx.frame.kind))
             if outcome == phy.RECEIVED:
-                self.macs[hearer].on_frame(tx.frame, tx.rate, tx.start)
+                self.macs[hearer].on_frame(tx.frame)
             elif outcome == phy.COLLIDED and hearer == tx.frame.dst:
                 self.stats.collided_transmissions += 1
                 self.stats.record_collision(
@@ -542,6 +598,11 @@ class ReferenceMedium(Medium):
             powers = [self.topology.received_power(t.sender, hearer)
                       for t in group]
             starts = [(t.start,) for t in group]
+            # The hearers where the medium must ask `phy.resolve_capture`:
+            # no rival started earlier or is stronger.
+            if not any(st < tx.start or p > powers[0]
+                       for (st,), p in zip(starts[1:], powers[1:])):
+                self.capture_questions += 1
             winner = _reference_capture(starts, powers, self.capture_ratio)
             if winner != 0:
                 return phy.COLLIDED
@@ -579,6 +640,22 @@ def _matches_reference(text):
                   if a != b), min(len(trace), len(want_trace)))
     assert trace[first:first + 1] == want_trace[first:first + 1]
     assert len(trace) == len(want_trace)
+
+
+@pytest.mark.parametrize("text", [dense_cell(3, 2, 300_000),
+                                  jittered_grid(5, 7, 300_000)],
+                         ids=["dense_cell", "jittered_grid"])
+def test_capture_rule_asked_once_per_hearer_with_no_earlier_or_stronger_rival(
+        monkeypatch, text):
+    # perfbench's `phy.capture_resolutions` counts these calls.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "Medium", ReferenceMedium)
+        s = parse_scenario(text)
+        sim, medium, _, _ = harness.build(s)
+        sim.run_until(s.duration_us)
+    calls = _counting_capture(monkeypatch)
+    harness.run(parse_scenario(text))
+    assert len(calls) == medium.capture_questions > 0
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

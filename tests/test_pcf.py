@@ -137,7 +137,7 @@ def test_cf_response_that_empties_the_queue_leaves_no_access_to_take():
                        "base_fer_high = 0\n[flows]\n1 = 1 0 cbr 100 800\n")
     sim, medium, macs, recorder = harness.build(s, trace=True)
     poll = Frame(CF_POLL, 0, 1, payload_bytes=CF_POLL_BYTES)
-    sim.schedule(10, "test_poll", 0, lambda: macs[1].on_frame(poll, 1, 10))
+    sim.schedule(10, "test_poll", 0, lambda: macs[1].on_frame(poll))
     sim.run_until(s.duration_us)
     assert _events(sim.trace_lines, "access_fire")
     assert [l for _, l in _events(sim.trace_lines, "tx_start")] == [

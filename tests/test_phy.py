@@ -1,5 +1,7 @@
 """Radio medium model: airtime, FER, capture, link quality."""
 
+import math
+
 import pytest
 from conftest import dense_cell
 from setup_sweep import build_peak
@@ -118,33 +120,37 @@ def test_received_power_clamped_below_min_distance():
 
 # -- capture ----------------------------------------------------------------
 
+# `resolve_capture` takes the rivals' powers already summed; the medium
+# folds them left to right (see test_medium's capture cases).
+
 def test_capture_single_frame_received():
-    assert resolve_capture(1.0, [], 10.0) is True
+    assert resolve_capture(1.0, 0.0, 10.0) is True
 
 
 def test_capture_equal_power_collides():
-    assert resolve_capture(1.0, [1.0], 10.0) is False
+    assert resolve_capture(1.0, 1.0, 10.0) is False
 
 
 def test_capture_near_far_stronger_first_wins():
     # Start order and strictly stronger rivals are the medium's tests; see
     # test_medium's capture cases.
-    assert resolve_capture(1.0, [0.05], 10.0) is True
-    assert resolve_capture(1.0, [0.1], 10.0) is True  # exactly the ratio
-    assert resolve_capture(1.0, [0.05, 0.06], 10.0) is False  # against the sum
+    assert resolve_capture(1.0, 0.05, 10.0) is True
+    assert resolve_capture(1.0, 0.1, 10.0) is True  # exactly the ratio
+    assert resolve_capture(1.0, 0.05 + 0.06, 10.0) is False  # against the sum
 
 
 def test_capture_tie_captures_below_unit_ratio():
     # With a ratio below 1 an equal-power rival does not stop capture.
-    assert resolve_capture(1.0, [0.5, 1.0], 0.5) is True
-    assert resolve_capture(1.0, [0.5, 1.0], 1.0) is False
+    assert resolve_capture(1.0, 0.5 + 1.0, 0.5) is True
+    assert resolve_capture(1.0, 0.5 + 1.0, 1.0) is False
 
 
 def test_capture_folds_powers_left_to_right():
     # 1.0 + 1e-16 + 1e-16 is exactly 1.0 folded left to right, so the frame
     # meets the ratio of 1; a compensated sum gives 1.0000000000000002 and
     # would not capture.
-    assert resolve_capture(1.0, [1.0, 1e-16, 1e-16], 1.0) is True
+    assert resolve_capture(1.0, 1.0 + 1e-16 + 1e-16, 1.0) is True
+    assert resolve_capture(1.0, math.fsum([1.0, 1e-16, 1e-16]), 1.0) is False
 
 
 # -- link quality process ---------------------------------------------------
