@@ -73,6 +73,17 @@ _ChainElem = namedtuple("_ChainElem", "packet size standalone")
 
 
 class MacNode:
+    # The medium's loops and every handler read these fields, so they sit
+    # at fixed offsets: past about 30 fields CPython moves an instance's
+    # fields to a dict.  A new field goes in the list (test_mac checks it).
+    __slots__ = ("sim", "medium", "node_id", "params", "rng", "recorder",
+                 "fixed_rate", "rate_scheme", "backoff_scheme", "_on_hear",
+                 "_on_transmit", "_on_overhear_cts", "dcfplus", "ica_wait",
+                 "cats", "sense_count", "self_tx", "nav_until", "nav_xid",
+                 "_nav_event", "idle_since", "phase", "_chain", "_chain_idx",
+                 "_cur_cat", "_timer", "_data_rate", "_xid", "_next_xid",
+                 "_ica_xid", "_ica_nav_end", "_ica_timer")
+
     # harness.build resolves every setting: `ica_wait` is the CTS wait after
     # an overheard RTS (None: ICA off), and `categories` holds the plain-DCF
     # category or one per EDCF category.

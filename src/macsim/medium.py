@@ -5,18 +5,18 @@ interval at every node in range.  Sensing (energy detection, blocks access)
 reaches `sense_range`; decoding reaches `hear_range`.
 
 Node positions never change after `harness.build`, so who senses and hears
-a sender, and at what power, is static.  The medium measures each distance
-from a sender once, on that sender's first transmission, in one loop over
-the node positions, and keeps the answer in that sender's reach table: the
-hearer table, (node id, MacNode, received power) for every node that hears
-the sender, in id order; the same powers as a {node id: power} map; the
-MacNodes in sense range, in id order, whose carrier sense it counts
-(hear range never exceeds sense range, so those cover the hearers too);
-and the clean rate, the highest rate at which the sender's frames
-have zero error rate at every hearer (0 on fading links, or when a
-hearer's link state has a nonzero base error rate).  Moving a node, or
-changing a static link's state, after the first transmission would leave
-the table stale.
+a sender, and at what power, is static.  On the first transmission the
+medium builds every node's reach table in one pass over the node pairs,
+which measures each pair's distance, and its power if in hear range, once
+for both tables.  A sender's table holds the hearer table, (node id,
+MacNode, received power) for every node that hears the sender, in id
+order; the same powers as a {node id: power} map; the MacNodes in sense
+range, in id order, whose carrier sense it counts (hear range never
+exceeds sense range, so those cover the hearers too); and the clean rate,
+the highest rate at which the sender's frames have zero error rate at
+every hearer (0 on fading links, or when a hearer's link state has a
+nonzero base error rate).  Moving a node, or changing a static link's
+state, after the first transmission would leave the tables stale.
 
 Each reach table also caches, per other sender, whether the two senders'
 frames interact: one sent by a hearer of the other (half duplex), or one
@@ -157,7 +157,6 @@ class Medium:
         self._next_txid = 0
         self.stats = MediumStats()
         self._reach_of = {}  # sender id -> _Reach
-        self._by_id = None  # sorted(macs.items()), made with the first table
         self._quality_stream = None
         if quality.dwell_us > 0 and quality.matrix is not None:
             from .engine import RandomStream
@@ -175,28 +174,41 @@ class Medium:
     # -- static reach tables --
 
     def reach(self, sender_id):
-        """The reach table of `sender_id`, built on the first call."""
+        """The reach table of `sender_id`; the first call builds them all."""
         reach = self._reach_of.get(sender_id)
         if reach is None:
-            topo = self.topology
-            positions = topo.positions
-            sense, hear = topo.sense_range, topo.hear_range
-            sx, sy = positions[sender_id]
-            if self._by_id is None:
-                self._by_id = sorted(self.macs.items())
-            hearers, sensing = [], []
-            for other, mac in self._by_id:
-                ox, oy = positions[other]
-                d = hypot(sx - ox, sy - oy)  # as Topology.distance
-                if d <= sense and other != sender_id:
-                    sensing.append(mac)
-                    if d <= hear:  # never above sense_range
-                        hearers.append((other, mac, phy.power_at(d)))
-            pc = self.coordinator
-            reach = self._reach_of[sender_id] = _Reach(
-                hearers, sensing, pc if pc and pc.mac in sensing else None,
-                self._clean_rate(sender_id, hearers))
+            self._build_reach()
+            reach = self._reach_of[sender_id]
         return reach
+
+    def _build_reach(self):
+        """Every node's reach table, each node pair measured once for both;
+        taking the pairs in id order keeps each table in id order."""
+        topo = self.topology
+        positions = topo.positions
+        sense, hear = topo.sense_range, topo.hear_range
+        by_id = sorted(self.macs.items())
+        hearers = {nid: [] for nid, _ in by_id}
+        sensing = {nid: [] for nid, _ in by_id}
+        for i, (a, mac_a) in enumerate(by_id):
+            ax, ay = positions[a]
+            hear_a, sense_a = hearers[a], sensing[a]
+            for b, mac_b in by_id[i + 1:]:
+                bx, by = positions[b]
+                d = hypot(ax - bx, ay - by)  # as Topology.distance
+                if d <= sense:
+                    sense_a.append(mac_b)
+                    sensing[b].append(mac_a)
+                    if d <= hear:  # never above sense_range
+                        p = phy.power_at(d)
+                        hear_a.append((b, mac_b, p))
+                        hearers[b].append((a, mac_a, p))
+        pc = self.coordinator
+        for nid, _ in by_id:
+            self._reach_of[nid] = _Reach(
+                hearers[nid], sensing[nid],
+                pc if pc and pc.mac in sensing[nid] else None,
+                self._clean_rate(nid, hearers[nid]))
 
     def _clean_rate(self, sender_id, hearers):
         """The highest rate at which every frame of `sender_id` has zero

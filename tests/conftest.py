@@ -1,5 +1,5 @@
-"""Shared helpers used across the test modules: scenario text builders and
-an in-process command-line call."""
+"""Shared helpers used across the test modules: scenario text builders, an
+in-process command-line call and an attribute walk."""
 
 import contextlib
 import io
@@ -29,6 +29,16 @@ def cli_main(args):
         except SystemExit as e:
             code = e.code
     return code, err.getvalue()
+
+
+def fields(obj):
+    """(name, value) of each attribute `obj` holds, from its `__dict__` and
+    from the `__slots__` along its class's MRO; an unset slot is left out."""
+    yield from getattr(obj, "__dict__", {}).items()
+    for cls in type(obj).__mro__:
+        for name in vars(cls).get("__slots__", ()):
+            if hasattr(obj, name):
+                yield name, getattr(obj, name)
 
 
 def shipped(name, duration_us, variant=None):

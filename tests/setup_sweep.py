@@ -8,14 +8,20 @@ Then the run cost of a sparse grid as N grows: `jittered_grid` (10 m
 spacing, hear 15 m, sense 25 m, half the nodes backlogged) at N = 64, 256
 and 1,024 over 0.2 s simulated.  Each frame's neighbourhood has the same
 size at every N, so a cost per transmission that grows with N is work
-spent on frames that cannot interact.  The run is timed once, then run
-again to count the carrier-sense calls the medium makes to MacNodes.
+spent on frames that cannot interact.  A counted run then gives the
+carrier-sense calls the medium makes to MacNodes.
 
 Last the run cost of one cell as N grows: `dense_cell` (every node hears
 every other, every sender backlogged) at N = 25 and 81 over 0.2 s
 simulated.  Every frame reaches N - 1 hearers, so the cost per
 transmission grows with N; the count of `MacNode.on_frame` calls per
 transmission shows the receive fan-out.
+
+Each run-cost row is the median of three timed runs.  Each run is scaled
+to the reference machine's seconds by perfbench/calibrate.py's `Clock`,
+from reference passes just before and after it, so rows from two runs of
+this script compare even when the host's speed drifts between them; the
+row prints the median run's scale factor.
 
     PYTHONPATH=src python tests/setup_sweep.py
 
@@ -24,6 +30,8 @@ exception.
 """
 
 import gc
+import os
+import sys
 import time
 import tracemalloc
 
@@ -33,11 +41,16 @@ from macsim import harness
 from macsim.mac import MacNode
 from macsim.scenario import parse_scenario
 
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import calibrate  # noqa: E402
+
 SIDES = (9, 17, 32)  # N = side * side
 REACH_SIDES = (9, 17)
 RUN_SIDES = (8, 16, 32)
 CELL_SIDES = (5, 9)
 RUN_US = 200_000
+RUN_REPS = 3  # timed runs per run-cost row; the row takes the median
 
 
 def build_peak(s):
@@ -112,16 +125,23 @@ def mac_calls(s, names):
 
 def run_cost(text, counted):
     """(us per transmission, us per dispatched event, calls of the
-    `counted` MacNode methods per transmission) of one timed run of the
-    scenario `text` and one counted run."""
+    `counted` MacNode methods per transmission, scale factor) of the scenario
+    `text`: the times are those of the median of RUN_REPS scaled runs, the
+    calls those of one counted run."""
     s = parse_scenario(text)
-    sim, medium, _, _ = harness.build(s)
-    gc.collect()
-    t = time.perf_counter()
-    sim.run_until(s.duration_us)
-    us = (time.perf_counter() - t) * 1e6
-    tx = medium.stats.total_transmissions
-    return us / tx, us / sim.dispatched, mac_calls(s, counted) / tx
+    runs = []
+    for _ in range(RUN_REPS):
+        sim, medium, _, _ = harness.build(s)
+        gc.collect()
+        clock = calibrate.Clock()
+        t = time.perf_counter()
+        sim.run_until(s.duration_us)
+        us = time.perf_counter() - t
+        factor = clock.factor()
+        runs.append((us * factor * 1e6, factor, sim.dispatched,
+                     medium.stats.total_transmissions))
+    us, factor, events, tx = sorted(runs)[RUN_REPS // 2]
+    return us / tx, us / events, mac_calls(s, counted) / tx, factor
 
 
 def main():
@@ -138,18 +158,18 @@ def main():
                                              peak / 2**20, reach))
     print()
     print("| N | us per transmission | us per event "
-          "| carrier-sense calls per transmission |")
-    print("|---|---|---|---|")
+          "| carrier-sense calls per transmission | scale factor |")
+    print("|---|---|---|---|---|")
     for side in RUN_SIDES:
-        print("| %d | %.1f | %.1f | %.2f |" % (side * side, *run_cost(
+        print("| %d | %.1f | %.1f | %.2f | %.3f |" % (side * side, *run_cost(
             jittered_grid(side, 1, RUN_US),
             ("on_sense_enter", "on_sense_exit"))))
     print()
     print("| N, one cell | us per transmission | us per event "
-          "| on_frame calls per transmission |")
-    print("|---|---|---|---|")
+          "| on_frame calls per transmission | scale factor |")
+    print("|---|---|---|---|---|")
     for side in CELL_SIDES:
-        print("| %d | %.1f | %.1f | %.2f |" % (side * side, *run_cost(
+        print("| %d | %.1f | %.1f | %.2f | %.3f |" % (side * side, *run_cost(
             dense_cell(side, 1, RUN_US), ("on_frame",))))
 
 

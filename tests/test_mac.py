@@ -3,7 +3,7 @@
 import ast
 import os
 
-from conftest import ica_frag, shipped, single_cell
+from conftest import fields, ica_frag, shipped, single_cell
 from macsim import harness
 from macsim import mac as mac_mod
 from macsim.frames import ACK_AIR, CTS_AIR, DATA, RTS_AIR, Frame
@@ -294,7 +294,7 @@ def test_ica_window_sends_one_frame_flush_with_primary_data():
 def _estimate_samples(mac):
     """(time, bits) samples held by any traffic estimator the node keeps."""
     samples = []
-    for obj in vars(mac).values():
+    for _, obj in fields(mac):
         for name in ("_own", "_others"):
             samples += list(getattr(obj, name, ()))
     return samples
@@ -507,3 +507,48 @@ def test_every_src_function_is_referenced_in_src():
     unused = sorted(q for q, name in defs.items() if name not in refs)
     assert unused == sorted(_UNREFERENCED_OK), \
         "defs with no reference in src/: %s" % unused
+
+
+def _instance_fields(cls_node):
+    """Names a class's methods assign on their first parameter, closures
+    inside them included, and the fields a dataclass body annotates."""
+    names = {n.target.id for n in cls_node.body
+             if isinstance(n, ast.AnnAssign)
+             and isinstance(n.target, ast.Name)}
+    for fn in cls_node.body:
+        if not isinstance(fn, ast.FunctionDef) or not fn.args.args:
+            continue
+        me = fn.args.args[0].arg
+        names.update(n.attr for n in ast.walk(fn)
+                     if isinstance(n, ast.Attribute)
+                     and isinstance(n.ctx, ast.Store)
+                     and isinstance(n.value, ast.Name) and n.value.id == me)
+    return names
+
+
+def test_mac_node_fields_have_a_fixed_layout():
+    # CPython keeps about 30 fields of an instance inline and puts the rest
+    # in a per-instance dict, so MacNode, which the medium's loops read for
+    # every node in range, declares its fields.  A field assigned only in a
+    # rare branch (ICA, DCF+) fails here rather than mid-run.
+    src = os.path.dirname(mac_mod.__file__)
+    big = []
+    for fname in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            slotted = any(isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in n.targets) for n in cls.body)
+            assigned = _instance_fields(cls)
+            if fname == "mac.py" and cls.name == "MacNode":
+                assert slotted
+                slots = mac_mod.MacNode.__slots__
+                assert len(slots) == len(set(slots))
+                assert set(slots) == assigned
+            elif not slotted and len(assigned) >= 29:
+                big.append((fname, cls.name, len(assigned)))
+    assert not big, "classes near the inline-field limit: %s" % big
+    s = parse_scenario(single_cell(2, 500, 1, 10_000))
+    _, _, macs, _ = harness.build(s)
+    assert not any(hasattr(mac, "__dict__") for mac in macs.values())

@@ -321,11 +321,15 @@ def test_sense_calls_reach_a_node_only_on_an_edge_and_the_coordinator_always(
     assert not medium._reach_of  # no frame was sent yet
     macs[1].set_nav(5_000)
     macs[2].set_nav(12_000)
+    # Node 1's edge handlers record each edge instead of acting on it; the
+    # other nodes keep theirs.
     edges = []
-    monkeypatch.setattr(macs[1], "_on_busy_edge",
-                        lambda: edges.append((sim.now, "busy")))
-    monkeypatch.setattr(macs[1], "_on_idle_edge",
-                        lambda: edges.append((sim.now, "idle")))
+    for name, edge in (("_on_busy_edge", "busy"), ("_on_idle_edge", "idle")):
+        method = getattr(MacNode, name)
+        monkeypatch.setattr(
+            MacNode, name, lambda mac, edge=edge, method=method: (
+                edges.append((sim.now, edge)) if mac is macs[1]
+                else method(mac)))
     # Node 0's frames are for node 2, which its NAV or node 1's frame keeps
     # from answering, and the others' for no node; no frame sets a NAV.
     frame = Frame(RTS, 0, 2, duration=0, xid=7)
@@ -557,19 +561,24 @@ class ReferenceMedium(Medium):
     def _end(self, tx, on_end):
         del self.active[tx.txid]
         pcf = self.coordinator
+        idle_edge = vars(MacNode)["_maybe_idle_edge"]
         if pcf is not None and pcf.mac.node_id == tx.sender:
             # The coordinator's hook ran inside its node's end callback,
-            # between the idle-edge test and the callback's `after`.
-            mac = pcf.mac
-
-            def idle_edge_then_tx_end():
-                del mac._maybe_idle_edge  # once: `after` may call it again
-                mac._maybe_idle_edge()
+            # between the idle-edge test and the callback's `after`.  The
+            # class carries it for the callback's first call, which is the
+            # coordinator node's own.
+            def idle_edge_then_tx_end(mac):
+                # Once: the callback's `after` may call it again.
+                MacNode._maybe_idle_edge = idle_edge
+                idle_edge(mac)
                 pcf.on_tx_end()
 
-            mac._maybe_idle_edge = idle_edge_then_tx_end
-        if on_end is not None:
-            on_end()
+            MacNode._maybe_idle_edge = idle_edge_then_tx_end
+        try:
+            if on_end is not None:
+                on_end()
+        finally:
+            MacNode._maybe_idle_edge = idle_edge
         sim = self.sim
         for hearer in tx.overlaps:
             outcome = self._resolve(tx, hearer)

@@ -8,7 +8,7 @@ import sys
 from collections import Counter, deque
 
 import pytest
-from conftest import SCENARIOS, shipped, small_scenarios
+from conftest import SCENARIOS, fields, shipped, small_scenarios
 from hypothesis import example, given, settings
 
 import macsim
@@ -199,7 +199,7 @@ def _footprint(name, variant, duration_us):
     if medium.coordinator is not None:
         owners.append(("coordinator", medium.coordinator))
     for label, owner in owners:
-        for key, value in vars(owner).items():
+        for key, value in fields(owner):
             if isinstance(value, (dict, list, set, deque)):
                 sizes["%s.%s" % (label, key)] = _size(value)
     return r, sizes
