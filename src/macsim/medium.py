@@ -5,18 +5,21 @@ interval at every node in range.  Sensing (energy detection, blocks access)
 reaches `sense_range`; decoding reaches `hear_range`.
 
 Node positions never change after `harness.build`, so who senses and hears
-a sender, and at what power, is static.  On the first transmission the
-medium builds every node's reach table in one pass over the node pairs,
-which measures each pair's distance, and its power if in hear range, once
-for both tables.  A sender's table holds the hearer table, (node id,
-MacNode, received power) for every node that hears the sender, in id
-order; the same powers as a {node id: power} map; the MacNodes in sense
-range, in id order, whose carrier sense it counts (hear range never
-exceeds sense range, so those cover the hearers too); and the clean rate,
-the highest rate at which the sender's frames have zero error rate at
-every hearer (0 on fading links, or when a hearer's link state has a
-nonzero base error rate).  Moving a node, or changing a static link's
-state, after the first transmission would leave the tables stale.
+a sender, and at what power, is static.  On the run's first transmission
+the medium builds every node's reach table in one pass over the node
+pairs, which measures each pair's distance, and its power if in hear
+range, once for both tables.  A sender's table holds the hearer table,
+(node id, MacNode, received power) for every node that hears the sender,
+in id order; the same powers as a {node id: power} map; and the MacNodes
+in sense range, in id order, whose carrier sense it counts (hear range
+never exceeds sense range, so those cover the hearers too).  Moving a node
+after the first transmission would leave the tables stale.
+
+`quality.fading` (see `phy.LinkQualityProcess`) says whether links fade.
+Static links all share one state, so the medium keeps one clean rate, set
+at construction: the highest rate at which every frame has zero error rate
+at every hearer.  It is 0 on fading links, or when the shared state has a
+nonzero base error rate.
 
 Each reach table also caches, per other sender, whether the two senders'
 frames interact: one sent by a hearer of the other (half duplex), or one
@@ -29,12 +32,14 @@ entry per node, so the cache is bounded by N, not by run length.
 Each transmission keeps one concurrency list: the entries [txid, sender,
 start, sender's power map, episode link] of every other frame on the air
 at some point during it whose sender interacts with its own, in txid
-order.  A frame left out is inaudible at every hearer and was sent by none
-of them.  Outcomes are resolved when a transmission ends:
+order.  Intervals are half-open, so a frame that ends at the instant
+another starts does not overlap it, even while its end event is still
+queued.  A frame left out is inaudible at every hearer and was sent by
+none of them.  Outcomes are resolved when a transmission ends:
 
 - a frame with an empty list whose error rate is 0 at every hearer (sent
-  at or below its sender's clean rate, or a control frame exempt from
-  errors) is received by every hearer without further tests;
+  at or below the clean rate, or a control frame exempt from errors) is
+  received by every hearer without further tests;
 - otherwise whether each concurrent frame started earlier is settled once
   for the frame, and each hearer, in id order, takes one pass: a hearer
   that sent one of the concurrent frames loses it (half duplex); then one
@@ -68,6 +73,7 @@ and an episode is freed with the last frame holding one of its entries.
 from math import hypot
 
 from . import phy
+from .engine import RandomStream
 from .frames import CONTROL_KINDS, DATA, DATA_CF_ACK, ACK, frame_airtime
 from .phy import COLLIDED, ERRORED, NOT_HEARD, RECEIVED
 
@@ -77,15 +83,14 @@ _QUALITY_STREAM_ID = 0x7FFF0001  # reserved substream for link fading
 class _Reach:
     """One sender's reach table; see the module docstring."""
 
-    __slots__ = ("hearers", "power", "sensing", "pcf", "links", "clean_rate")
+    __slots__ = ("hearers", "power", "sensing", "pcf", "links")
 
-    def __init__(self, hearers, sensing, pcf, clean_rate):
+    def __init__(self, hearers, sensing, pcf):
         self.hearers = hearers  # [(node id, MacNode, power)], by id
         self.power = {nid: p for nid, _, p in hearers}
         self.sensing = sensing  # [MacNode] in sense range, by id
         self.pcf = pcf  # the coordinator if its node senses the sender
         self.links = {}  # other sender id -> whether their frames interact
-        self.clean_rate = clean_rate
 
 
 class _Tx:
@@ -157,11 +162,12 @@ class Medium:
         self._next_txid = 0
         self.stats = MediumStats()
         self._reach_of = {}  # sender id -> _Reach
-        self._quality_stream = None
-        if quality.dwell_us > 0 and quality.matrix is not None:
-            from .engine import RandomStream
+        self.clean_rate = 0
+        if quality.fading:
             self._quality_stream = RandomStream(seed, _QUALITY_STREAM_ID)
             sim.schedule_in(quality.dwell_us, "quality_step", "-", self._step_quality)
+        elif base_fer[quality.initial] == 0.0:
+            self.clean_rate = phy.MAX_RATE_FOR_QUALITY[quality.initial]
 
     def register(self, mac):
         self.macs[mac.node_id] = mac
@@ -207,50 +213,38 @@ class Medium:
         for nid, _ in by_id:
             self._reach_of[nid] = _Reach(
                 hearers[nid], sensing[nid],
-                pc if pc and pc.mac in sensing[nid] else None,
-                self._clean_rate(nid, hearers[nid]))
-
-    def _clean_rate(self, sender_id, hearers):
-        """The highest rate at which every frame of `sender_id` has zero
-        error rate at every hearer, or 0 if there is none: fading links
-        change state, and a nonzero base error rate hits every rate."""
-        if self._quality_stream is not None:
-            return 0
-        rate = max(phy.RATES)
-        # With no link set apart, every hearer's link has the shared state.
-        for hearer, _, _ in hearers if self.quality.states else hearers[:1]:
-            q = self.quality.state(sender_id, hearer)
-            if self.base_fer[q] != 0.0:
-                return 0
-            rate = min(rate, phy.MAX_RATE_FOR_QUALITY[q])
-        return rate
+                pc if pc and pc.mac in sensing[nid] else None)
 
     # -- transmission lifecycle --
 
     def transmit(self, sender_id, frame, rate, on_end=None):
         """Put a frame on the air; returns its end time."""
         sim = self.sim
+        now = sim.now
         reach = self.reach(sender_id)
         air = frame_airtime(frame, rate)
-        tx = _Tx(self._next_txid, sender_id, frame, rate, sim.now,
-                 sim.now + air, reach)
+        tx = _Tx(self._next_txid, sender_id, frame, rate, now, now + air,
+                 reach)
         self._next_txid += 1
         self.stats.total_transmissions += 1
         if sim.trace_lines is not None:
             sim.trace_lines.append(
-                f"{sim.now}\t{sender_id}\ttx_start\t{sender_id}->{frame.dst} "
+                f"{now}\t{sender_id}\ttx_start\t{sender_id}->{frame.dst} "
                 f"{frame.kind} len={frame.payload_bytes} rate={rate} "
                 f"dur={frame.duration}")
 
-        # Each frame on the air overlaps the new one, and the reverse.  The
-        # two lists take each other's frame only if one sender hears the
-        # other (half duplex) or some node hears both; no other frame
+        # Each frame on the air overlaps the new one, and the reverse, but
+        # for one that ends at this instant: its `tx_end` is still queued.
+        # The two lists take each other's frame only if one sender hears
+        # the other (half duplex) or some node hears both; no other frame
         # changes an outcome.  Hearing is symmetric, so one test per sender
         # pair serves both lists, and it is cached in both reach tables.
         mine = tx.concurrent
         entry = tx.entry
         links = reach.links
         for t2 in self.active.values():  # txid order
+            if t2.end == now:
+                continue
             linked = links.get(t2.sender)
             if linked is None:
                 power = reach.power
@@ -263,7 +257,6 @@ class Medium:
                 t2.concurrent.append(entry)
         # Carrier sense: the first frame a node senses is a busy edge only
         # if neither its NAV nor its own frame holds it busy already.
-        now = sim.now
         for mac in reach.sensing:
             n = mac.sense_count + 1
             mac.sense_count = n
@@ -288,10 +281,10 @@ class Medium:
         frame, sender, rate = tx.frame, tx.sender, tx.rate
         kind = frame.kind
         concurrent = tx.concurrent
-        # On static error-free links up to the reach table's clean rate,
-        # or for a control frame exempt from errors, the frame error rate
-        # is 0 at every hearer: no draw.
-        fer_free = rate <= tx.reach.clean_rate or (kind in CONTROL_KINDS
+        # On static error-free links up to the medium's clean rate, or for
+        # a control frame exempt from errors, the frame error rate is 0 at
+        # every hearer: no draw.
+        fer_free = rate <= self.clean_rate or (kind in CONTROL_KINDS
                                                    and not self.control_fer)
         if fer_free and not concurrent:
             if lines is not None:

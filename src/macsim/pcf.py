@@ -25,12 +25,11 @@ BEACON_AIR = control_airtime(BEACON_BYTES)
 CF_END_AIR = control_airtime(CF_END_BYTES)
 
 # Coordinator states.
-_OFF = "off"
 _WAIT_BEACON = "wait_beacon"  # waiting for PIFS of idle air at the boundary
 _POLLING = "polling"  # between poll steps
 _WAIT_RESPONSE = "wait_response"  # poll sent, PIFS silence timer armed
 _IN_RESPONSE = "in_response"  # carrier went up; waiting for it to drop
-_CP = "cp"  # contention period until the next boundary
+_CP = "cp"  # contention period until the next boundary, or the first
 _HELD = "held"  # a poll step fell due while the node's own frame was on air
 
 
@@ -58,7 +57,7 @@ class PointCoordinator:
         self.superframe_us = superframe_us
         self.cfp_max_us = cfp_max_us
         self.pos = 0  # round-robin cursor, persists across superframes
-        self.state = _OFF
+        self.state = _CP
         self.cfp_end = 0
         self._polled = 0
         self._timer = None

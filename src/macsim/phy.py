@@ -4,6 +4,10 @@ The PLCP preamble+header (24 bytes) always goes out at 1 Mbps, i.e. a flat
 192 us on every frame; the MPDU then rides at one of the four 802.11b rates.
 Airtimes are rounded up to the next microsecond so reservations never
 undershoot.
+
+Links fade only when a transition matrix is given with a dwell above 0;
+`LinkQualityProcess.fading` is the one place that decides it.  Static links
+all share one quality state and store nothing per link.
 """
 
 import math
@@ -108,28 +112,30 @@ def power_at(d):
 class LinkQualityProcess:
     """Per-ordered-link 4-state Markov chain stepped every `dwell_us`.
 
-    Static links share the state `initial`: `states` holds only the links a
-    caller sets apart, or every ordered link when a matrix makes them fade.
-    Each step advances those in sorted order with draws from the dedicated
-    stream (none with a dwell of 0), so fading is reproducible per seed.
+    Links fade only with a matrix and a dwell above 0 (`fading`); then
+    `states` holds every ordered link, and each step advances them in
+    sorted order with draws from the dedicated stream, so fading is
+    reproducible per seed.  Static links all keep the state `initial`, and
+    `states` stays empty.  A given matrix is validated either way.
     """
 
     def __init__(self, node_ids, initial_state, matrix=None, dwell_us=0):
-        self.initial = initial_state
-        self.states = {}  # (sender, receiver) -> state of a link set apart
-        self.matrix = matrix
-        self.dwell_us = dwell_us
         if matrix is not None:
             validate_matrix(matrix)
-            self.states = {(a, b): initial_state for a in node_ids
-                           for b in node_ids if a != b}
+        self.initial = initial_state
+        self.matrix = matrix
+        self.dwell_us = dwell_us
+        self.fading = matrix is not None and dwell_us > 0
+        # (sender, receiver) -> state, for fading links only
+        self.states = {(a, b): initial_state for a in node_ids
+                       for b in node_ids if a != b} if self.fading else {}
         self._order = sorted(self.states)  # step's draw order
 
     def state(self, sender, receiver):
         return self.states.get((sender, receiver), self.initial)
 
     def step(self, stream):
-        """Advance every link one Markov step (no-op without a matrix)."""
+        """Advance every link one Markov step (no-op on static links)."""
         for link in self._order:
             row = self.matrix[self.states[link]]
             u = stream.uniform()

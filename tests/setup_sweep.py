@@ -17,11 +17,12 @@ simulated.  Every frame reaches N - 1 hearers, so the cost per
 transmission grows with N; the count of `MacNode.on_frame` calls per
 transmission shows the receive fan-out.
 
-Each run-cost row is the median of three timed runs.  Each run is scaled
-to the reference machine's seconds by perfbench/calibrate.py's `Clock`,
-from reference passes just before and after it, so rows from two runs of
-this script compare even when the host's speed drifts between them; the
-row prints the median run's scale factor.
+Every timed figure, build and reach tables as well as run cost, is the
+median of three timed runs.  Each run is scaled to the reference machine's
+seconds by perfbench/calibrate.py's `Clock`, from reference passes just
+before and after it, so rows from two runs of this script compare even
+when the host's speed drifts between them; each figure is followed by its
+median run's scale factor.
 
     PYTHONPATH=src python tests/setup_sweep.py
 
@@ -65,38 +66,51 @@ def build_peak(s):
         tracemalloc.stop()
 
 
+def timed(part):
+    """(scaled seconds, scale factor) of one call of `part`."""
+    gc.collect()
+    clock = calibrate.Clock()
+    t = time.perf_counter()
+    part()
+    seconds = time.perf_counter() - t
+    factor = clock.factor()
+    return seconds * factor, factor
+
+
+def median(runs):
+    """The median of RUN_REPS runs, each a tuple led by its scaled seconds."""
+    return sorted(runs)[RUN_REPS // 2]
+
+
 def build_cost(side):
-    """(best of five build seconds, tracemalloc peak bytes) of
+    """(scaled build seconds, scale factor, tracemalloc peak bytes) of
     `dense_cell(side)`."""
     s = parse_scenario(dense_cell(side))
-    best = float("inf")
-    for _ in range(5):
-        gc.collect()
-        t = time.perf_counter()
-        harness.build(s)
-        best = min(best, time.perf_counter() - t)
-    return best, build_peak(s)[0]
+    seconds, factor = median([timed(lambda: harness.build(s))
+                              for _ in range(RUN_REPS)])
+    return seconds, factor, build_peak(s)[0]
+
+
+def reach_all(medium, macs):
+    for nid in macs:
+        medium.reach(nid)
 
 
 def reach_cost(side):
-    """(best of three seconds, tracemalloc peak bytes) to build every reach
-    table of a freshly built `dense_cell(side)`."""
+    """(scaled seconds, scale factor, tracemalloc peak bytes) to build every
+    reach table of a freshly built `dense_cell(side)`."""
     s = parse_scenario(dense_cell(side))
-    best = float("inf")
-    for _ in range(3):
+    runs = []
+    for _ in range(RUN_REPS):
         _, medium, macs, _ = harness.build(s)
-        gc.collect()
-        t = time.perf_counter()
-        for nid in macs:
-            medium.reach(nid)
-        best = min(best, time.perf_counter() - t)
+        runs.append(timed(lambda: reach_all(medium, macs)))
+    seconds, factor = median(runs)
     _, medium, macs, _ = harness.build(s)
     gc.collect()
     tracemalloc.start()
     try:
-        for nid in macs:
-            medium.reach(nid)
-        return best, tracemalloc.get_traced_memory()[1]
+        reach_all(medium, macs)
+        return seconds, factor, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -132,30 +146,26 @@ def run_cost(text, counted):
     runs = []
     for _ in range(RUN_REPS):
         sim, medium, _, _ = harness.build(s)
-        gc.collect()
-        clock = calibrate.Clock()
-        t = time.perf_counter()
-        sim.run_until(s.duration_us)
-        us = time.perf_counter() - t
-        factor = clock.factor()
-        runs.append((us * factor * 1e6, factor, sim.dispatched,
-                     medium.stats.total_transmissions))
-    us, factor, events, tx = sorted(runs)[RUN_REPS // 2]
+        runs.append((*timed(lambda: sim.run_until(s.duration_us)),
+                     sim.dispatched, medium.stats.total_transmissions))
+    seconds, factor, events, tx = median(runs)
+    us = seconds * 1e6
     return us / tx, us / events, mac_calls(s, counted) / tx, factor
 
 
 def main():
-    print("| N | build s | tracemalloc peak MB | reach tables s "
-          "| reach tables peak MB |")
-    print("|---|---|---|---|---|")
+    print("| N | build s | scale factor | tracemalloc peak MB "
+          "| reach tables s | scale factor | reach tables peak MB |")
+    print("|---|---|---|---|---|---|---|")
     for side in SIDES:
-        seconds, peak = build_cost(side)
-        reach = "- | -"
+        seconds, factor, peak = build_cost(side)
+        reach = "- | - | -"
         if side in REACH_SIDES:
-            reach_s, reach_peak = reach_cost(side)
-            reach = "%.4f | %.1f" % (reach_s, reach_peak / 2**20)
-        print("| %d | %.4f | %.1f | %s |" % (side * side, seconds,
-                                             peak / 2**20, reach))
+            reach_s, reach_factor, reach_peak = reach_cost(side)
+            reach = "%.4f | %.3f | %.1f" % (reach_s, reach_factor,
+                                            reach_peak / 2**20)
+        print("| %d | %.4f | %.3f | %.1f | %s |" % (
+            side * side, seconds, factor, peak / 2**20, reach))
     print()
     print("| N | us per transmission | us per event "
           "| carrier-sense calls per transmission | scale factor |")

@@ -2,7 +2,6 @@
 equivalence with a reference medium that resolves each hearer from its own
 overlap set."""
 
-import random
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -32,36 +31,31 @@ def _clean_rate(medium, sender, hearers):
         for hearer in hearers for size in (0, 300, 2304))), default=0)
 
 
-def _mixed_quality_grid():
-    """The jittered grid with MID links error-free and about a quarter of
-    the links set to MID or LOW before any frame is sent."""
+def _grid(initial_quality=phy.HIGH, base_fer=0.0):
+    """The jittered grid with static links of one state and base error."""
     s = parse_scenario(jittered_grid(5, 7, 50_000))
-    s.base_fer[phy.MID] = 0.0
-    built = harness.build(s)
-    # Static links have no entry of their own until one is set, so walk
-    # the node pairs, not `states`.
-    states = built[1].quality.states
-    ids = sorted(built[2])
-    pick = random.Random(3)
-    for a in ids:
-        for b in ids:
-            if a != b:
-                states[a, b] = pick.choice([phy.HIGH] * 6 + [phy.MID, phy.LOW])
-    return s, built
+    s.initial_quality = initial_quality
+    s.base_fer[initial_quality] = base_fer
+    return s
 
 
-@pytest.mark.parametrize("name", ["ica_string", "grid", "grid_mixed",
-                                  "fading_rate"])
+# Static grids at clean rates 11, 5.5 and 0, and fading links.
+_CLEAN = {"grid": {11}, "grid_mid": {5.5}, "grid_lossy": {0},
+          "fading_rate": {0}, "ica_string": {11}}
+
+
+@pytest.mark.parametrize("name", ["ica_string", "grid", "grid_mid",
+                                  "grid_lossy", "fading_rate"])
 def test_reach_tables_match_topology(name):
     if name == "grid":
-        s = parse_scenario(jittered_grid(5, 7, 50_000))
-        built = harness.build(s)
-    elif name == "grid_mixed":
-        s, built = _mixed_quality_grid()
+        s = _grid()
+    elif name == "grid_mid":
+        s = _grid(phy.MID)
+    elif name == "grid_lossy":
+        s = _grid(base_fer=phy.DEFAULT_BASE_FER[phy.HIGH])
     else:
         s = shipped(name, 200_000, "dcf+ica" if name == "ica_string" else None)
-        built = harness.build(s)
-    sim, medium, macs, _ = built
+    sim, medium, macs, _ = harness.build(s)
     sim.run_until(s.duration_us)
     assert medium._reach_of, "the run built no reach table"
     topo = medium.topology
@@ -77,9 +71,11 @@ def test_reach_tables_match_topology(name):
         assert table.power == {b: p for b, _, p in table.hearers}
         # Every node in sense range, sense-only ones too, gets both edges.
         assert table.sensing == [macs[b] for b in sensing]
-        assert table.clean_rate == _clean_rate(medium, a, hearing)
+        # A sender with no hearers never needs the clean rate.
+        if hearing:
+            assert medium.clean_rate == _clean_rate(medium, a, hearing)
+            clean.add(medium.clean_rate)
         sense_only += len(sensing) - len(hearing)
-        clean.add(table.clean_rate)
     if name.startswith("grid"):
         # The grid must exercise nodes that sense a sender but cannot hear it.
         assert sense_only > 0
@@ -94,8 +90,7 @@ def test_reach_tables_match_topology(name):
                 assert other.links[a] is linked
                 links.add(linked)
         assert links == {False, True}
-    assert clean == {"grid_mixed": {0, 5.5, 11}, "fading_rate": {0}}.get(
-        name, {11})
+    assert clean == _CLEAN[name]
 
 
 # -- capture cases the resolution pass decides -------------------------------
@@ -250,7 +245,7 @@ def test_static_error_free_link_still_caps_the_rate(rate, outcome):
     # overhears a frame for node 2, which is out of range.
     sim, medium, _, _ = _cell([(0, 0), (10, 0), (100, 0)], link_lines=(
         "initial_quality = MID", "base_fer_mid = 0"))
-    assert medium.reach(1).clean_rate == 5.5
+    assert medium.clean_rate == 5.5
     _send(sim, medium, [(0, Frame(DATA, 1, 2, payload_bytes=1000), rate)])
     sim.run_until(5_000)
     assert _outcomes(sim) == {(0, 1, DATA): outcome}
@@ -275,6 +270,24 @@ def test_frame_resolves_against_frames_reaching_its_hearers(src, dst, outcome):
         (0, Frame(RTS, src, dst, duration=1000), CONTROL_RATE)])
     sim.run_until(1_000)
     assert _outcomes(sim)[1, 0, RTS] == outcome
+
+
+@pytest.mark.parametrize("reference", [False, True],
+                         ids=["medium", "reference"])
+def test_frame_that_ends_as_another_starts_does_not_overlap_it(reference):
+    # Hidden terminals A and C each send B an ACK, C's at the instant A's
+    # ends.  C's send is queued before A's end event, so A's frame is still
+    # on the air when C's starts; the intervals are half-open all the same.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "Medium", ReferenceMedium if reference else Medium)
+        sim, medium, _, _ = _cell(_LINE, hear_range=15)
+    air = frame_airtime(Frame(ACK, 0, 1), CONTROL_RATE)
+    _send(sim, medium, [(0, Frame(ACK, 0, 1), CONTROL_RATE),
+                        (air, Frame(ACK, 2, 1), CONTROL_RATE)])
+    sim.run_until(2 * air + 1)
+    got = _outcomes(sim)
+    assert (got[1, 0, ACK], got[1, 2, ACK]) == (phy.RECEIVED, phy.RECEIVED)
+    assert medium.stats.collision_events == 0
 
 
 def test_frames_far_apart_leave_each_other_out():
@@ -537,7 +550,9 @@ class ReferenceMedium(Medium):
                 sender_id, frame.dst, frame.kind, frame.payload_bytes, rate,
                 frame.duration))
 
-        active = self.active.values()
+        # A frame that ends at this instant does not overlap, though its
+        # end event may still be queued.
+        active = [t2 for t2 in self.active.values() if t2.end != sim.now]
         for other, mac, hears in self._reach_list(sender_id):
             if hears:
                 mine = tx.overlaps[other] = set()

@@ -156,8 +156,12 @@ def test_capture_folds_powers_left_to_right():
 # -- link quality process ---------------------------------------------------
 
 def test_validate_matrix_rejects_bad_rows():
+    bad = [[0.5, 0.5, 0.1, 0]] + [[0, 0, 0, 1]] * 3
     with pytest.raises(ValueError):
-        validate_matrix([[0.5, 0.5, 0.1, 0]] + [[0, 0, 0, 1]] * 3)
+        validate_matrix(bad)
+    # A given matrix is checked even when a dwell of 0 keeps links static.
+    with pytest.raises(ValueError):
+        LinkQualityProcess([0, 1], MID, bad, dwell_us=0)
 
 
 def test_identity_matrix_leaves_state_unchanged():
@@ -205,24 +209,31 @@ def test_quality_rate_map_monotone():
     assert rates == [1, 2, 5.5, 11]
 
 
-def test_static_links_share_one_state():
-    nodes = range(1024)
-    q = LinkQualityProcess(nodes, MID)
-    assert q.states == {}
-    assert all(q.state(a, b) == MID for a in nodes for b in nodes if a != b)
-    stream = RandomStream(3, 0)
-    q.step(stream)  # no matrix: nothing moves, nothing is drawn
-    assert q.states == {}
-    assert stream.next_u64() == RandomStream(3, 0).next_u64()
-
-
-def test_fading_links_step_in_sorted_order():
-    m = [[0.4, 0.3, 0.2, 0.1],
+_FADE = [[0.4, 0.3, 0.2, 0.1],
          [0.1, 0.4, 0.3, 0.2],
          [0.2, 0.1, 0.4, 0.3],
          [0.3, 0.2, 0.1, 0.4]]
+
+
+def test_static_links_share_one_state():
+    # Links are static without a matrix, and with one at a dwell of 0.
+    nodes = range(1024)
+    for matrix in (None, _FADE):
+        q = LinkQualityProcess(nodes, MID, matrix)
+        assert q.states == {}
+        assert not q.fading
+        assert all(q.state(a, b) == MID
+                   for a in nodes for b in nodes if a != b)
+        stream = RandomStream(3, 0)
+        q.step(stream)  # static: nothing moves, nothing is drawn
+        assert q.states == {}
+        assert stream.next_u64() == RandomStream(3, 0).next_u64()
+
+
+def test_fading_links_step_in_sorted_order():
     nodes = [3, 0, 12, 2, 1]  # not sorted: insertion order is not the order
-    q = LinkQualityProcess(nodes, HIGH, m, dwell_us=100)
+    q = LinkQualityProcess(nodes, HIGH, _FADE, dwell_us=100)
+    assert q.fading
     assert len(q.states) == len(nodes) * (len(nodes) - 1)
     assert all(q.state(a, b) == HIGH for a in nodes for b in nodes if a != b)
     # Reference: walk sorted(states) on every step, one draw per link.
@@ -232,7 +243,7 @@ def test_fading_links_step_in_sorted_order():
         q.step(stream)
         for link in sorted(want):
             u, acc, nxt = ref.uniform(), 0.0, 3
-            for j, p in enumerate(m[want[link]]):
+            for j, p in enumerate(_FADE[want[link]]):
                 acc += p
                 if u < acc:
                     nxt = j
@@ -244,8 +255,12 @@ def test_fading_links_step_in_sorted_order():
 
 def test_static_1024_node_build_peaks_under_10_mb():
     # A quadratic set-up stored one link state per node pair: about 100 MB
-    # here.  A tracemalloc peak, unlike wall time, is deterministic.
-    peak, (_, medium, macs, _) = build_peak(parse_scenario(dense_cell(32)))
-    assert len(macs) == 1024
-    assert medium.quality.states == {}
-    assert peak < 10 * 2**20
+    # here.  A tracemalloc peak, unlike wall time, is deterministic.  A
+    # matrix with the default dwell of 0 leaves the links static.
+    matrix = "matrix = " + " ".join(str(p) for row in _FADE for p in row)
+    cell = dense_cell(32)
+    for text in (cell, cell.replace("[links]\n", "[links]\n%s\n" % matrix)):
+        peak, (_, medium, macs, _) = build_peak(parse_scenario(text))
+        assert len(macs) == 1024
+        assert medium.quality.states == {}
+        assert peak < 10 * 2**20
