@@ -15,7 +15,9 @@ SLOT_US = 20
 SIFS_US = 10
 
 
-@dataclass
+# Frozen: harness.build gives every node without `node.N.*` keys one
+# shared instance.
+@dataclass(frozen=True)
 class MacParams:
     slot_us: int = SLOT_US
     sifs_us: int = SIFS_US

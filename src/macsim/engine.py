@@ -67,9 +67,14 @@ class Simulator:
         """Trace into `sink`, or into a new list."""
         self.trace_lines = [] if sink is None else sink
 
-    def trace(self, node, kind, detail=""):
-        if self.trace_lines is not None:
-            self.trace_lines.append(f"{self.now}\t{node}\t{kind}\t{detail}")
+    def trace(self, node, kind, fmt="", *args):
+        """One model event's line, with `fmt % args` as its detail (`fmt`
+        alone when there are no args).  Formats nothing unless tracing is
+        on, so callers need no guard of their own."""
+        lines = self.trace_lines
+        if lines is not None:
+            detail = fmt % args if args else fmt
+            lines.append(f"{self.now}\t{node}\t{kind}\t{detail}")
 
     def schedule(self, time, kind, target, fn):
         """Enqueue `fn` to run at `time`.  Returns a cancellable Event handle."""

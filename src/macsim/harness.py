@@ -1,6 +1,7 @@
 """Wire a Scenario into a live simulation: nodes, medium, traffic, metrics."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from functools import partial
 
 from . import fairness, rate, scenario as scn_mod
 from .dcf import MacParams
@@ -30,29 +31,79 @@ class RunResult:
 
 
 def _rate_scheme(name, mac, fixed_rate):
+    """A maker of the node's rate scheme."""
     if name == "arf":
-        return rate.Arf(fixed_rate, mac.get("arf_timer_us", rate.ARF_TIMER_US))
+        return partial(rate.Arf, fixed_rate,
+                       mac.get("arf_timer_us", rate.ARF_TIMER_US))
     if name == "rbar":
-        return rate.Rbar(fixed_rate)
+        return partial(rate.Rbar, fixed_rate)
     if name == "oar":
-        return rate.Oar(fixed_rate, mac.get("oar_ref_bytes", rate.OAR_REF_BYTES))
-    return rate.FixedRate(fixed_rate)
+        return partial(rate.Oar, fixed_rate,
+                       mac.get("oar_ref_bytes", rate.OAR_REF_BYTES))
+    return partial(rate.FixedRate, fixed_rate)
 
 
 def _backoff_scheme(name, s, mac):
+    """A maker of the node's backoff scheme."""
     if name == "mild":
-        return fairness.Mild(mac.get("mild_factor", fairness.MILD_FACTOR))
+        return partial(fairness.Mild,
+                       mac.get("mild_factor", fairness.MILD_FACTOR))
     if name == "est":
-        return fairness.Est(mac.get("est_phi", 0.5),
-                            mac.get("est_window_us", fairness.EST_WINDOW_US))
+        return partial(fairness.Est, mac.get("est_phi", 0.5),
+                       mac.get("est_window_us", fairness.EST_WINDOW_US))
     if name == "dfs":
-        # By default a max-size packet at phi=1 maps to cw_min slots.
-        max_bits = max((f.packet_bytes * 8 for f in s.flows), default=12000)
-        return fairness.Dfs(mac.get("phi", 1.0),
-                            mac.get("dfs_scaling", 16.0 / max_bits),
-                            mac.get("dfs_random", True),
-                            mac.get("dfs_compress"))
-    return fairness.Beb()
+        scaling = mac.get("dfs_scaling")
+        if scaling is None:
+            # By default a max-size packet at phi=1 maps to cw_min slots.
+            scaling = 16.0 / max((f.packet_bytes * 8 for f in s.flows),
+                                 default=12000)
+        return partial(fairness.Dfs, mac.get("phi", 1.0), scaling,
+                       mac.get("dfs_random", True), mac.get("dfs_compress"))
+    return fairness.Beb
+
+
+class _NodeSettings:
+    """Every setting a node takes from `[mac]` and its `node.N.*` keys,
+    resolved once: all nodes without such keys share one instance, and
+    with it one frozen MacParams.  `mac_node` builds what each node keeps
+    for itself: its categories, rate and backoff schemes, random stream and
+    MacNode."""
+
+    def __init__(self, s, overrides, variant):
+        mac = {**s.mac, **overrides}  # [mac], then node.N.*
+        flags = variant_flags(variant or mac.get("variant", s.variant))
+        params = MacParams(**{k: mac[k] for k in _PARAM_KEYS if k in mac})
+        if flags["two_way"]:
+            params = replace(params, rts_threshold=_NO_RTS)
+        if flags["edcf"]:
+            if not s.edcf_cats:
+                raise ScenarioError("edcf variant needs an [edcf] section")
+            cats = []
+            for i, (aifs, pf, cw_min, cw_max) in enumerate(s.edcf_cats):
+                if aifs < params.difs_us:
+                    scn_mod._err(s.key_lines[("edcf", "cat%d" % i)],
+                                 "category %d AIFS %d below DIFS %d"
+                                 % (i, aifs, params.difs_us))
+                cats.append((i, aifs, pf, cw_min, cw_max))
+        else:  # plain DCF: one category at DIFS
+            cats = [(0, params.difs_us, 2.0, params.cw_min, params.cw_max)]
+        self.params = params
+        self.cats = cats  # AccessCategory arguments, one tuple each
+        self.pcf = flags["pcf"]
+        self.dcfplus = flags["dcfplus"]
+        self.ica_wait = None
+        if flags["ica"]:
+            self.ica_wait = mac.get("ica_cts_timeout_us",
+                                    params.sifs_us + CTS_AIR + params.slot_us)
+        self.fixed_rate = mac.get("data_rate", 11)
+        self.rate = _rate_scheme(flags["rate_policy"], mac, self.fixed_rate)
+        self.backoff = _backoff_scheme(flags["cw_policy"], s, mac)
+
+    def mac_node(self, sim, medium, nid, seed, recorder):
+        return MacNode(sim, medium, nid, self.params, seed, self.fixed_rate,
+                       self.rate(), self.backoff(), self.dcfplus,
+                       self.ica_wait, [AccessCategory(*c) for c in self.cats],
+                       recorder)
 
 
 def build(s, variant=None, trace=False):
@@ -70,38 +121,22 @@ def build(s, variant=None, trace=False):
     recorder = Recorder(sim, [f.fid for f in s.flows], shares,
                         s.metric_window_us)
 
+    # Settings are resolved in node order, so the first node with a bad
+    # variant or EDCF category raises, as it would if each node resolved
+    # its own.
     macs = {}
     any_pcf = False
+    shared = None
     for nid in node_ids:
-        mac = {**s.mac, **s.node_overrides.get(nid, {})}  # [mac], then node.N.*
-        flags = variant_flags(variant or mac.get("variant", s.variant))
-        params = MacParams(**{k: mac[k] for k in _PARAM_KEYS if k in mac})
-        if flags["two_way"]:
-            params.rts_threshold = _NO_RTS
-        if flags["edcf"]:
-            if not s.edcf_cats:
-                raise ScenarioError("edcf variant needs an [edcf] section")
-            cats = []
-            for i, (aifs, pf, cw_min, cw_max) in enumerate(s.edcf_cats):
-                if aifs < params.difs_us:
-                    scn_mod._err(s.key_lines[("edcf", "cat%d" % i)],
-                                 "category %d AIFS %d below DIFS %d"
-                                 % (i, aifs, params.difs_us))
-                cats.append(AccessCategory(i, aifs, pf, cw_min, cw_max))
-        else:  # plain DCF: one category at DIFS
-            cats = [AccessCategory(0, params.difs_us, 2.0, params.cw_min,
-                                   params.cw_max)]
-        ica_wait = None
-        if flags["ica"]:
-            ica_wait = mac.get("ica_cts_timeout_us",
-                               params.sifs_us + CTS_AIR + params.slot_us)
-        fixed_rate = mac.get("data_rate", 11)
-        macs[nid] = MacNode(
-            sim, medium, nid, params, s.seed, fixed_rate,
-            _rate_scheme(flags["rate_policy"], mac, fixed_rate),
-            _backoff_scheme(flags["cw_policy"], s, mac), flags["dcfplus"],
-            ica_wait, cats, recorder)
-        any_pcf = any_pcf or flags["pcf"]
+        overrides = s.node_overrides.get(nid)
+        if overrides:
+            settings = _NodeSettings(s, overrides, variant)
+        else:
+            if shared is None:
+                shared = _NodeSettings(s, {}, variant)
+            settings = shared
+        macs[nid] = settings.mac_node(sim, medium, nid, s.seed, recorder)
+        any_pcf = any_pcf or settings.pcf
 
     if any_pcf or (s.pcf is not None
                    and "pcf" in (variant or s.variant).split("+")):

@@ -254,6 +254,12 @@ class MacNode:
         cat.timer = None
         if not cat.queue:
             return  # a CF response sent the packet after the timer was armed
+        if self.self_tx:
+            # A point coordinator step due at this instant ran first and put
+            # this node's own frame on the air.  Like any busy edge at the
+            # firing instant, it leaves the timer no slots to count.
+            cat.backoff_slots = 0
+            return
         now = self.sim.now
         medium = self.medium
         # Genie tie-break: a frame that started at this instant, or an
@@ -282,9 +288,8 @@ class MacNode:
                     loser.timer = None
                 loser.cw = ext.edcf_expand_cw(loser.cw, loser.pf, loser.cw_max)
                 loser.backoff_slots = dcf.draw_backoff(loser.cw, self.rng)
-            if self.sim.trace_lines is not None:
-                self.sim.trace(self.node_id, "virtual_collision",
-                               "winner=cat%d" % winner.index)
+            self.sim.trace(self.node_id, "virtual_collision", "winner=cat%d",
+                           winner.index)
             if winner is not cat:
                 return
         self._start_exchange(cat)
@@ -406,8 +411,7 @@ class MacNode:
         cat = self._cur_cat
         elem = self._chain[self._chain_idx]
         pkt = elem.packet
-        if self.sim.trace_lines is not None:
-            self.sim.trace(self.node_id, "tx_fail", "%s pkt=%d" % (kind, pkt.pid))
+        self.sim.trace(self.node_id, "tx_fail", "%s pkt=%d", kind, pkt.pid)
         if kind == "ack":
             self.rate_scheme.on_result(False, self.sim.now)
         cat.retry_count += 1
@@ -416,8 +420,7 @@ class MacNode:
             cat.retry_count = 0
             cat.cw = cat.cw_min
             self.recorder.on_drop(pkt)
-            if self.sim.trace_lines is not None:
-                self.sim.trace(self.node_id, "drop", "pkt=%d" % pkt.pid)
+            self.sim.trace(self.node_id, "drop", "pkt=%d", pkt.pid)
             self._complete_packet(cat, pkt)  # keeps backlogged sources fed
         cat.backoff_slots = dcf.draw_backoff(cat.cw, self.rng)
         cat.ready_time = self.sim.now
@@ -513,8 +516,7 @@ class MacNode:
             return
         xid = frame.xid
         if frame.duration > 0 or xid == self.nav_xid:
-            self.set_nav(self.sim.now + frame.duration, xid,
-                         frame.rsh == 1 or xid == self.nav_xid)
+            self.set_nav(self.sim.now + frame.duration, xid, True)
 
     def _nav_reset(self):
         self.nav_until = self.sim.now
@@ -599,9 +601,8 @@ class MacNode:
             pkt.received = end
         if pkt.received >= pkt.size:
             self.recorder.on_delivered(pkt)
-            if self.sim.trace_lines is not None:
-                self.sim.trace(self.node_id, "deliver",
-                               "flow=%d pkt=%d" % (pkt.flow_id, pkt.pid))
+            self.sim.trace(self.node_id, "deliver", "flow=%d pkt=%d",
+                           pkt.flow_id, pkt.pid)
 
     # -- DCF+ ------------------------------------------------------------
 
@@ -665,9 +666,8 @@ class MacNode:
         if not size:
             self.set_nav(self._ica_nav_end)
             return
-        if self.sim.trace_lines is not None:
-            self.sim.trace(self.node_id, "ica_exposed",
-                           "window_end=%d frags=1" % window_end)
+        self.sim.trace(self.node_id, "ica_exposed", "window_end=%d frags=1",
+                       window_end)
         self.phase = ICA_WINDOW
         self._cur_cat = cat
         self._chain = [_ChainElem(head, size, 0)]
@@ -702,8 +702,7 @@ class MacNode:
         self._ica_close()
 
     def _ica_abort(self):
-        if self.sim.trace_lines is not None:
-            self.sim.trace(self.node_id, "ica_abort", "")
+        self.sim.trace(self.node_id, "ica_abort")
         self._ica_close()
 
     def _ica_close(self):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from .fairness import fairness_index
 
 
-@dataclass
+# Slotted: a kept result holds its Metrics and one FlowMetrics per flow.
+@dataclass(slots=True)
 class FlowMetrics:
     generated_bits: int = 0
     generated_packets: int = 0
@@ -25,7 +26,7 @@ class FlowMetrics:
     p95_delay_us: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Metrics:
     duration_us: int = 0
     flows: dict = field(default_factory=dict)  # flow id -> FlowMetrics

@@ -138,8 +138,7 @@ class PointCoordinator:
 
     def _on_poll_timeout(self):
         self._timer = None
-        if self.sim.trace_lines is not None:
-            self.sim.trace(self.mac.node_id, "poll_silent", "")
+        self.sim.trace(self.mac.node_id, "poll_silent")
         self.state = _POLLING
         self._next_poll()
 
@@ -147,9 +146,7 @@ class PointCoordinator:
         frame = Frame(CF_END, self.mac.node_id, BROADCAST,
                       payload_bytes=CF_END_BYTES)
         self.state = _CP
-        if self.sim.trace_lines is not None:
-            self.sim.trace(self.mac.node_id, "cf_end",
-                           "polled=%d" % self._polled)
+        self.sim.trace(self.mac.node_id, "cf_end", "polled=%d", self._polled)
         self.mac._transmit(frame, 1)
 
     # -- carrier-sense hooks, called by the medium ---------------------------

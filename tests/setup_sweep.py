@@ -1,8 +1,10 @@
-"""Set-up cost of one static cell as the node count grows: seconds and
-tracemalloc peak of `harness.build` for N = 81, 289 and 1,024 nodes, and
-of building every reach table of the medium for N = 81 and 289.  The reach
-tables are what the first transmissions pay, O(N^2); at 1,024 nodes they
-hold about a million hearer entries, which would dominate the sweep.
+"""Set-up cost of one static cell as the node count grows: seconds of
+`parse_scenario`, seconds and tracemalloc peak of `harness.build`, for
+N = 81, 289 and 1,024 nodes, and of building every reach table of the
+medium for N = 81 and 289.  Parse and build have a column each, so a
+change shows in the set-up layer it moved.  The reach tables are what
+the first transmissions pay, O(N^2); at 1,024 nodes they hold about a
+million hearer entries, which would dominate the sweep.
 
 Then the run cost of a sparse grid as N grows: `jittered_grid` (10 m
 spacing, hear 15 m, sense 25 m, half the nodes backlogged) at N = 64, 256
@@ -17,8 +19,8 @@ simulated.  Every frame reaches N - 1 hearers, so the cost per
 transmission grows with N; the count of `MacNode.on_frame` calls per
 transmission shows the receive fan-out.
 
-Every timed figure, build and reach tables as well as run cost, is the
-median of three timed runs.  Each run is scaled to the reference machine's
+Every timed figure, parse, build and reach tables as well as run cost,
+is the median of three timed runs.  Each run is scaled to the reference machine's
 seconds by perfbench/calibrate.py's `Clock`, from reference passes just
 before and after it, so rows from two runs of this script compare even
 when the host's speed drifts between them; each figure is followed by its
@@ -80,6 +82,12 @@ def timed(part):
 def median(runs):
     """The median of RUN_REPS runs, each a tuple led by its scaled seconds."""
     return sorted(runs)[RUN_REPS // 2]
+
+
+def parse_cost(text):
+    """(scaled seconds, scale factor) of parsing `text`."""
+    return median([timed(lambda: parse_scenario(text))
+                   for _ in range(RUN_REPS)])
 
 
 def build_cost(side):
@@ -154,18 +162,20 @@ def run_cost(text, counted):
 
 
 def main():
-    print("| N | build s | scale factor | tracemalloc peak MB "
-          "| reach tables s | scale factor | reach tables peak MB |")
-    print("|---|---|---|---|---|---|---|")
+    print("| N | parse s | scale factor | build s | scale factor "
+          "| tracemalloc peak MB | reach tables s | scale factor "
+          "| reach tables peak MB |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for side in SIDES:
+        parse = "%.4f | %.3f" % parse_cost(dense_cell(side))
         seconds, factor, peak = build_cost(side)
         reach = "- | - | -"
         if side in REACH_SIDES:
             reach_s, reach_factor, reach_peak = reach_cost(side)
             reach = "%.4f | %.3f | %.1f" % (reach_s, reach_factor,
                                             reach_peak / 2**20)
-        print("| %d | %.4f | %.3f | %.1f | %s |" % (
-            side * side, seconds, factor, peak / 2**20, reach))
+        print("| %d | %s | %.4f | %.3f | %.1f | %s |" % (
+            side * side, parse, seconds, factor, peak / 2**20, reach))
     print()
     print("| N | us per transmission | us per event "
           "| carrier-sense calls per transmission | scale factor |")

@@ -27,6 +27,22 @@ def test_same_time_events_dispatch_in_insertion_order():
     assert order == ["a", "b", "c"]
 
 
+def test_trace_formats_its_detail_only_when_tracing():
+    class Unformattable:
+        def __str__(self):
+            raise AssertionError("formatted with tracing off")
+
+    sim = Simulator()
+    sim.trace(1, "drop", "pkt=%s", Unformattable())
+    assert sim.trace_lines is None
+    sim.enable_trace()
+    sim.trace(1, "drop", "pkt=%d", 7)
+    sim.trace(2, "rx", "50% from 1")  # preformatted: no args, taken as is
+    sim.trace(3, "ica_abort")
+    assert sim.trace_lines == ["0\t1\tdrop\tpkt=7", "0\t2\trx\t50% from 1",
+                               "0\t3\tica_abort\t"]
+
+
 def test_scheduling_in_the_past_fails_loudly():
     sim = Simulator()
     sim.schedule(10, "t", 0, lambda: None)

@@ -1,5 +1,6 @@
 """Harness wiring and the command-line interface."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -72,6 +73,34 @@ def test_compare_builds_every_variant_before_running_any(monkeypatch):
         harness.compare(["dcf", "dcf+edcf"], s)
     assert str(err.value) == "edcf variant needs an [edcf] section"
     assert runs == []
+
+
+def test_nodes_without_overrides_share_one_frozen_settings_object():
+    text = single_cell(4, 800, seed=1, duration_us=1000, variant="dcf+arf+dfs",
+                       mac_lines=("node.2.data_rate = 2", "node.3.phi = 0.5"))
+    _, _, macs, _ = harness.build(parse_scenario(text))
+    plain = macs[0].params
+    assert all(macs[n].params is plain for n in (1, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plain.rts_threshold = 0
+    # An overridden node resolves its own settings.
+    assert macs[2].params is not plain and macs[3].params is not plain
+    assert (macs[2].fixed_rate, macs[2].rate_scheme.rate) == (2, 2)
+    assert macs[1].fixed_rate == macs[3].fixed_rate == 11
+    assert (macs[3].backoff_scheme.phi, macs[1].backoff_scheme.phi) == (0.5, 1.0)
+    # What a node changes as it runs is its own.
+    for get in (lambda m: m.cats, lambda m: m.cats[0], lambda m: m.rate_scheme,
+                lambda m: m.backoff_scheme, lambda m: m.rng):
+        assert len({id(get(m)) for m in macs.values()}) == len(macs)
+
+
+def test_two_way_nodes_share_params_without_rts():
+    s = parse_scenario(single_cell(2, 800, seed=1, duration_us=1000,
+                                   variant="dcf+2way"))
+    _, _, macs, _ = harness.build(s)
+    assert macs[0].params is macs[1].params
+    assert macs[0].params.rts_threshold > 800
+    assert harness.build(s, variant="dcf")[2][0].params.rts_threshold == 500
 
 
 def test_cbr_flow_paces_arrivals():

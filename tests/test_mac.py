@@ -6,7 +6,8 @@ import os
 from conftest import fields, ica_frag, shipped, single_cell
 from macsim import harness
 from macsim import mac as mac_mod
-from macsim.frames import ACK_AIR, CTS_AIR, DATA, RTS_AIR, Frame
+from macsim.frames import (ACK_AIR, BEACON, BEACON_BYTES, BROADCAST,
+                           CTS_AIR, DATA, RTS_AIR, Frame, frame_airtime)
 from macsim.mac import Packet
 from macsim.metrics import Recorder
 from macsim.scenario import parse_scenario
@@ -384,6 +385,33 @@ def test_packet_arriving_as_the_nav_ends_arms_at_the_expiry_idle_edge():
     assert seen == [None]
     assert mac.idle_since == cat.count_start == 1_000
     assert cat.timer.time == 1_000 + mac.params.difs_us + 3 * mac.params.slot_us
+
+
+def test_access_timer_due_as_the_node_s_own_frame_starts_waits_for_its_end():
+    # A point coordinator's step and its node's access timer can be due at
+    # one instant.  When the step dispatches first, the timer finds the
+    # node's own frame on the air: it must not start a second frame, but
+    # wait with no slots left and go one DIFS after the frame's end.
+    sim, medium, macs, _ = harness.build(parse_scenario(
+        "[sim]\nduration_us = 3000\n[nodes]\n0 = 0 0\n1 = 5 0\n"
+        "[links]\nhear_range = 50\nbase_fer_high = 0\n"
+        "[mac]\nrts_threshold = 3000\n"), trace=True)
+    recorder = Recorder(sim, [0])
+    for mac in macs.values():
+        mac.recorder = recorder
+    mac = macs[0]
+    cat = mac.cats[0]
+    cat.backoff_slots = 3
+    mac.enqueue(Packet(0, 0, 0, 1, 500, 0))
+    due = cat.timer.time
+    beacon = Frame(BEACON, 0, BROADCAST, payload_bytes=BEACON_BYTES)
+    sim.schedule(due, "step", 0, lambda: mac._transmit(beacon, 1))
+    sim.reschedule(cat.timer, due)  # now the step dispatches first
+    sim.run_until(3000)
+    starts = [(t, detail.split()[1])
+              for t, _, detail in _tx_starts(sim.trace_lines)]
+    assert starts[:2] == [(due, BEACON), (due + frame_airtime(beacon, 1)
+                                          + mac.params.difs_us, DATA)]
 
 
 def test_genie_tiebreak_sees_every_category_timer():

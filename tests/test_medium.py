@@ -396,8 +396,13 @@ def test_untraced_run_builds_no_trace_strings(monkeypatch, name, duration_us,
     assert traced.trace_lines
 
     calls = []
-    monkeypatch.setattr(Simulator, "trace",
-                        lambda self, *args: calls.append(args))
+    trace = Simulator.trace
+
+    def recorded(self, *args):
+        calls.append(args)
+        trace(self, *args)
+
+    monkeypatch.setattr(Simulator, "trace", recorded)
     s = shipped(name, duration_us, variant)
     sim, medium, _, recorder = harness.build(s)
     seen = []
@@ -409,7 +414,10 @@ def test_untraced_run_builds_no_trace_strings(monkeypatch, name, duration_us,
 
     sim.schedule(0, "probe", "-", probe)
     sim.run_until(s.duration_us)
-    assert calls == []
+    # Model events call `trace` unguarded, with a format and its values,
+    # never a detail they formatted themselves: only `trace` formats, and
+    # not while tracing is off.
+    assert calls and all(len(args) != 3 or args[2] == "" for args in calls)
     assert len(seen) > 1 and all(lines is None for lines in seen)
     assert sim.trace_lines is None
     untraced = recorder.finalize(s.duration_us, medium.stats)

@@ -7,7 +7,8 @@ import pytest
 from macsim.engine import Simulator
 from macsim.mac import Packet
 from macsim.medium import MediumStats
-from macsim.metrics import CSV_HEADER, Recorder, format_csv
+from macsim.metrics import (CSV_HEADER, FlowMetrics, Metrics, Recorder,
+                            format_csv)
 
 
 def _recorder(flow_ids=(1, 2), window_us=100):
@@ -165,3 +166,11 @@ def test_refill_hook_fires_on_sender_done():
     rec.refill[1] = lambda: hits.append(sim.now)
     rec.on_sender_done(Packet(0, 1, 1, 0, 100, 0))
     assert hits == [0]
+
+
+def test_result_records_are_slotted():
+    # A kept result holds its Metrics and one FlowMetrics per flow; a
+    # per-instance dict would add to every one.
+    m = Metrics(flows={1: FlowMetrics()})
+    for record in (m, m.flows[1]):
+        assert not hasattr(record, "__dict__")
