@@ -2,6 +2,7 @@
 
 from dataclasses import fields, replace
 from functools import partial
+from itertools import count
 
 from . import fairness, rate, scenario as scn_mod
 from .dcf import MacParams
@@ -12,7 +13,7 @@ from .medium import Medium
 from .metrics import Recorder
 from .pcf import PointCoordinator, min_cp_us
 from .phy import LinkQualityProcess, Topology
-from .scenario import BACKLOG_DEPTH, BACKLOGGED, CBR, ScenarioError, variant_flags
+from .scenario import BACKLOG_DEPTH, CBR, ScenarioError, variant_flags
 
 _NO_RTS = 1 << 30  # rts_threshold that 2-way mode can never reach
 _PARAM_KEYS = [f.name for f in fields(MacParams)]  # [mac] keys MacParams takes
@@ -40,7 +41,9 @@ def _rate_scheme(name, mac, fixed_rate):
     if name == "oar":
         return partial(rate.Oar, fixed_rate,
                        mac.get("oar_ref_bytes", rate.OAR_REF_BYTES))
-    return partial(rate.FixedRate, fixed_rate)
+    # A fixed rate keeps no state, so one instance serves every node.
+    fixed = rate.FixedRate(fixed_rate)
+    return lambda: fixed
 
 
 def _backoff_scheme(name, s, mac):
@@ -59,15 +62,18 @@ def _backoff_scheme(name, s, mac):
                                  default=12000)
         return partial(fairness.Dfs, mac.get("phi", 1.0), scaling,
                        mac.get("dfs_random", True), mac.get("dfs_compress"))
-    return fairness.Beb
+    # Binary exponential backoff keeps no state either.
+    beb = fairness.Beb()
+    return lambda: beb
 
 
 class _NodeSettings:
     """Every setting a node takes from `[mac]` and its `node.N.*` keys,
     resolved once: all nodes without such keys share one instance, and
-    with it one frozen MacParams.  `mac_node` builds what each node keeps
-    for itself: its categories, rate and backoff schemes, random stream and
-    MacNode."""
+    with it one frozen MacParams, and one fixed-rate or binary exponential
+    backoff scheme, which keep no state.  `mac_node` builds what each node
+    keeps for itself: its categories, random stream, MacNode, and any rate
+    or backoff scheme that changes as it runs."""
 
     def __init__(self, s, overrides, variant):
         mac = {**s.mac, **overrides}  # [mac], then node.N.*
@@ -104,6 +110,53 @@ class _NodeSettings:
                        self.rate(), self.backoff(), self.dcfplus,
                        self.ica_wait, [AccessCategory(*c) for c in self.cats],
                        recorder)
+
+
+class _Source:
+    """One flow's packets, from its start event's call of `start`.
+
+    A backlogged source (`interval` 0) makes BACKLOG_DEPTH packets at its
+    start, then one each time its sender is done with one, until its stop.
+    A CBR source makes one every `interval` us from its start until its
+    stop.  Packet ids come from the build's one counter, in the order the
+    packets are made."""
+
+    __slots__ = ("sim", "recorder", "pids", "mac", "flow", "stop", "interval")
+
+    def __init__(self, sim, recorder, pids, mac, flow, stop, interval):
+        self.sim = sim
+        self.recorder = recorder
+        self.pids = pids
+        self.mac = mac
+        self.flow = flow
+        self.stop = stop
+        self.interval = interval
+
+    def _make_packet(self):
+        flow = self.flow
+        pkt = Packet(next(self.pids), flow.fid, flow.src, flow.dst,
+                     flow.packet_bytes, self.sim.now)
+        self.recorder.on_generated(pkt)
+        self.mac.enqueue(pkt, flow.category)
+
+    def start(self):
+        if self.interval:
+            self.arrive()
+        else:
+            for _ in range(BACKLOG_DEPTH):
+                self._make_packet()
+            self.recorder.refill[self.flow.fid] = self.refill
+
+    def refill(self):
+        if self.sim.now < self.stop:
+            self._make_packet()
+
+    def arrive(self):
+        if self.sim.now >= self.stop:
+            return
+        self._make_packet()
+        self.sim.schedule_in(self.interval, "cbr_arrival", self.flow.src,
+                             self.arrive)
 
 
 def build(s, variant=None, trace=False):
@@ -158,45 +211,19 @@ def build(s, variant=None, trace=False):
                               s.pcf["cp_min_us"])
         pc.start()
 
-    _pid = [0]
-
-    def make_packet(flow):
-        pkt = Packet(_pid[0], flow.fid, flow.src, flow.dst, flow.packet_bytes,
-                     sim.now)
-        _pid[0] += 1
-        recorder.on_generated(pkt)
-        macs[flow.src].enqueue(pkt, flow.category)
-        return pkt
-
+    pids = count()
     for flow in s.flows:
-        if flow.category >= len(macs[flow.src].cats):
+        mac = macs[flow.src]
+        if flow.category >= len(mac.cats):
             scn_mod._err(s.key_lines[("flows", flow.fid)],
                          "flow %d uses category %d, but node %d does not run "
                          "edcf" % (flow.fid, flow.category, flow.src))
-        stop = s.stop_of(flow)
-        if flow.kind == BACKLOGGED:
-            def start_backlog(flow=flow, stop=stop):
-                for _ in range(BACKLOG_DEPTH):
-                    make_packet(flow)
-
-                def refill(flow=flow, stop=stop):
-                    if sim.now < stop:
-                        make_packet(flow)
-
-                recorder.refill[flow.fid] = refill
-
-            sim.schedule(flow.start_us, "flow_start", flow.src, start_backlog)
-        else:  # CBR
+        interval = 0
+        if flow.kind == CBR:
             interval = max(1, round(flow.packet_bytes * 8 * 1e6 / flow.rate_bps))
-
-            def arrive(flow=flow, stop=stop, interval=interval):
-                if sim.now >= stop:
-                    return
-                make_packet(flow)
-                sim.schedule_in(interval, "cbr_arrival", flow.src,
-                                lambda: arrive())
-
-            sim.schedule(flow.start_us, "flow_start", flow.src, arrive)
+        source = _Source(sim, recorder, pids, mac, flow, s.stop_of(flow),
+                         interval)
+        sim.schedule(flow.start_us, "flow_start", flow.src, source.start)
 
     return sim, medium, macs, recorder
 

@@ -7,8 +7,13 @@ reaches `sense_range`; decoding reaches `hear_range`.
 Node positions never change after `harness.build`, so who senses and hears
 a sender, and at what power, is static.  On the run's first transmission
 the medium builds every node's reach table in one pass over the node
-pairs, which measures each pair's distance, and its power if in hear
-range, once for both tables.  A sender's table holds the hearer table,
+pairs that can be in sense range, which measures each pair's distance,
+and its power if in hear range, once for both tables.  Those pairs are
+found by putting the nodes in square cells a little wider than
+`sense_range`: a pair in range lies in the same or adjacent cells, so on
+a sparse layout the build grows with N, not N^2; a layout that spans at
+most two cells each way, such as one dense cell, takes every pair
+without cells.  A sender's table holds the hearer table,
 (node id, MacNode, received power) for every node that hears the sender,
 in id order; the same powers as a {node id: power} map; and the MacNodes
 in sense range, in id order, whose carrier sense it counts (hear range
@@ -70,6 +75,7 @@ of the episode.  No entry links to itself, so there is no reference cycle,
 and an episode is freed with the last frame holding one of its entries.
 """
 
+from bisect import bisect
 from math import hypot
 
 from . import phy
@@ -85,9 +91,9 @@ class _Reach:
 
     __slots__ = ("hearers", "power", "sensing", "pcf", "links")
 
-    def __init__(self, hearers, sensing, pcf):
+    def __init__(self, hearers, power, sensing, pcf):
         self.hearers = hearers  # [(node id, MacNode, power)], by id
-        self.power = {nid: p for nid, _, p in hearers}
+        self.power = power  # {node id: power}, the same powers
         self.sensing = sensing  # [MacNode] in sense range, by id
         self.pcf = pcf  # the coordinator if its node senses the sender
         self.links = {}  # other sender id -> whether their frames interact
@@ -146,6 +152,44 @@ class MediumStats:
                 self.collision_events -= 1
 
 
+def _later_neighbours(nodes, sense):
+    """For each of `nodes`, (node id, MacNode, x, y) in id order: the node,
+    and the nodes of higher id that can be within `sense` of it, in id
+    order.
+
+    The nodes go in square cells a little wider than `sense`, so a pair in
+    range, even one whose measured distance rounds down to `sense`, lies in
+    the same or adjacent cells: those are the candidates.  When the layout
+    spans at most two cells each way, every pair is one, and the id-ordered
+    list serves without cells."""
+    # With a range of 0 only co-located nodes are in range: any side will do.
+    side = sense * (1 + 1e-9) or 1.0
+    xs = [node[2] for node in nodes]
+    ys = [node[3] for node in nodes]
+    if (max(xs) // side - min(xs) // side <= 1
+            and max(ys) // side - min(ys) // side <= 1):
+        for i, node in enumerate(nodes):
+            yield node, nodes[i + 1:]
+        return
+    cell_of = [(x // side, y // side) for x, y in zip(xs, ys)]
+    cells = {}  # cell -> its nodes, in id order
+    for node, cell in zip(nodes, cell_of):
+        cells.setdefault(cell, []).append(node)
+    near_of = {}  # cell -> the nodes of it and its neighbours, and their ids
+    for node, cell in zip(nodes, cell_of):
+        near = near_of.get(cell)
+        if near is None:
+            cx, cy = cell
+            # A set: far from the origin, cx + 1 can round to cx.
+            around = {(cx + dx, cy + dy) for dx in (-1, 0, 1)
+                      for dy in (-1, 0, 1)}
+            # Ids are unique, so sorting compares nothing past them.
+            near = sorted([n for c in around for n in cells.get(c, ())])
+            near = near_of[cell] = near, [n[0] for n in near]
+        near, ids = near
+        yield node, near[bisect(ids, node[0]):]
+
+
 class Medium:
     def __init__(self, sim, topology, quality, base_fer, capture_ratio,
                  control_fer, seed, genie_tiebreak):
@@ -188,19 +232,20 @@ class Medium:
         return reach
 
     def _build_reach(self):
-        """Every node's reach table, each node pair measured once for both;
-        taking the pairs in id order keeps each table in id order."""
+        """Every node's reach table, each node pair that can be in sense
+        range measured once for both (see `_later_neighbours`); taking the
+        pairs in id order keeps each table in id order."""
         topo = self.topology
         positions = topo.positions
         sense, hear = topo.sense_range, topo.hear_range
-        by_id = sorted(self.macs.items())
-        hearers = {nid: [] for nid, _ in by_id}
-        sensing = {nid: [] for nid, _ in by_id}
-        for i, (a, mac_a) in enumerate(by_id):
-            ax, ay = positions[a]
-            hear_a, sense_a = hearers[a], sensing[a]
-            for b, mac_b in by_id[i + 1:]:
-                bx, by = positions[b]
+        nodes = [(nid, mac, *positions[nid])
+                 for nid, mac in sorted(self.macs.items())]
+        hearers = {node[0]: [] for node in nodes}
+        power = {node[0]: {} for node in nodes}
+        sensing = {node[0]: [] for node in nodes}
+        for (a, mac_a, ax, ay), later in _later_neighbours(nodes, sense):
+            hear_a, power_a, sense_a = hearers[a], power[a], sensing[a]
+            for b, mac_b, bx, by in later:
                 d = hypot(ax - bx, ay - by)  # as Topology.distance
                 if d <= sense:
                     sense_a.append(mac_b)
@@ -209,10 +254,11 @@ class Medium:
                         p = phy.power_at(d)
                         hear_a.append((b, mac_b, p))
                         hearers[b].append((a, mac_a, p))
+                        power_a[b] = power[b][a] = p
         pc = self.coordinator
-        for nid, _ in by_id:
+        for nid in hearers:
             self._reach_of[nid] = _Reach(
-                hearers[nid], sensing[nid],
+                hearers[nid], power[nid], sensing[nid],
                 pc if pc and pc.mac in sensing[nid] else None)
 
     # -- transmission lifecycle --

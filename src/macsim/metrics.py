@@ -75,10 +75,11 @@ class Recorder:
         self.flow_ids = list(flow_ids)
         self.shares = dict(shares) if shares else {f: 1.0 for f in flow_ids}
         self.window_us = window_us
-        self.generated = {f: [0, 0] for f in flow_ids}  # fid -> [bits, packets]
+        self.generated_bits = dict.fromkeys(flow_ids, 0)
+        self.generated_packets = dict.fromkeys(flow_ids, 0)
         self.delays = {f: [] for f in flow_ids}
-        self.drops = {f: 0 for f in flow_ids}
-        self.delivered_bits = {f: 0 for f in flow_ids}
+        self.drops = dict.fromkeys(flow_ids, 0)
+        self.delivered_bits = dict.fromkeys(flow_ids, 0)
         self.window_bits = {}  # (now // window_us, fid) -> delivered bits
         self.refill = {}  # fid -> callback, set by the traffic source
         self.cf_sent = {}  # sender -> its last CF response's Packet
@@ -86,8 +87,9 @@ class Recorder:
     # -- hooks called from the MACs and traffic sources ---------------------
 
     def on_generated(self, pkt):
-        self.generated[pkt.flow_id][0] += pkt.size * 8
-        self.generated[pkt.flow_id][1] += 1
+        fid = pkt.flow_id
+        self.generated_bits[fid] += pkt.size * 8
+        self.generated_packets[fid] += 1
 
     def on_delivered(self, pkt):
         """Called once per packet, when its destination holds every byte."""
@@ -127,8 +129,8 @@ class Recorder:
         m = Metrics(duration_us=duration_us)
         for fid in self.flow_ids:
             fm = FlowMetrics(
-                generated_bits=self.generated[fid][0],
-                generated_packets=self.generated[fid][1],
+                generated_bits=self.generated_bits[fid],
+                generated_packets=self.generated_packets[fid],
                 delivered_bits=self.delivered_bits[fid],
                 delivered_packets=len(self.delays[fid]),
                 drops=self.drops[fid])

@@ -57,7 +57,8 @@ class Scenario:
     edcf_cats: list = field(default_factory=list)  # (aifs, pf, cw_min, cw_max)
     pcf: dict = None
     flows: list = field(default_factory=list)
-    key_lines: dict = field(default_factory=dict)  # (section, key) -> line
+    # (section, key), ("node", id[, key]) or ("flows", id) -> line
+    key_lines: dict = field(default_factory=dict)
 
     def stop_of(self, flow):
         return self.duration_us if flow.stop_us < 0 else flow.stop_us
@@ -195,13 +196,14 @@ def _value(row, key, value):
 
 def parse_scenario(text):
     s = Scenario()
-    section = None
+    section = parse = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip()
+            parse = _POSITIONAL.get(section, _parse_key)
             if section not in _KEYS and section not in _POSITIONAL:
                 _err(lineno, "unknown section [%s]" % section)
             if section == "pcf" and s.pcf is None:
@@ -210,26 +212,27 @@ def parse_scenario(text):
             continue
         if section is None:
             _err(lineno, "content before any [section] header")
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             _err(lineno, "expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        first = s.key_lines.setdefault((section, key), lineno)
         try:
-            if first != lineno and section not in _POSITIONAL:
-                raise ValueError("duplicate key %r in [%s] (first set on line "
-                                 "%d)" % (key, section, first))
-            _POSITIONAL.get(section, _parse_key)(s, section, key,
-                                                 value.strip())
+            parse(s, section, key.strip(), value, lineno)
         except (ValueError, ScenarioError) as e:
             _err(lineno, str(e))
     _validate(s)
     return s
 
 
-def _parse_key(s, section, key, value):
+# Each line parser takes (scenario, section, key, value text, line number).
+
+def _parse_key(s, section, key, value, lineno):
+    first = s.key_lines.setdefault((section, key), lineno)
+    if first != lineno:
+        raise ValueError("duplicate key %r in [%s] (first set on line %d)"
+                         % (key, section, first))
+    value = value.strip()
     if section == "mac" and key.startswith("node."):
-        return _parse_override(s, key, value)
+        return _parse_override(s, key, value, lineno)
     row = _KEYS[section].get(key)
     if row is None or not row.where & _PLAIN:
         raise ValueError("unknown [%s] key %r" % (section, key))
@@ -244,13 +247,12 @@ def _parse_key(s, section, key, value):
         setattr(s, key, v)
 
 
-def _parse_override(s, key, value):
+def _parse_override(s, key, value, lineno):
     parts = key.split(".")
     row = _KEYS["mac"].get(parts[-1])
     if len(parts) != 3 or row is None or not row.where & _NODE:
         raise ValueError("unknown per-node [mac] key %r" % key)
     nid = _int(parts[1])
-    lineno = s.key_lines[("mac", key)]
     s.key_lines.setdefault(("node", nid), lineno)
     # Another spelling of the node id names the same override.
     first = s.key_lines.setdefault(("node", nid, parts[2]), lineno)
@@ -260,59 +262,98 @@ def _parse_override(s, key, value):
     s.node_overrides.setdefault(nid, {})[parts[2]] = _value(row, parts[2], value)
 
 
-def _parse_node(s, section, key, value):
-    nid = _int(key)
-    if nid in s.positions:
+# The [nodes] and [flows] lines are most of a large scenario, so their
+# fields are converted directly; a field that fails goes through its value
+# parser, which raises the message.
+
+def _parse_node(s, section, key, value, lineno):
+    try:
+        nid = int(key)
+    except ValueError:
+        nid = _int(key)
+    positions = s.positions
+    if nid in positions:
         raise ValueError("duplicate node id %d" % nid)
     parts = value.split()
     if len(parts) != 2:
         raise ValueError("node line needs 'id = x y'")
-    s.positions[nid] = (_float(parts[0]), _float(parts[1]))
+    x, y = parts
+    try:
+        pos = float(x), float(y)
+    except ValueError:
+        pos = None
+    if pos is None or not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
+        pos = _float(x), _float(y)
+    positions[nid] = pos
 
 
-def _parse_edcf(s, section, key, value):
+_PF = _Row(_float, _GE1)
+_CW = _Row(_int, _GE1)
+
+
+def _parse_edcf(s, section, key, value, lineno):
     if key != "cat%d" % len(s.edcf_cats):
         raise ValueError("categories must be cat0, cat1, ... in order")
+    s.key_lines[("edcf", key)] = lineno
     parts = value.split()
     if len(parts) != 4:
         raise ValueError("category needs 'aifs_us pf cw_min cw_max'")
-    pf = _value((_float, _GE1), "category pf", parts[1])
-    cw_min, cw_max = (_value((_int, _GE1), "category cw_min and cw_max", p)
+    pf = _value(_PF, "category pf", parts[1])
+    cw_min, cw_max = (_value(_CW, "category cw_min and cw_max", p)
                       for p in parts[2:])
     if cw_min > cw_max:
         raise ValueError("category cw_min %d above cw_max %d" % (cw_min, cw_max))
     s.edcf_cats.append((_int(parts[0]), pf, cw_min, cw_max))
 
 
-def _parse_flow(s, section, key, value):
-    fid = _int(key)
-    if ("flows", fid) in s.key_lines:
+_FLOW_OPTIONS = _KEYS["flows"]
+_BYTES = _Row(_int, _MSDU)
+_RATE_BPS = _Row(_int, _GE1)
+
+
+def _parse_flow(s, section, key, value, lineno):
+    try:
+        fid = int(key)
+    except ValueError:
+        fid = _int(key)
+    at = ("flows", fid)
+    if at in s.key_lines:
         raise ValueError("duplicate flow id %d" % fid)
-    s.key_lines[("flows", fid)] = s.key_lines[("flows", key)]
+    s.key_lines[at] = lineno
     tokens = value.split()
     opts = {}
     while tokens and "=" in tokens[-1]:
         k, _, v = tokens.pop().partition("=")
-        if k not in _KEYS["flows"]:
+        if k not in _FLOW_OPTIONS:
             raise ValueError("unknown flow option %r" % k)
-        opts[k] = _value(_KEYS["flows"][k], k, v)
+        if k in opts:
+            raise ValueError("duplicate flow option %r" % k)
+        opts[k] = _value(_FLOW_OPTIONS[k], k, v)
     if len(tokens) < 4:
         raise ValueError("flow needs 'src dst kind bytes [rate_bps]'")
     kind = tokens[2]
-    if kind not in (BACKLOGGED, CBR):
+    if kind != BACKLOGGED and kind != CBR:
         raise ValueError("flow kind must be backlogged or cbr, got %r" % kind)
     if len(tokens) != 4 + (kind == CBR):
         raise ValueError("%s flow needs 'src dst %s bytes%s'"
                          % (kind, kind, " rate_bps" * (kind == CBR)))
-    src, dst = _int(tokens[0]), _int(tokens[1])
+    try:
+        src, dst = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        src, dst = _int(tokens[0]), _int(tokens[1])
     if src == dst:
         raise ValueError("flow %d has src == dst" % fid)
     start, stop = opts.get("start", 0), opts.get("stop", -1)
     if "stop" in opts and stop <= start:
         raise ValueError("flow %d stop %d not after start %d"
                          % (fid, stop, start))
-    size = _value((_int, _MSDU), "bytes", tokens[3])
-    rate = _value((_int, _GE1), "rate_bps", tokens[4]) if kind == CBR else 0
+    try:
+        size = int(tokens[3])
+    except ValueError:
+        size = 0
+    if not 1 <= size <= frames.MAX_MSDU_BYTES:
+        size = _value(_BYTES, "bytes", tokens[3])
+    rate = _value(_RATE_BPS, "rate_bps", tokens[4]) if kind == CBR else 0
     s.flows.append(Flow(fid, src, dst, kind, size, rate, start, stop,
                         opts.get("cat", 0)))
 
@@ -335,9 +376,13 @@ def _validate(s):
     elif s.sense_range < s.hear_range:
         _err(line(("links", "sense_range")), "sense_range %g below hear_range %g"
              % (s.sense_range, s.hear_range))
-    # (key_lines key, node id) for every reference to a node.
+    # (key_lines key, node id) for every reference to a node; a flow's two
+    # are listed only if one of them names no node.
+    positions = s.positions
     refs = [(("node", nid), nid) for nid in s.node_overrides]
-    refs += [(("flows", f.fid), nid) for f in s.flows for nid in (f.src, f.dst)]
+    refs += [(("flows", f.fid), nid) for f in s.flows
+             if f.src not in positions or f.dst not in positions
+             for nid in (f.src, f.dst)]
     if s.pcf is not None:
         for key in _KEYS["pcf"]:
             if key not in s.pcf:
@@ -347,7 +392,7 @@ def _validate(s):
         if s.pcf["coordinator"] in s.pcf["pollable"]:
             _err(line(("pcf", "pollable")), "pollable names the coordinator")
     for at, nid in refs:
-        if nid not in s.positions:
+        if nid not in positions:
             _err(line(at), "references unknown node %d" % nid)
     for f in s.flows:
         if f.category and f.category >= max(1, len(s.edcf_cats)):

@@ -1,10 +1,18 @@
 """Set-up cost of one static cell as the node count grows: seconds of
-`parse_scenario`, seconds and tracemalloc peak of `harness.build`, for
-N = 81, 289 and 1,024 nodes, and of building every reach table of the
-medium for N = 81 and 289.  Parse and build have a column each, so a
-change shows in the set-up layer it moved.  The reach tables are what
-the first transmissions pay, O(N^2); at 1,024 nodes they hold about a
-million hearer entries, which would dominate the sweep.
+`parse_scenario`, seconds, tracemalloc peak and GC-tracked objects of
+`harness.build`, for N = 81, 289 and 1,024 nodes, and of building every
+reach table of the medium for N = 81 and 289.  Parse and build have a
+column each, so a change shows in the set-up layer it moved; the object
+count shows a build that makes more objects per node or flow, which the
+cyclic collector then walks.  The reach tables are what the first
+transmissions pay.  In one cell every pair is in range, so they are
+O(N^2); at 1,024 nodes they hold about a million hearer entries, which
+would dominate the sweep.
+
+Then the reach tables of a sparse grid, `jittered_grid` (below) at
+N = 1,024 and 4,096: each node has the same few nodes in range at every
+N, so the time per node stays flat unless the build tests pairs that
+cannot be in range.
 
 Then the run cost of a sparse grid as N grows: `jittered_grid` (10 m
 spacing, hear 15 m, sense 25 m, half the nodes backlogged) at N = 64, 256
@@ -28,7 +36,7 @@ median run's scale factor.
 
     PYTHONPATH=src python tests/setup_sweep.py
 
-Prints three Markdown tables.  It only reports: it fails only on an
+Prints four Markdown tables.  It only reports: it fails only on an
 exception.
 """
 
@@ -50,6 +58,7 @@ import calibrate  # noqa: E402
 
 SIDES = (9, 17, 32)  # N = side * side
 REACH_SIDES = (9, 17)
+GRID_REACH_SIDES = (32, 64)
 RUN_SIDES = (8, 16, 32)
 CELL_SIDES = (5, 9)
 RUN_US = 200_000
@@ -90,13 +99,26 @@ def parse_cost(text):
                    for _ in range(RUN_REPS)])
 
 
+def build_objects(s):
+    """GC-tracked objects that `harness.build(s)` leaves, the build
+    included: what it adds to the collector's young generation."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        built = harness.build(s)  # noqa: F841 (kept alive while counting)
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
 def build_cost(side):
-    """(scaled build seconds, scale factor, tracemalloc peak bytes) of
-    `dense_cell(side)`."""
+    """(scaled build seconds, scale factor, tracemalloc peak bytes,
+    GC-tracked objects) of `dense_cell(side)`."""
     s = parse_scenario(dense_cell(side))
     seconds, factor = median([timed(lambda: harness.build(s))
                               for _ in range(RUN_REPS)])
-    return seconds, factor, build_peak(s)[0]
+    return seconds, factor, build_peak(s)[0], build_objects(s)
 
 
 def reach_all(medium, macs):
@@ -104,10 +126,10 @@ def reach_all(medium, macs):
         medium.reach(nid)
 
 
-def reach_cost(side):
+def reach_cost(text):
     """(scaled seconds, scale factor, tracemalloc peak bytes) to build every
-    reach table of a freshly built `dense_cell(side)`."""
-    s = parse_scenario(dense_cell(side))
+    reach table of the freshly built scenario `text`."""
+    s = parse_scenario(text)
     runs = []
     for _ in range(RUN_REPS):
         _, medium, macs, _ = harness.build(s)
@@ -121,6 +143,12 @@ def reach_cost(side):
         return seconds, factor, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def reach_row(text):
+    """`reach_cost(text)` with its peak in MB."""
+    seconds, factor, peak = reach_cost(text)
+    return seconds, factor, peak / 2**20
 
 
 def mac_calls(s, names):
@@ -163,19 +191,25 @@ def run_cost(text, counted):
 
 def main():
     print("| N | parse s | scale factor | build s | scale factor "
-          "| tracemalloc peak MB | reach tables s | scale factor "
-          "| reach tables peak MB |")
-    print("|---|---|---|---|---|---|---|---|---|")
+          "| tracemalloc peak MB | GC-tracked objects | reach tables s "
+          "| scale factor | reach tables peak MB |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for side in SIDES:
         parse = "%.4f | %.3f" % parse_cost(dense_cell(side))
-        seconds, factor, peak = build_cost(side)
+        seconds, factor, peak, objects = build_cost(side)
         reach = "- | - | -"
         if side in REACH_SIDES:
-            reach_s, reach_factor, reach_peak = reach_cost(side)
-            reach = "%.4f | %.3f | %.1f" % (reach_s, reach_factor,
-                                            reach_peak / 2**20)
-        print("| %d | %s | %.4f | %.3f | %.1f | %s |" % (
-            side * side, parse, seconds, factor, peak / 2**20, reach))
+            reach = "%.4f | %.3f | %.1f" % reach_row(dense_cell(side))
+        print("| %d | %s | %.4f | %.3f | %.1f | %d | %s |" % (
+            side * side, parse, seconds, factor, peak / 2**20, objects,
+            reach))
+    print()
+    print("| N, sparse grid | reach tables s | scale factor "
+          "| reach tables peak MB |")
+    print("|---|---|---|---|")
+    for side in GRID_REACH_SIDES:
+        print("| %d | %.4f | %.3f | %.1f |" % (
+            side * side, *reach_row(jittered_grid(side, 1, RUN_US))))
     print()
     print("| N | us per transmission | us per event "
           "| carrier-sense calls per transmission | scale factor |")

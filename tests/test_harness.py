@@ -100,6 +100,9 @@ def test_two_way_nodes_share_params_without_rts():
     _, _, macs, _ = harness.build(s)
     assert macs[0].params is macs[1].params
     assert macs[0].params.rts_threshold > 800
+    # A fixed rate and binary exponential backoff keep no state: one each.
+    assert macs[0].rate_scheme is macs[1].rate_scheme
+    assert macs[0].backoff_scheme is macs[1].backoff_scheme
     assert harness.build(s, variant="dcf")[2][0].params.rts_threshold == 500
 
 

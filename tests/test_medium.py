@@ -2,12 +2,13 @@
 equivalence with a reference medium that resolves each hearer from its own
 overlap set."""
 
+from math import hypot
 from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
 from conftest import dense_cell, jittered_grid, shipped, small_scenarios
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from macsim import harness, metrics, phy
 from macsim.engine import Simulator
@@ -91,6 +92,129 @@ def test_reach_tables_match_topology(name):
                 links.add(linked)
         assert links == {False, True}
     assert clean == _CLEAN[name]
+
+
+# -- cell-bucketed reach tables against the all-pairs build -------------------
+
+class _Node:
+    """A stand-in MacNode: the reach build reads only its id, and compares
+    MacNodes by identity."""
+
+    __slots__ = ("node_id",)
+
+    def __init__(self, node_id):
+        self.node_id = node_id
+
+
+def _layout_medium(positions, hear, sense, coordinator=None):
+    """A medium over `positions` (node id -> (x, y)) with a stand-in node
+    per id and, if given, a stand-in coordinator at that node."""
+    medium = Medium(Simulator(), phy.Topology(dict(positions), hear, sense),
+                    phy.LinkQualityProcess(sorted(positions), phy.HIGH),
+                    dict(phy.DEFAULT_BASE_FER), 10.0, False, 1, False)
+    for nid in positions:
+        medium.register(_Node(nid))
+    if coordinator is not None:
+        medium.coordinator = SimpleNamespace(mac=medium.macs[coordinator])
+    return medium
+
+
+def _all_pairs_reach(medium):
+    """Every node's (hearers, power items, sensing, pcf) from the build that
+    takes every node pair in id order and measures each once: the medium's
+    build before nodes were put in cells."""
+    topo = medium.topology
+    positions = topo.positions
+    sense, hear = topo.sense_range, topo.hear_range
+    by_id = sorted(medium.macs.items())
+    hearers = {nid: [] for nid, _ in by_id}
+    sensing = {nid: [] for nid, _ in by_id}
+    for i, (a, mac_a) in enumerate(by_id):
+        ax, ay = positions[a]
+        for b, mac_b in by_id[i + 1:]:
+            bx, by = positions[b]
+            d = hypot(ax - bx, ay - by)
+            if d <= sense:
+                sensing[a].append(mac_b)
+                sensing[b].append(mac_a)
+                if d <= hear:
+                    p = phy.power_at(d)
+                    hearers[a].append((b, mac_b, p))
+                    hearers[b].append((a, mac_a, p))
+    pc = medium.coordinator
+    return {nid: (hearers[nid], [(b, p) for b, _, p in hearers[nid]],
+                  sensing[nid], pc if pc and pc.mac in sensing[nid] else None)
+            for nid, _ in by_id}
+
+
+def _assert_reach_matches_all_pairs(positions, hear, sense, coordinator=None):
+    medium = _layout_medium(positions, hear, sense, coordinator)
+    expected = _all_pairs_reach(medium)
+    medium.reach(next(iter(positions)))
+    got = {nid: (r.hearers, list(r.power.items()), r.sensing, r.pcf)
+           for nid, r in medium._reach_of.items()}
+    assert got == expected
+    return expected
+
+
+_LAYOUTS = {
+    # A measured distance of exactly sense_range, across a cell border;
+    # the second pair's distance rounds down to sense_range from above it.
+    "sense_range_across_a_border": ({0: (-1.0, 0.0), 1: (24.0, 0.0),
+                                     2: (-1e-20, 50.0), 3: (25.0, 50.0)},
+                                    25, 25),
+    "negative_coordinates": ({i: (-10.0 * (i % 7) - 0.5, -10.0 * (i // 7))
+                              for i in range(49)}, 15, 25),
+    "co_located": ({0: (3.0, 3.0), 1: (3.0, 3.0), 2: (3.0, 3.0),
+                    3: (90.0, 3.0), 4: (90.0, 3.0)}, 10, 10),
+    # Only co-located nodes are in range, with cells of no width.
+    "zero_ranges": ({0: (0.0, 0.0), 1: (0.0, 0.0), 2: (1e-9, 0.0),
+                     3: (-5.0, 7.0), 4: (-5.0, 7.0)}, 0, 0),
+    "one_cell": ({i: (i % 9 * 1.0, i // 9 * 1.0) for i in range(81)}, 50, 50),
+    # Far from the origin the cell coordinates stop being whole numbers.
+    "far_from_the_origin": ({0: (1e300, 0.0), 1: (1e300, 0.0),
+                             2: (-1e300, 5.0), 3: (0.0, 1e17),
+                             4: (0.0, 1e17 + 16)}, 10, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUTS))
+def test_bucketed_reach_tables_match_all_pairs(name):
+    positions, hear, sense = _LAYOUTS[name]
+    tables = _assert_reach_matches_all_pairs(positions, hear, sense)
+    # Each layout has pairs in sense range.
+    assert any(sensing for _, _, sensing, _ in tables.values())
+
+
+def test_bucketed_reach_tables_match_all_pairs_on_a_sparse_grid():
+    s = parse_scenario(jittered_grid(20, 3, 1000))
+    _assert_reach_matches_all_pairs(s.positions, s.hear_range, s.sense_range,
+                                    coordinator=57)
+
+
+@st.composite
+def _layouts(draw):
+    """Up to 40 nodes at multiples of 2.5 m, many pairs exactly a range
+    apart, some at one point, with ranges of 0 to 25 m and sometimes a
+    coordinator."""
+    positions = {}
+    for nid in draw(st.lists(st.integers(0, 500), min_size=1, max_size=40,
+                             unique=True)):
+        if positions and draw(st.booleans()):
+            positions[nid] = draw(st.sampled_from(list(positions.values())))
+        else:
+            x, y = draw(st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+            positions[nid] = (x * 2.5, y * 2.5)
+    hear = draw(st.sampled_from([0, 2.5, 5, 10, 25]))
+    sense = hear + draw(st.sampled_from([0, 2.5, 10]))
+    coordinator = draw(st.none() | st.sampled_from(sorted(positions)))
+    return positions, hear, sense, coordinator
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_layouts())
+def test_bucketed_reach_tables_match_all_pairs_on_random_layouts(layout):
+    _assert_reach_matches_all_pairs(*layout)
 
 
 # -- capture cases the resolution pass decides -------------------------------

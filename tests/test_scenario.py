@@ -300,6 +300,28 @@ _REJECTED = [
     ("5 = 5 0 backlogged 1500",
      "5 = 5 0 backlogged 1500\n[edcf]\ncat00 = 50 2 16 256",
      "categories must be cat0, cat1, ... in order"),
+    # The first of two start options used to win: the flow started at 100.
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 backlogged 1500 start=100 start=200",
+     "duplicate flow option 'start'"),
+    # Node and flow lines convert their fields directly; each bad field
+    # still gets its own message.
+    ("0 = 0 0", "0 = nan 0", "expected a finite float, got 'nan'"),
+    ("0 = 0 0", "0 = 0 -inf", "expected a finite float, got '-inf'"),
+    ("0 = 0 0", "0 = 0 0 0", "node line needs 'id = x y'"),
+    ("0 = 0 0", "zero = 0 0", "expected int, got 'zero'"),
+    ("1 = 1 0 backlogged 1500", "one = 1 0 backlogged 1500",
+     "expected int, got 'one'"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 nil backlogged 1500",
+     "expected int, got 'nil'"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 backlogged 15x",
+     "expected int, got '15x'"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 backlogged",
+     "flow needs 'src dst kind bytes [rate_bps]'"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 bursty 1500",
+     "flow kind must be backlogged or cbr, got 'bursty'"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 backlogged 1500 9",
+     "backlogged flow needs 'src dst backlogged bytes'"),
+    ("1 = 1 0 backlogged 1500", "1 = 1 0 cbr 1500 0", "rate_bps must be >= 1"),
 ]
 
 
