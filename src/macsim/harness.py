@@ -75,15 +75,21 @@ class _NodeSettings:
     keeps for itself: its categories, random stream, MacNode, and any rate
     or backoff scheme that changes as it runs."""
 
-    def __init__(self, s, overrides, variant):
-        mac = {**s.mac, **overrides}  # [mac], then node.N.*
+    def __init__(self, s, nid, variant):
+        own = s.node_overrides.get(nid, {})
+        mac = {**s.mac, **own}  # [mac], then node.N.*
+        # The line of the key that set the variant, for errors about it: a
+        # `compare` override has none.
+        self.line = None if variant else s.key_lines.get(
+            ("node", nid, "variant") if "variant" in own
+            else ("mac", "variant"))
         flags = variant_flags(variant or mac.get("variant", s.variant))
         params = MacParams(**{k: mac[k] for k in _PARAM_KEYS if k in mac})
         if flags["two_way"]:
             params = replace(params, rts_threshold=_NO_RTS)
         if flags["edcf"]:
             if not s.edcf_cats:
-                raise ScenarioError("edcf variant needs an [edcf] section")
+                scn_mod._err(self.line, "edcf variant needs an [edcf] section")
             cats = []
             for i, (aifs, pf, cw_min, cw_max) in enumerate(s.edcf_cats):
                 if aifs < params.difs_us:
@@ -178,23 +184,24 @@ def build(s, variant=None, trace=False):
     # variant or EDCF category raises, as it would if each node resolved
     # its own.
     macs = {}
-    any_pcf = False
-    shared = None
+    pcf_by = shared = None  # pcf_by: the first node settings that run pcf
     for nid in node_ids:
-        overrides = s.node_overrides.get(nid)
-        if overrides:
-            settings = _NodeSettings(s, overrides, variant)
+        if s.node_overrides.get(nid):
+            settings = _NodeSettings(s, nid, variant)
         else:
             if shared is None:
-                shared = _NodeSettings(s, {}, variant)
+                shared = _NodeSettings(s, None, variant)
             settings = shared
         macs[nid] = settings.mac_node(sim, medium, nid, s.seed, recorder)
-        any_pcf = any_pcf or settings.pcf
+        if pcf_by is None and settings.pcf:
+            pcf_by = settings
 
-    if any_pcf or (s.pcf is not None
-                   and "pcf" in (variant or s.variant).split("+")):
+    # A node's variant asks for a point coordinator; so does the [mac] one
+    # while [pcf] configures it, as when every node sets its own.
+    if pcf_by is not None or (s.pcf is not None
+                              and variant_flags(variant or s.variant)["pcf"]):
         if s.pcf is None:
-            raise ScenarioError("pcf variant needs a [pcf] section")
+            scn_mod._err(pcf_by.line, "pcf variant needs a [pcf] section")
         pc_mac = macs[s.pcf["coordinator"]]
         # The CP must fit one worst-case exchange of any node: the largest
         # fragment at the node's data rate.  The floor depends on per-node

@@ -1,11 +1,12 @@
 """Metric collection and CSV emission.
 
-A Recorder rides along during a run: packet generation, delivery (reported
-once per packet by the destination's MAC, which keeps the reassembly state on
-the Packet), drops (CF responses that never arrived among them), and
-per-window delivered bits feeding the windowed fairness series.  finalize()
-folds in the medium's collision statistics and freezes everything into a
-Metrics value.
+A Recorder rides along during a run and counts into one FlowMetrics per
+flow: packet generation, delivery (reported once per packet by the
+destination's MAC, which keeps the reassembly state on the Packet) and drops
+(CF responses that never arrived among them).  Each delivery's delay and the
+per-window delivered bits behind the fairness series stay on the Recorder.
+finalize() completes the records, adds the medium's collision counts and
+returns them in a Metrics value.
 """
 
 import math
@@ -68,18 +69,15 @@ class Metrics:
 
 
 class Recorder:
-    """Run-time event sink wired into every MacNode."""
+    """Run-time event sink wired into every MacNode.  finalize() returns the
+    FlowMetrics in `flows` it counted into: call it once the run has ended."""
 
     def __init__(self, sim, flow_ids, shares=None, window_us=100_000):
         self.sim = sim
-        self.flow_ids = list(flow_ids)
-        self.shares = dict(shares) if shares else {f: 1.0 for f in flow_ids}
+        self.flows = {f: FlowMetrics() for f in flow_ids}
+        self.shares = dict(shares or dict.fromkeys(self.flows, 1.0))
         self.window_us = window_us
-        self.generated_bits = dict.fromkeys(flow_ids, 0)
-        self.generated_packets = dict.fromkeys(flow_ids, 0)
-        self.delays = {f: [] for f in flow_ids}
-        self.drops = dict.fromkeys(flow_ids, 0)
-        self.delivered_bits = dict.fromkeys(flow_ids, 0)
+        self.delays = {f: [] for f in self.flows}
         self.window_bits = {}  # (now // window_us, fid) -> delivered bits
         self.refill = {}  # fid -> callback, set by the traffic source
         self.cf_sent = {}  # sender -> its last CF response's Packet
@@ -87,16 +85,16 @@ class Recorder:
     # -- hooks called from the MACs and traffic sources ---------------------
 
     def on_generated(self, pkt):
-        fid = pkt.flow_id
-        self.generated_bits[fid] += pkt.size * 8
-        self.generated_packets[fid] += 1
+        fm = self.flows[pkt.flow_id]
+        fm.generated_bits += pkt.size * 8
+        fm.generated_packets += 1
 
     def on_delivered(self, pkt):
         """Called once per packet, when its destination holds every byte."""
         fid = pkt.flow_id
         bits = pkt.size * 8
         now = self.sim.now
-        self.delivered_bits[fid] += bits
+        self.flows[fid].delivered_bits += bits
         self.delays[fid].append(now - pkt.created)
         key = (now // self.window_us, fid)
         self.window_bits[key] = self.window_bits.get(key, 0) + bits
@@ -104,7 +102,7 @@ class Recorder:
     def on_drop(self, pkt):
         if pkt.received >= pkt.size:
             return  # the data made it; only the final ACK was lost
-        self.drops[pkt.flow_id] += 1
+        self.flows[pkt.flow_id].drops += 1
 
     def on_cf_sent(self, pkt):
         """A CF response carrying `pkt` has left the air.  Nothing acks it,
@@ -126,25 +124,17 @@ class Recorder:
         for pkt in self.cf_sent.values():
             self.on_drop(pkt)
         self.cf_sent.clear()
-        m = Metrics(duration_us=duration_us)
-        for fid in self.flow_ids:
-            fm = FlowMetrics(
-                generated_bits=self.generated_bits[fid],
-                generated_packets=self.generated_packets[fid],
-                delivered_bits=self.delivered_bits[fid],
-                delivered_packets=len(self.delays[fid]),
-                drops=self.drops[fid])
+        for fid, fm in self.flows.items():
             delays = self.delays[fid]
+            fm.delivered_packets = len(delays)
             if delays:
                 fm.mean_delay_us = sum(delays) / len(delays)
                 fm.p95_delay_us = float(
                     sorted(delays)[max(0, math.ceil(0.95 * len(delays)) - 1)])
-            m.flows[fid] = fm
-        m.collision_events = medium_stats.collision_events
-        m.total_transmissions = medium_stats.total_transmissions
-        m.ack_collisions = medium_stats.ack_collisions
-        m.fairness_series = self._fairness_series(duration_us)
-        return m
+        return Metrics(duration_us, self.flows, medium_stats.collision_events,
+                       medium_stats.total_transmissions,
+                       medium_stats.ack_collisions,
+                       self._fairness_series(duration_us))
 
     def _fairness_series(self, duration_us):
         """Per-window worst-pair fairness over flows with positive shares.
@@ -152,7 +142,7 @@ class Recorder:
         Windows where nothing was delivered are skipped; a window where one
         flow starved yields 0, which is the honest short-term reading.
         """
-        if len(self.flow_ids) < 2:
+        if len(self.flows) < 2:
             return []
         series = []
         nwin = duration_us // self.window_us
@@ -161,11 +151,11 @@ class Recorder:
         for (k, fid), bits in self.window_bits.items():
             key = (min(k, nwin - 1), fid)
             bins[key] = bins.get(key, 0) + bits
-        shares = [self.shares[f] for f in self.flow_ids]
+        shares = [self.shares[f] for f in self.flows]
         # Only windows that hold a delivery, in window order: a window
         # index below 0 means the run is shorter than one window.
         for k in sorted({k for k, _ in bins if k >= 0}):
-            w = [bins.get((k, f), 0) for f in self.flow_ids]
+            w = [bins.get((k, f), 0) for f in self.flows]
             if all(v == 0 for v in w):
                 continue
             series.append((k, fairness_index(shares, w)))

@@ -65,7 +65,8 @@ class Scenario:
 
 
 def _err(lineno, msg):
-    raise ScenarioError("line %d: %s" % (lineno, msg))
+    raise ScenarioError(msg if lineno is None
+                        else "line %d: %s" % (lineno, msg))
 
 
 # Value parsers: text -> value, or ValueError with the reason.

@@ -106,6 +106,45 @@ def test_two_way_nodes_share_params_without_rts():
     assert harness.build(s, variant="dcf")[2][0].params.rts_threshold == 500
 
 
+# Every node sets its own variant, and none runs pcf.
+_ALL_NODES_SET_THEIR_OWN = """\
+[sim]
+duration_us = 1000
+[nodes]
+0 = 0 0
+1 = 5 0
+[mac]
+variant = dcf+pcf
+node.0.variant = dcf
+node.1.variant = dcf
+"""
+_PCF = """\
+[pcf]
+coordinator = 0
+pollable = 1
+superframe_us = 60000
+cfp_max_us = 30000
+cp_min_us = 20000
+"""
+
+
+def test_mac_pcf_variant_starts_only_a_configured_coordinator():
+    # The [mac] variant starts the coordinator [pcf] configures even when no
+    # node runs it, and without [pcf] asks for none.
+    medium = harness.build(parse_scenario(_ALL_NODES_SET_THEIR_OWN + _PCF))[1]
+    assert medium.coordinator is not None
+    medium = harness.build(parse_scenario(_ALL_NODES_SET_THEIR_OWN))[1]
+    assert medium.coordinator is None
+
+
+def test_metrics_hold_the_recorders_own_flow_records():
+    r = harness.run(parse_scenario(single_cell(2, 500, 1, 100_000)))
+    assert set(r.metrics.flows) == {1, 2}
+    for fid, fm in r.metrics.flows.items():
+        assert fm is r.recorder.flows[fid]
+    assert fm.delivered_packets > 0
+
+
 def test_cbr_flow_paces_arrivals():
     # 1 Mbps of 500-byte packets over 0.1 s = 25 packets.
     text = single_cell(1, 500, seed=1, duration_us=100_000,
@@ -198,6 +237,17 @@ def test_cli_scenario_error_exit_2(tmp_path):
     assert "line 2" in res.stderr
 
 
+# (variant, [mac] lines, message): each parses, but harness.build rejects
+# it, naming the line of the variant key that asked for the feature.
+_VARIANT_ERRORS = [
+    ("dcf+pcf", (), "line 11: pcf variant needs a [pcf] section"),
+    ("dcf", ("node.1.variant = dcf+edcf",),
+     "line 12: edcf variant needs an [edcf] section"),
+    ("dcf", ("node.1.variant = dcf+pcf",),
+     "line 12: pcf variant needs a [pcf] section"),
+]
+
+
 def test_cli_run_build_error_exit_2(tmp_path):
     # Parses, but harness.build rejects edcf without an [edcf] section.
     bad = tmp_path / "edcf.txt"
@@ -206,7 +256,13 @@ def test_cli_run_build_error_exit_2(tmp_path):
     res = _cli(["run", str(bad)])
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert "needs an [edcf] section" in res.stderr
+    assert "line 11: edcf variant needs an [edcf] section" in res.stderr
+    for variant, mac_lines, message in _VARIANT_ERRORS:
+        bad.write_text(single_cell(1, 800, seed=1, duration_us=1000,
+                                   variant=variant, mac_lines=mac_lines))
+        code, err = cli_main(["run", str(bad)])
+        assert code == 2
+        assert message in err
 
 
 def test_cli_run_zero_metric_window_exit_2(tmp_path):

@@ -1,5 +1,6 @@
 """Recorder bookkeeping and CSV emission."""
 
+import copy
 import sys
 
 import pytest
@@ -58,6 +59,21 @@ def test_p95_delay_order_statistic():
         rec.on_delivered(_delivered(pkt))
     m = rec.finalize(1000, MediumStats())
     assert m.flows[1].p95_delay_us == 95.0
+
+
+def test_finalize_twice_returns_equal_metrics_and_one_cf_drop():
+    # The Metrics holds the Recorder's own records, so a second call must
+    # not change the first result: the lost CF response drops once.
+    sim, rec = _recorder()
+    _deliver(sim, rec, 0, 1, 100, created=0, at=250)
+    lost = Packet(1, 2, 1, 0, 100, 0)
+    rec.on_generated(lost)
+    rec.on_cf_sent(lost)
+    first = rec.finalize(1000, MediumStats())
+    kept = copy.deepcopy(first)
+    second = rec.finalize(1000, MediumStats())
+    assert first.flows[2].drops == 1
+    assert second == first == kept
 
 
 def test_fairness_series_skips_empty_windows():

@@ -278,7 +278,7 @@ def test_memory_stays_flat_over_a_long_run():
         # bin per flow and window: both are as long as the output.
         for r, sizes in ((short, before), (long, after)):
             rec = r.recorder
-            nflows = len(rec.flow_ids)
+            nflows = len(rec.flows)
             assert sizes.pop("recorder.delays") == nflows + sum(
                 f.delivered_packets for f in r.metrics.flows.values())
             windows = r.sim.now // rec.window_us + 1
