@@ -214,8 +214,7 @@ def build(s, variant=None, trace=False):
                          "cp_min_us %d below the %d us needed for one full "
                          "exchange" % (s.pcf["cp_min_us"], floor))
         pc = PointCoordinator(pc_mac, s.pcf["pollable"],
-                              s.pcf["superframe_us"], s.pcf["cfp_max_us"],
-                              s.pcf["cp_min_us"])
+                              s.pcf["superframe_us"], s.pcf["cfp_max_us"])
         pc.start()
 
     pids = count()

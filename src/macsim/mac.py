@@ -25,8 +25,10 @@ DCFP_WAIT_CTS = "dcfp_wait_cts"  # data receiver offered a piggyback, waits CTS
 DCFP_WAIT_REV = "dcfp_wait_rev"  # data sender granted it, waits reverse DATA
 ICA_WINDOW = "ica_window"
 
-# The point coordinator's frames, which an overhearing node handles by kind.
-_CF_KINDS = frozenset((BEACON, CF_POLL, CF_ACK, CF_END))
+# The contention-free frames, which an overhearing node handles by kind:
+# the beacon sets the NAV, CF-End clears it, and the rest leave it alone
+# (IEEE 802.11-1999 9.3).  They carry no exchange id of their own.
+_CF_KINDS = frozenset((BEACON, CF_POLL, CF_ACK, CF_END, DATA_CF_ACK))
 
 
 @dataclass
@@ -523,7 +525,6 @@ class MacNode:
         self.nav_xid = -1
         if self._nav_event is not None:
             self._nav_event.cancel()
-        self._maybe_idle_edge()
 
     def _ica_watch(self, frame):
         """An idle ICA node overheard an RTS: defer like DCF would, but only

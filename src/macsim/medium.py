@@ -337,12 +337,10 @@ class Medium:
                 # Every hearer's line differs only in the node field.
                 stamp = f"{sim.now}\t"
                 tail = f"\trx\t{RECEIVED} from {sender} {kind}"
-                for hearer, mac, _ in tx.reach.hearers:
+            for hearer, mac, _ in tx.reach.hearers:
+                if lines is not None:
                     lines.append(f"{stamp}{hearer}{tail}")
-                    mac.on_frame(frame)
-            else:
-                for _, mac, _ in tx.reach.hearers:
-                    mac.on_frame(frame)
+                mac.on_frame(frame)
         else:
             stats = self.stats
             dst = frame.dst

@@ -156,8 +156,6 @@ class Recorder:
         # index below 0 means the run is shorter than one window.
         for k in sorted({k for k, _ in bins if k >= 0}):
             w = [bins.get((k, f), 0) for f in self.flows]
-            if all(v == 0 for v in w):
-                continue
             series.append((k, fairness_index(shares, w)))
         return series
 

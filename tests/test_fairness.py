@@ -6,12 +6,13 @@ from types import SimpleNamespace
 import pytest
 from scfq import ScfqTags, scfq_oracle
 
+from macsim.dcf import draw_backoff
 from macsim.engine import RandomStream
-from macsim.fairness import (Est, Mild, dfs_backoff,
+from macsim.fairness import (Dfs, Est, Mild, dfs_backoff,
                              estimation_backoff_update, fairness_index,
                              mild_update)
 from macsim.frames import DATA, Frame
-from macsim.mac import AccessCategory
+from macsim.mac import AccessCategory, Packet
 
 
 # -- MILD -------------------------------------------------------------------
@@ -187,6 +188,22 @@ def test_dfs_randomization_bounds():
     for _ in range(200):
         b = dfs_backoff(1000, 0.5, 1.0, stream=s)
         assert base * 0.5 - 1 <= b <= base * 1.5
+
+
+def test_dfs_retry_draws_from_the_dcf_window():
+    # A first attempt backs off by length over share: 12,000 slots here.  A
+    # retry draws from the category's window, as binary exponential backoff
+    # does.
+    cat = AccessCategory(0, 50, 2.0, 16, 256)
+    cat.queue.append(Packet(0, 0, 1, 0, 1500, 0))
+    cat.cw = 64
+    dfs = Dfs(phi=1.0, scaling=1.0, randomize=False)
+    assert dfs.draw(cat, RandomStream(4, 1)) == 12000
+    cat.retry_count = 1
+    stream, ref = RandomStream(4, 1), RandomStream(4, 1)
+    draws = [dfs.draw(cat, stream) for _ in range(50)]
+    assert draws == [draw_backoff(64, ref) for _ in range(50)]
+    assert max(draws) < 64
 
 
 def test_dfs_compression_continuous_and_monotone():

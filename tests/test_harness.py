@@ -106,6 +106,21 @@ def test_two_way_nodes_share_params_without_rts():
     assert harness.build(s, variant="dcf")[2][0].params.rts_threshold == 500
 
 
+# No scenario sets these keys: each must still reach the node's scheme.
+@pytest.mark.parametrize("variant,key,scheme,field", [
+    ("dcf+arf", "arf_timer_us", "rate_scheme", "timer_us"),
+    ("dcf+oar", "oar_ref_bytes", "rate_scheme", "ref_bytes"),
+    ("dcf+est", "est_window_us", "backoff_scheme", "window_us"),
+])
+def test_scheme_key_reaches_the_node_s_scheme(variant, key, scheme, field):
+    s = parse_scenario(single_cell(2, 800, seed=1, duration_us=1000,
+                                   variant=variant,
+                                   mac_lines=["%s = 1234" % key]))
+    _, _, macs, _ = harness.build(s)
+    assert [getattr(getattr(m, scheme), field) for m in macs.values()] == [
+        1234, 1234, 1234]
+
+
 # Every node sets its own variant, and none runs pcf.
 _ALL_NODES_SET_THEIR_OWN = """\
 [sim]
@@ -321,18 +336,6 @@ def test_cli_validate_rejects_what_run_rejects_at_build(tmp_path):
     assert "Traceback" not in res.stderr
     assert ("line 24: cp_min_us 100 below the 7423 us needed for one full "
             "exchange") in res.stderr
-
-
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_cli_edcf_aifs_below_difs_names_its_line(tmp_path, command):
-    bad = tmp_path / "edcf.txt"
-    bad.write_text(single_cell(1, 800, seed=1, duration_us=1000,
-                               variant="dcf+edcf")
-                   + "[edcf]\ncat0 = 50 2.0 16 256\ncat1 = 30 2.0 16 256\n")
-    res = _cli([command, str(bad)])
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
-    assert "line 16: category 1 AIFS 30 below DIFS 50" in res.stderr
 
 
 def test_cli_run_zero_cw_min_exit_2(tmp_path):

@@ -7,7 +7,8 @@ from conftest import fields, ica_frag, shipped, single_cell
 from macsim import harness
 from macsim import mac as mac_mod
 from macsim.frames import (ACK_AIR, BEACON, BEACON_BYTES, BROADCAST,
-                           CTS_AIR, DATA, RTS_AIR, Frame, frame_airtime)
+                           CF_POLL, CF_POLL_BYTES, CTS_AIR, DATA, RTS,
+                           RTS_AIR, RTS_BYTES, Frame, frame_airtime)
 from macsim.mac import Packet
 from macsim.metrics import Recorder
 from macsim.scenario import parse_scenario
@@ -290,6 +291,60 @@ def test_ica_window_sends_one_frame_flush_with_primary_data():
                    if src == node and kind == "tx_end")
         assert end == window_end
     assert kinds.count("ica_abort") <= 0.05 * len(windows)
+
+
+def _first_ica_window():
+    """ica_frag built and run until node 3 opens its first exposed window:
+    (simulator, node 3's MacNode, the time of the window's start event)."""
+    sim, _, macs, _ = harness.build(ica_frag(200_000), trace=True)
+    mac = macs[3]
+    while mac.phase != mac_mod.ICA_WINDOW:
+        sim.run_until(sim.now + 1)
+    start = next(ev.time for _, _, ev in sim._queue
+                 if ev.kind == "ica_start" and not ev.cancelled)
+    return sim, mac, start
+
+
+def _node_lines_at(trace, node, t):
+    return [line.split("\t", 2)[2] for line in trace
+            if line.startswith("%d\t%d\t" % (t, node))]
+
+
+def test_ica_window_aborts_when_a_reply_holds_the_air_at_its_start():
+    # A CF-Poll for node 3 arrives just before its window's DATA is due:
+    # the response goes out one SIFS later, and the window gives way to it.
+    sim, mac, start = _first_ica_window()
+    poll = Frame(CF_POLL, 4, 3, payload_bytes=CF_POLL_BYTES)
+    sim.schedule(start - mac.params.sifs_us - 1, "test_poll", 4,
+                 lambda: mac.on_frame(poll))
+    sim.run_until(start)
+    assert _node_lines_at(sim.trace_lines, 3, start) == [
+        "ica_start\t", "ica_abort\t"]
+    assert mac.phase == mac_mod.IDLE
+
+
+def test_ica_window_closed_before_its_start_sends_nothing():
+    # However the window closed, its start event finds no frame to send.
+    sim, mac, start = _first_ica_window()
+    sim.schedule(start - 1, "test_close", 3, mac._ica_abort)
+    sim.run_until(start + 1000)
+    assert _node_lines_at(sim.trace_lines, 3, start) == ["ica_start\t"]
+    assert mac.phase == mac_mod.IDLE
+
+
+def test_second_overheard_rts_restarts_the_ica_cts_wait():
+    # Only the CTS wait of the latest overheard RTS may run out.
+    sim, _, macs, _ = harness.build(parse_scenario(
+        "[sim]\nduration_us = 5000\n[nodes]\n0 = 0 0\n1 = 5 0\n2 = 10 0\n"
+        "[links]\nhear_range = 50\n[mac]\nvariant = dcf+ica\n"), trace=True)
+    mac = macs[2]
+    for t, xid in ((100, 7), (200, 8)):
+        rts = Frame(RTS, 0, 1, duration=2000, payload_bytes=RTS_BYTES, xid=xid)
+        sim.schedule(t, "test_rts", 0, lambda f=rts: mac.on_frame(f))
+    sim.run_until(5000)
+    assert [line for line in sim.trace_lines if "\tica_cts_timeout\t" in line
+            ] == ["%d\t2\tica_cts_timeout\t" % (200 + mac.ica_wait)]
+    assert mac.nav_until == 2200
 
 
 def _estimate_samples(mac):

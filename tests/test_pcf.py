@@ -7,7 +7,9 @@ from conftest import SCENARIOS
 
 from macsim import harness
 from macsim.dcf import MacParams
-from macsim.frames import CF_POLL, CF_POLL_BYTES, Frame
+from macsim.frames import (BEACON, CF_POLL, CF_POLL_BYTES, DATA_CF_ACK,
+                           Frame)
+from macsim.mac import MacNode
 from macsim.pcf import BEACON_AIR, min_cp_us
 from macsim.phy import airtime
 from macsim.scenario import ScenarioError, parse_scenario
@@ -273,3 +275,34 @@ def test_station_that_cannot_fit_is_passed_over():
     polls = [l.split("\t")[3].split()[0] for _, l in
              _events(r.trace_lines, "tx_start") if "CF_POLL" in l]
     assert polls and set(polls) == {"0->2"}
+
+
+def test_overheard_cf_response_leaves_the_cfp_nav(monkeypatch):
+    # Node 3 hears the beacon and node 1's responses to its polls.  The
+    # beacon sets its NAV to the CFP's latest end, 30,000 us into each
+    # superframe.  A response carries the beacon's exchange id (-1) and no
+    # duration, and used to cut that NAV to the response's end (first at
+    # 1,550 us, 10 times in 0.6 s), leaving node 3 free to contend inside
+    # the CFP.  Only the CF-END clears it.
+    text = _pcf_text(extra_nodes="3 = 0 5", pollable="1", duration=600_000,
+                     extra_flows="2 = 3 2 backlogged 500")
+    sim = harness.build(parse_scenario(text))[0]
+    on_frame = MacNode.on_frame
+    seen = []  # (frame kind, node 3's NAV end before it, after it)
+
+    def watch(mac, frame):
+        before = mac.nav_until
+        on_frame(mac, frame)
+        if mac.node_id == 3:
+            seen.append((frame.kind, before, mac.nav_until))
+
+    monkeypatch.setattr(MacNode, "on_frame", watch)
+    sim.run_until(600_000)
+    cfp_nav, responses = None, 0
+    for kind, before, after in seen:
+        if kind == BEACON:
+            cfp_nav = after
+        elif kind == DATA_CF_ACK:
+            responses += 1
+            assert before == after == cfp_nav
+    assert responses >= 10

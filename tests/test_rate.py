@@ -115,6 +115,8 @@ def test_oar_cap_respects_base_rate_budget():
     n = oar_cap_burst(5, 2304, 11, 2304)
     assert n * airtime(2304, 11) <= cap
     assert (n + 1) * airtime(2304, 11) > cap
+    # A 1,500-byte budget holds three 2,304-byte frames at 11 Mbps, not five.
+    assert oar_cap_burst(5, 2304, 11, 1500) == 3
 
 
 def test_oar_cap_leaves_small_bursts_alone():

@@ -322,6 +322,22 @@ _REJECTED = [
     ("1 = 1 0 backlogged 1500", "1 = 1 0 backlogged 1500 9",
      "backlogged flow needs 'src dst backlogged bytes'"),
     ("1 = 1 0 backlogged 1500", "1 = 1 0 cbr 1500 0", "rate_bps must be >= 1"),
+    ("seed = 1", "genie_tiebreak = maybe",
+     "expected boolean 0/1, got 'maybe'"),
+    ("5 = 5 0 backlogged 1500",
+     "5 = 5 0 backlogged 1500\n[edcf]\ncat0 = 50 2 16",
+     "category needs 'aifs_us pf cw_min cw_max'"),
+    ("5 = 5 0 backlogged 1500",
+     "5 = 5 0 backlogged 1500\n[edcf]\ncat0 = 50 2 300 256",
+     "category cw_min 300 above cw_max 256"),
+    # The AIFS floor is DIFS under the node's MAC parameters, so
+    # harness.build rejects it; `validate` builds too.
+    ("rts_threshold = 500",
+     "variant = dcf+edcf\n[edcf]\ncat0 = 50 2 16 256\ncat1 = 30 2 16 256",
+     "category 1 AIFS 30 below DIFS 50"),
+    ("hear_range = 50",
+     "hear_range = 50\nmatrix = -0.5 1.5 0 0 0 1 0 0 0 0 1 0 0 0 0 1",
+     "negative probability in row 0"),
 ]
 
 
