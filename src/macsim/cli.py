@@ -167,12 +167,10 @@ def main(argv=None):
         try:
             table = harness.compare(variants, s)
         except ScenarioError as e:
-            sys.stderr.write("error: %s\n" % e)
+            sys.stderr.write("%s: %s\n" % (args.scenario, e))
             sys.exit(2)
         _emit(metrics_mod.format_csv(table), args.out)
         return 0
-
-    parser.error("unknown command %r" % args.command)
 
 
 if __name__ == "__main__":

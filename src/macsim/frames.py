@@ -1,4 +1,5 @@
-"""MAC frame model and duration arithmetic shared by every variant."""
+"""MAC frame model: frame kinds, control-frame sizes and airtimes, and the
+Frame record with its time on air."""
 
 from dataclasses import dataclass
 

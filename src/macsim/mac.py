@@ -149,30 +149,26 @@ class MacNode:
     # set_nav runs for nearly every overheard frame, and mostly extends a
     # pending NAV, so the expiry Event is moved with Simulator.reschedule
     # rather than cancelled and scheduled anew; it keeps its heap entry
-    # unless the NAV moves earlier.
+    # unless the NAV moves earlier.  A NAV only grows, but for a correction
+    # by the exchange that set it (`replace`); no caller that replaces
+    # passes an `until` earlier than now.
     def set_nav(self, until, xid=-1, replace=False):
         now = self.sim.now
         nav = self.nav_until
-        if replace and xid == self.nav_xid:
-            new = until if until > now else now
-        elif until > nav:
-            new = until
-        elif nav > now:
+        if until <= nav and not (replace and xid == self.nav_xid):
             return
-        else:
-            new = nav
         was_idle = self.sense_count == 0 and not self.self_tx and nav <= now
-        self.nav_until = new
+        self.nav_until = until
         self.nav_xid = xid
         ev = self._nav_event
-        if new > now:
+        if until > now:
             if was_idle:
                 self._on_busy_edge()
             if ev is None:
                 self._nav_event = self.sim.schedule(
-                    new, "nav_expiry", self.node_id, self._maybe_idle_edge)
+                    until, "nav_expiry", self.node_id, self._maybe_idle_edge)
             else:
-                self._nav_event = self.sim.reschedule(ev, new)
+                self._nav_event = self.sim.reschedule(ev, until)
         elif ev is not None:
             ev.cancel()
 
@@ -222,8 +218,9 @@ class MacNode:
     # access arming
     # ------------------------------------------------------------------
 
+    # Its one caller, `enqueue`, has just queued a packet.
     def _arm(self, cat):
-        if cat.timer is not None or not cat.queue:
+        if cat.timer is not None:
             return
         if self.phase != IDLE or not self._virtually_idle():
             return
@@ -265,14 +262,17 @@ class MacNode:
         now = self.sim.now
         medium = self.medium
         # Genie tie-break: a frame that started at this instant, or an
-        # access timer of a lower-id node due now, takes the slot.
-        if medium.genie_tiebreak and (
-                any(t.start == now for t in medium.active.values())
-                or any(c.timer is not None and c.timer.time == now
-                       for nid, mac in medium.macs.items()
-                       if nid < self.node_id for c in mac.cats)):
-            cat.backoff_slots = 0
-            return
+        # access timer of a lower-id node due now, takes the slot, among
+        # nodes that sense each other: only their edges re-arm this timer.
+        if medium.genie_tiebreak:
+            near = medium.reach(self.node_id).sensing
+            if (any(t.start == now and medium.macs[t.sender] in near
+                    for t in medium.active.values())
+                    or any(c.timer is not None and c.timer.time == now
+                           for mac in near if mac.node_id < self.node_id
+                           for c in mac.cats)):
+                cat.backoff_slots = 0
+                return
         cat.backoff_slots = None
         # Virtual collision between this node's own categories.
         ready = [cat]

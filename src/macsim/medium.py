@@ -70,9 +70,10 @@ after the count loop, and calls `on_tx_end` after its own node's frames.
 
 A collision at a frame's destination joins it and the concurrent frames
 audible there in one collision episode, a union-find over the entries:
-the link is None outside any episode, True at a root, else an older entry
-of the episode.  No entry links to itself, so there is no reference cycle,
-and an episode is freed with the last frame holding one of its entries.
+the link is None outside any episode, True at a root, else another entry
+of the episode.  A join links one root under another, so the links form a
+tree, with no reference cycle, and an episode is freed with the last frame
+holding one of its entries.
 """
 
 from bisect import bisect
@@ -127,7 +128,6 @@ class MediumStats:
         self.total_transmissions = 0
         self.collided_transmissions = 0
         self.ack_collisions = 0
-        self.errored = 0
         self.collision_events = 0
 
     def _root(self, e):
@@ -141,13 +141,11 @@ class MediumStats:
 
     def record_collision(self, entry, overlapping):
         """Join `entry` and the `overlapping` entries in one episode, each
-        newer root linked under the older one."""
+        other root linked under `entry`'s."""
         root = self._root(entry)
         for e in overlapping:
             r = self._root(e)
             if r is not root:
-                if r[0] < root[0]:
-                    root, r = r, root
                 r[4] = root
                 self.collision_events -= 1
 
@@ -385,8 +383,6 @@ class Medium:
                             e for e in concurrent if hearer in e[3]])
                         if kind == ACK:
                             stats.ack_collisions += 1
-                    elif outcome == ERRORED:
-                        stats.errored += 1
         now = sim.now
         for mac in tx.reach.sensing:
             n = mac.sense_count - 1

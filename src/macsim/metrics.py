@@ -46,15 +46,12 @@ class Metrics:
     def aggregate_delivered_bits(self):
         return sum(f.delivered_bits for f in self.flows.values())
 
+    # `duration_us` is positive: the parser requires it.
     @property
     def aggregate_throughput_bps(self):
-        if self.duration_us == 0:
-            return 0.0
         return self.aggregate_delivered_bits * 1e6 / self.duration_us
 
     def throughput_bps(self, fid):
-        if self.duration_us == 0:
-            return 0.0
         return self.flows[fid].delivered_bits * 1e6 / self.duration_us
 
     @property

@@ -97,9 +97,9 @@ class PointCoordinator:
 
     # -- polling loop --------------------------------------------------------
 
+    # Runs SIFS after a beacon, a response or the node's own frame, all of
+    # which leave the state _POLLING, or at a poll's silence timeout.
     def _next_poll(self):
-        if self.state != _POLLING:
-            return
         if self.mac.self_tx:  # the node's own frame; see on_tx_end
             self.state = _HELD
             return

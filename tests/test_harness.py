@@ -213,24 +213,31 @@ def test_cli_run_stdout_and_trace(scenario_file, tmp_path):
     assert len(first) == 4 and first[0].isdigit()
 
 
-def test_cli_run_seed_override(scenario_file):
-    a = _cli(["run", str(scenario_file)])
-    b = _cli(["run", str(scenario_file), "--seed", "99"])
-    assert a.returncode == b.returncode == 0
-    assert a.stdout != b.stdout
+def test_cli_run_seed_override(scenario_file, tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", str(scenario_file), "--seed", "99", "--out",
+                     str(out)]) == (0, "")
+    s = parse_scenario(scenario_file.read_text())
+    assert s.seed != 99
+    s.seed = 99
+    assert out.read_text() == format_csv(
+        {s.variant: harness.run(s).metrics})
 
 
-def test_cli_compare(scenario_file):
-    res = _cli(["compare", str(scenario_file), "--variants", "dcf,dcf+2way"])
-    assert res.returncode == 0
-    assert "dcf+2way,all," in res.stdout
+def test_cli_compare(scenario_file, tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli_main(["compare", str(scenario_file), "--variants",
+                     "dcf, dcf+2way,", "--out", str(out)]) == (0, "")
+    assert out.read_text() == format_csv(harness.compare(
+        ["dcf", "dcf+2way"], parse_scenario(scenario_file.read_text())))
 
 
 def test_cli_compare_bad_variant_named_without_a_line(scenario_file):
     res = _cli(["compare", str(scenario_file), "--variants", "dcf,dcf+warp"])
     assert res.returncode == 2
     assert res.stdout == ""
-    assert res.stderr == "error: variant 'dcf+warp': unknown token 'warp'\n"
+    assert res.stderr == ("%s: variant 'dcf+warp': unknown token 'warp'\n"
+                          % scenario_file)
 
 
 def test_cli_validate_ok(scenario_file):
@@ -239,9 +246,16 @@ def test_cli_validate_ok(scenario_file):
     assert res.stdout.strip() == "ok"
 
 
-def test_cli_usage_error_exit_1():
-    assert _cli([]).returncode == 1
-    assert _cli(["run"]).returncode == 1
+def test_cli_usage_error_exit_1(scenario_file):
+    code, err = cli_main([])
+    assert code == 1
+    assert err.endswith(
+        "error: a command is required (run, compare, validate)\n")
+    assert cli_main(["run"])[0] == 1
+    code, err = cli_main(["compare", str(scenario_file), "--variants", " ,"])
+    assert code == 1
+    assert err.endswith(
+        "error: --variants must name at least one variant\n")
 
 
 def test_cli_scenario_error_exit_2(tmp_path):
@@ -349,8 +363,10 @@ def test_cli_run_zero_cw_min_exit_2(tmp_path):
 
 
 def test_cli_missing_file_exit_2(tmp_path):
-    res = _cli(["run", str(tmp_path / "nope.txt")])
-    assert res.returncode == 2
+    path = tmp_path / "nope.txt"
+    for command in (["validate"], ["run"], ["compare", "--variants=dcf"]):
+        assert cli_main(command + [str(path)]) == (
+            2, "error: [Errno 2] No such file or directory: '%s'\n" % path)
 
 
 def test_cli_trace_file_is_the_in_memory_trace(tmp_path):

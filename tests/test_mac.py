@@ -4,13 +4,15 @@ import ast
 import os
 
 from conftest import fields, ica_frag, shipped, single_cell
-from macsim import harness
+from macsim import ext, harness
 from macsim import mac as mac_mod
-from macsim.frames import (ACK_AIR, BEACON, BEACON_BYTES, BROADCAST,
-                           CF_POLL, CF_POLL_BYTES, CTS_AIR, DATA, RTS,
+from macsim.frames import (ACK, ACK_AIR, ACK_BYTES, BEACON, BEACON_BYTES,
+                           BROADCAST, CF_END, CF_END_BYTES, CF_POLL,
+                           CF_POLL_BYTES, CTS, CTS_AIR, CTS_BYTES, DATA, RTS,
                            RTS_AIR, RTS_BYTES, Frame, frame_airtime)
 from macsim.mac import Packet
 from macsim.metrics import Recorder
+from macsim.phy import airtime
 from macsim.scenario import parse_scenario
 
 
@@ -345,6 +347,252 @@ def test_second_overheard_rts_restarts_the_ica_cts_wait():
     assert [line for line in sim.trace_lines if "\tica_cts_timeout\t" in line
             ] == ["%d\t2\tica_cts_timeout\t" % (200 + mac.ica_wait)]
     assert mac.nav_until == 2200
+
+
+def _three_in_a_row(variant="dcf", mac_lines=""):
+    """Nodes 0, 1 and 2, 5 m apart, all in range: (simulator, MacNodes),
+    traced, with a Recorder for flows 0 and 1."""
+    sim, _, macs, _ = harness.build(parse_scenario(
+        "[sim]\nduration_us = 5000\n[nodes]\n0 = 0 0\n1 = 5 0\n2 = 10 0\n"
+        "[links]\nhear_range = 50\nbase_fer_high = 0\n"
+        "[mac]\nvariant = %s\n%s" % (variant, mac_lines)), trace=True)
+    recorder = Recorder(sim, [0, 1])
+    for mac in macs.values():
+        mac.recorder = recorder
+    return sim, macs
+
+
+def _hear(sim, mac, t, frame, seen, probe):
+    """At `t`, `mac` receives `frame`; `probe(mac)` is then kept in `seen`."""
+    def rx():
+        mac.on_frame(frame)
+        seen.append(probe(mac))
+    sim.schedule(t, "test_rx", mac.node_id, rx)
+
+
+def test_zero_duration_frame_of_the_held_exchange_cuts_the_nav():
+    # An RBAR RTS reserves the air for DATA at its tentative rate.  Node 2
+    # hears the RTS, misses the CTS and the DATA, sent at a faster selected
+    # rate, and hears the final ACK: the ACK's zero duration ends the NAV
+    # the RTS predicted.  The ACK of another exchange leaves it.
+    sim, macs = _three_in_a_row()
+    seen = []
+    for t, frame in (
+            (100, Frame(RTS, 0, 1, duration=3000, payload_bytes=RTS_BYTES,
+                        xid=7, tentative_rate=2, size=1000)),
+            (1500, Frame(ACK, 1, 0, payload_bytes=ACK_BYTES, xid=8)),
+            (2000, Frame(ACK, 1, 0, payload_bytes=ACK_BYTES, xid=7))):
+        _hear(sim, macs[2], t, frame, seen, lambda mac: mac.nav_until)
+    sim.run_until(5000)
+    assert seen == [3100, 3100, 2000]
+    # The expiry event of the NAV the RTS set goes with it.
+    assert not [line for line in sim.trace_lines if "\tnav_expiry\t" in line]
+
+
+def test_overheard_cts_of_the_watched_rts_ends_the_ica_cts_wait():
+    # Node 2 watches node 0's RTS (exchange 7).  The CTS of another
+    # exchange leaves the wait running; the watched exchange's CTS ends
+    # it, so node 2 is not exposed and keeps the NAV the CTS sets.
+    sim, macs = _three_in_a_row("dcf+ica")
+    seen = []
+    for t, frame in (
+            (100, Frame(RTS, 0, 1, duration=2000, payload_bytes=RTS_BYTES,
+                        xid=7)),
+            (200, Frame(CTS, 0, 1, duration=500, payload_bytes=CTS_BYTES,
+                        xid=8)),
+            (300, Frame(CTS, 1, 0, duration=1500, payload_bytes=CTS_BYTES,
+                        xid=7))):
+        _hear(sim, macs[2], t, frame, seen,
+              lambda mac: mac._ica_timer is not None)
+    sim.run_until(5000)
+    assert seen == [True, True, False]
+    assert not [line for line in sim.trace_lines if "\tica_cts_timeout\t"
+                in line]
+    assert macs[2].nav_until == 1800
+
+
+def test_cf_end_during_an_ica_watch_leaves_no_access_timer_in_the_window():
+    # Node 2 has a packet queued.  It senses node 0's CF-END from 0 to
+    # 352 us and overhears an RTS at 100 us.  The CF-END clears the NAV of
+    # the watch, and its end is an idle edge that arms node 2's access
+    # timer, due at 602 us.  At the CTS timeout, 434 us, node 2 is exposed:
+    # its window must cancel that timer, so that the window's one DATA
+    # frame is the only frame node 2 sends.
+    sim, macs = _three_in_a_row("dcf+ica")
+    mac = macs[2]
+    cat = mac.cats[0]
+    cat.queue.append(Packet(0, 0, 2, 1, 500, 0))
+    cat.backoff_slots = 10
+    cf_end = Frame(CF_END, 0, BROADCAST, payload_bytes=CF_END_BYTES)
+    sim.schedule(0, "test_tx", 0, lambda: macs[0]._transmit(cf_end, 1))
+    seen = []
+    _hear(sim, mac, 100, Frame(RTS, 0, 1, duration=3000,
+                               payload_bytes=RTS_BYTES, xid=7),
+          seen, lambda mac: mac._ica_timer.time)
+    sim.schedule(353, "probe", 2, lambda: seen.append(cat.timer.time))
+    sim.schedule(435, "probe", 2, lambda: seen.append(
+        (mac.phase, cat.timer)))
+    sim.run_until(5000)
+    assert seen == [434, 602, (mac_mod.ICA_WINDOW, None)]
+    window_end = ext.ica_primary_data_end(3100, mac.params.sifs_us)
+    assert [(t, detail.split()[1]) for t, node, detail
+            in _tx_starts(sim.trace_lines) if node == 2] == [
+        (window_end - frame_airtime(Frame(DATA, 2, 1, payload_bytes=500),
+                                    11), DATA)]
+    assert not [line for line in sim.trace_lines
+                if line.startswith("602\t2\taccess_fire")]
+
+
+def test_rts_ending_as_the_nav_ends_is_answered():
+    # Node 1's NAV ends at 1,000 us, the instant an RTS to it ends: the NAV
+    # no longer holds, so node 1 answers one SIFS later.
+    sim, macs = _three_in_a_row()
+    macs[1].set_nav(1_000)
+    _hear(sim, macs[1], 1_000, Frame(RTS, 0, 1, duration=2000,
+                                     payload_bytes=RTS_BYTES, xid=7),
+          [], lambda mac: None)
+    sim.run_until(5000)
+    assert [(t, node) for t, node, _ in _tx_starts(sim.trace_lines, "CTS")
+            ] == [(1_010, 1)]
+
+
+def test_dcf_plus_offers_a_reverse_packet_as_large_as_the_fragment_threshold():
+    # Node 1 holds a 500-byte packet for node 0, and fragments at 500
+    # bytes: the packet fits one frame, so the ACK of node 0's DATA offers
+    # it.  The ACK of node 2's DATA offers nothing: no packet waits for 2.
+    sim, macs = _three_in_a_row("dcf+plus", "frag_threshold = 500\n")
+    mac = macs[1]
+    mac.cats[0].queue.append(Packet(1, 1, 1, 0, 500, 0))
+    mac.cats[0].backoff_slots = 100  # its own access waits past both
+    seen = []
+    for t, src in ((100, 2), (1_000, 0)):
+        _hear(sim, mac, t, Frame(DATA, src, 1, duration=mac.params.sifs_us
+                                 + ACK_AIR, payload_bytes=500,
+                                 packet=Packet(t, 0, src, 1, 500, 0), xid=t),
+              seen, lambda mac: mac.phase)
+    sim.run_until(2_000)
+    assert seen == [mac_mod.IDLE, mac_mod.DCFP_WAIT_CTS]
+    duration = ext.dcfplus_ack_duration(500, 11, mac.params.sifs_us)
+    assert [detail for _, node, detail in _tx_starts(sim.trace_lines, "ACK")
+            ] == ["1->2 ACK len=14 rate=1 dur=0",
+                  "1->0 ACK len=14 rate=1 dur=%d" % duration]
+
+
+_TWO_CATEGORIES = "[edcf]\ncat0 = 50 2.0 16 256\ncat1 = 70 2.0 16 256\n"
+
+
+def test_ica_and_cf_polls_serve_category_0_of_an_edcf_node():
+    # Only category 0 holds a packet.  Node 2 is exposed by the RTS it
+    # watches; node 1 answers a CF-Poll with its packet.
+    sim, macs = _three_in_a_row("dcf+ica+edcf", _TWO_CATEGORIES)
+    for mac in macs.values():
+        mac.cats[0].queue.append(Packet(mac.node_id, 0, mac.node_id, 0, 100,
+                                        0))
+    phases = []
+    _hear(sim, macs[2], 100, Frame(RTS, 0, 1, duration=3000,
+                                   payload_bytes=RTS_BYTES, xid=7),
+          [], lambda mac: None)
+    sim.schedule(435, "probe", 2, lambda: phases.append(macs[2].phase))
+    _hear(sim, macs[1], 500, Frame(CF_POLL, 0, 1,
+                                   payload_bytes=CF_POLL_BYTES),
+          [], lambda mac: None)
+    sim.run_until(600)
+    assert phases == [mac_mod.ICA_WINDOW]
+    assert [(t, node) for t, node, _ in _tx_starts(sim.trace_lines,
+                                                  "DATA_CF_ACK")] == [(510, 1)]
+
+
+def test_oar_burst_frames_are_whole_packets():
+    # A DCF+ receiver offers reverse data after a DATA that carries a whole
+    # packet alone, not after a burst's: each burst frame is flagged.
+    sim, macs = _three_in_a_row("dcf+oar+plus")
+    mac = macs[1]
+    cat = mac.cats[0]
+    cat.queue.extend(Packet(i, 1, 1, 0, 500, 0) for i in range(3))
+    chain = mac._build_chain(cat, 11)
+    assert [(e.size, e.standalone) for e in chain] == [(500, 1)] * 3
+
+
+def test_one_byte_packets_are_delivered():
+    # The destination holds no byte of a new packet, however short.
+    r = _run(single_cell(1, 1, seed=1, duration_us=20_000))
+    assert r.metrics.flows[1].delivered_packets > 0
+
+
+def test_rts_reserves_the_air_for_the_first_fragment():
+    # 1,000 bytes in fragments of 400, 400 and 200: the RTS covers the
+    # first one.
+    r = _run(single_cell(1, 1000, seed=1, duration_us=20_000,
+                         mac_lines=["rts_threshold = 0",
+                                    "frag_threshold = 400"]), trace=True)
+    rts = _tx_starts(r.trace_lines, "RTS")[0][2]
+    assert rts.endswith(" dur=%d" % (30 + CTS_AIR + airtime(400, 11)
+                                     + ACK_AIR))
+
+
+def test_busy_edge_banks_each_whole_slot_even_a_1_us_one():
+    # With a 1 us slot, DIFS is 12 us: a busy edge 13 us after the idle
+    # edge has counted one slot of the five.
+    sim, macs = _three_in_a_row(mac_lines="slot_us = 1\n")
+    mac = macs[1]
+    cat = mac.cats[0]
+    cat.backoff_slots = 5
+    mac.enqueue(Packet(0, 1, 1, 0, 100, 0))
+    sim.schedule(13, "test_busy", 1, mac.on_sense_enter)
+    sim.run_until(13)
+    assert cat.backoff_slots == 4
+
+
+def test_packet_queued_while_the_access_timer_is_pending_keeps_it():
+    # Node 1's CF response sends its one packet; the response's end armed
+    # the access timer (735 us) while the packet was still queued.  A
+    # packet that arrives before the timer is due takes that timer.
+    sim, macs = _three_in_a_row()
+    mac = macs[1]
+    cat = mac.cats[0]
+    cat.backoff_slots = 20
+    mac.enqueue(Packet(0, 1, 1, 0, 100, 0))
+    _hear(sim, mac, 10, Frame(CF_POLL, 0, 1, payload_bytes=CF_POLL_BYTES),
+          [], lambda mac: None)
+    sim.schedule(300, "test_arrival", 1, lambda: mac.enqueue(
+        Packet(1, 1, 1, 0, 100, 300)))
+    sim.run_until(300)
+    assert len(cat.queue) == 1 and cat.timer.time == 735
+
+
+def test_access_timer_armed_from_an_old_idle_edge_fires_at_once():
+    # A genie tie-break can leave a node idle with a queued packet and no
+    # timer (it yielded to a node whose frame then never came): a packet
+    # that arrives later arms from the old idle edge, whose backoff has
+    # run out, so the timer is due at once.
+    sim, macs = _three_in_a_row()
+    mac = macs[1]
+    cat = mac.cats[0]
+    cat.backoff_slots = 0
+    cat.queue.append(Packet(0, 1, 1, 0, 100, 0))
+    seen = []
+
+    def arrival():
+        mac.enqueue(Packet(1, 1, 1, 0, 100, 1_000))
+        seen.append(cat.timer.time)
+
+    sim.schedule(1_000, "test_arrival", 1, arrival)
+    sim.run_until(1_000)
+    assert seen == [1_000]
+
+
+def test_genie_tiebreak_yields_only_to_nodes_it_senses():
+    # Two pairs 1 km apart, out of each other's sense range.  At these
+    # seeds node 2's access timer used to tie with node 0's and yield to
+    # it; nothing node 2 senses then re-armed it, and flow 1 delivered
+    # nothing.
+    for seed in (1, 28, 32):
+        r = _run("[sim]\nseed = %d\nduration_us = 500000\ngenie_tiebreak = 1\n"
+                 "[nodes]\n0 = 0 0\n1 = 10 0\n2 = 1000 0\n3 = 1010 0\n"
+                 "[links]\nhear_range = 50\n[flows]\n"
+                 "0 = 0 1 backlogged 1000\n1 = 2 3 backlogged 1000\n" % seed)
+        assert all(f.delivered_packets > 0
+                   for f in r.metrics.flows.values()), seed
 
 
 def _estimate_samples(mac):

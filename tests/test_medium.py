@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from macsim import harness, metrics, phy
 from macsim.engine import Simulator
 from macsim.mac import MacNode
-from macsim.frames import (ACK, CONTROL_KINDS, CONTROL_RATE, DATA, DATA_CF_ACK,
-                           RTS, Frame, frame_airtime)
+from macsim.frames import (ACK, ACK_BYTES, CONTROL_KINDS, CONTROL_RATE, DATA,
+                           DATA_CF_ACK, RTS, Frame, frame_airtime)
 from macsim.medium import Medium
 from macsim.scenario import parse_scenario
 
@@ -266,6 +266,18 @@ def test_capture_equal_power_same_start_collides_once():
     assert got == {1: phy.COLLIDED, 2: phy.COLLIDED}
     assert stats.collided_transmissions == 2
     assert stats.collision_events == 1
+    assert stats.ack_collisions == 0
+
+
+def test_only_a_collided_ack_counts_as_an_ack_collision():
+    # An ACK and an RTS collide at node 0, the destination of both.
+    sim, medium, _, _ = _cell([(0, 0), (-10, 0), (10, 0)])
+    _send(sim, medium, [
+        (0, Frame(ACK, 1, 0, payload_bytes=ACK_BYTES), CONTROL_RATE),
+        (0, Frame(RTS, 2, 0, duration=1000), CONTROL_RATE)])
+    sim.run_until(2_000)
+    assert medium.stats.collided_transmissions == 2
+    assert medium.stats.ack_collisions == 1
 
 
 def test_capture_stronger_but_later_frame_collides():
@@ -601,7 +613,6 @@ class _ReferenceStats:
         self.total_transmissions = 0
         self.collided_transmissions = 0
         self.ack_collisions = 0
-        self.errored = 0
         self.parent = {}  # txid -> txid of the same episode
 
     def find(self, x):
@@ -740,8 +751,6 @@ class ReferenceMedium(Medium):
                     tx.txid, [t.txid for t in tx.overlaps[hearer]])
                 if tx.frame.kind == ACK:
                     self.stats.ack_collisions += 1
-            elif outcome == phy.ERRORED and hearer == tx.frame.dst:
-                self.stats.errored += 1
         for _, mac, _ in self._reach_list(tx.sender):
             _reference_sense_exit(mac)
 

@@ -6,11 +6,12 @@ import pytest
 from conftest import SCENARIOS
 
 from macsim import harness
+from macsim import pcf as pcf_mod
 from macsim.dcf import MacParams
-from macsim.frames import (BEACON, CF_POLL, CF_POLL_BYTES, DATA_CF_ACK,
-                           Frame)
+from macsim.frames import (BEACON, CF_END, CF_POLL, CF_POLL_BYTES,
+                           DATA_CF_ACK, MAX_MSDU_BYTES, Frame)
 from macsim.mac import MacNode
-from macsim.pcf import BEACON_AIR, min_cp_us
+from macsim.pcf import BEACON_AIR, CF_END_AIR, POLL_AIR, min_cp_us
 from macsim.phy import airtime
 from macsim.scenario import ScenarioError, parse_scenario
 
@@ -104,6 +105,78 @@ def test_coordinator_with_dcf_traffic_sends_one_frame_at_a_time(seed):
                if "BEACON" in l]
     assert len(beacons) == 5  # one per 60 ms superframe
     assert r.metrics.flows[2].delivered_packets > 0
+
+
+def test_beacon_due_during_the_coordinator_s_own_frame_waits_for_its_end():
+    # Node 0 coordinates and acknowledges node 2's DATA.  Its beacon's PIFS
+    # ends while its own ACK is on the air (240,244 us, inside the ACK of
+    # 240,224-240,528): the beacon waits for the ACK's end and a new PIFS.
+    text = _pcf_text(extra_flows="2 = 2 0 backlogged 500")
+    r = harness.run(parse_scenario(text), trace=True)
+    _one_frame_at_a_time(r.trace_lines)
+    pifs = MacParams().pifs_us
+    own, held = None, []  # node 0's frame on the air: its start
+    lines = [line.split("\t") for line in r.trace_lines]
+    for i, (t, node, kind, detail) in enumerate(lines):
+        if node != "0":
+            continue
+        if kind == "tx_start":
+            own = detail
+        elif kind == "tx_end":
+            own = None
+        elif kind == "beacon_pifs" and own is not None:
+            end = next(int(t2) for t2, n2, k2, _ in lines[i:]
+                       if n2 == "0" and k2 == "tx_end")
+            beacon = next((int(t2), d2) for t2, n2, k2, d2 in lines[i:]
+                          if n2 == "0" and k2 == "tx_start")
+            held.append((int(t), own.split()[1], beacon[0] - end,
+                         beacon[1].split()[1]))
+    assert held == [(240_244, "ACK", pifs, BEACON)]
+
+
+def test_beacon_duration_ends_at_the_cfp_s_latest_end_or_is_zero():
+    # Node 2's 2,304-byte frames at 1 Mbps outlast a 1,000 us CFP: a
+    # beacon that waits one out starts after its CFP's latest end and
+    # silences no one.
+    text = _pcf_text(extra_flows="2 = 2 1 backlogged 2304", cfp_max=1000,
+                     duration=140_000).replace(
+        "variant = dcf+pcf", "variant = dcf+pcf\nnode.2.data_rate = 1")
+    r = harness.run(parse_scenario(text), trace=True)
+    durations = []
+    for t, line in _events(r.trace_lines, "tx_start"):
+        if " BEACON " in line:
+            cfp_end = t // 60_000 * 60_000 + 1000
+            assert line.endswith(" dur=%d" % max(0, cfp_end - t - BEACON_AIR))
+            durations.append(int(line.rsplit("=", 1)[1]))
+    assert 0 in durations and max(durations) > 0
+
+
+@pytest.mark.parametrize("slack", [-1, 0])
+def test_station_is_polled_only_if_its_worst_response_fits(slack):
+    # Node 1's worst case after the poll that follows the beacon: the poll,
+    # two SIFS, a PIFS and a 2,304-byte response at 11 Mbps, then the
+    # CF-END.  A CFP that ends `slack` us after all that passes it over.
+    p = MacParams()
+    first_poll = p.pifs_us + BEACON_AIR + p.sifs_us
+    worst = (POLL_AIR + 2 * p.sifs_us + p.pifs_us
+             + airtime(MAX_MSDU_BYTES, 11) + CF_END_AIR)
+    r = harness.run(parse_scenario(_pcf_text(
+        pollable="1", cfp_max=first_poll + worst + slack, duration=10_000)),
+        trace=True)
+    first = [l.split("\t")[3].split()[1] for _, l in
+             _events(r.trace_lines, "tx_start") if "\t0\t" in l][1]
+    assert first == (CF_POLL if slack >= 0 else CF_END)
+
+
+def test_coordinator_acts_when_its_carrier_goes_idle_not_at_each_frame_end():
+    # Two frames overlap at the coordinator during a response: the end of
+    # the first leaves the carrier busy, so the response is not over.
+    _, medium, macs, _ = harness.build(parse_scenario(_pcf_text()))
+    pc = medium.coordinator
+    pc.state = pcf_mod._IN_RESPONSE
+    macs[0].sense_count = 1
+    pc.on_sense_exit()
+    assert pc.state == pcf_mod._IN_RESPONSE
 
 
 def test_poll_step_due_during_the_coordinator_s_own_poll_waits_for_its_end():
@@ -295,6 +368,8 @@ def test_overheard_cf_response_leaves_the_cfp_nav(monkeypatch):
         on_frame(mac, frame)
         if mac.node_id == 3:
             seen.append((frame.kind, before, mac.nav_until))
+            if frame.kind == BEACON:
+                assert mac.nav_until == sim.now + frame.duration > sim.now
 
     monkeypatch.setattr(MacNode, "on_frame", watch)
     sim.run_until(600_000)
