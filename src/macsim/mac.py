@@ -66,7 +66,7 @@ class AccessCategory:
         self.timer = None  # the pending access Event, or None
         self.fire_ev = None  # the access Event last armed, kept for reuse
         self.count_start = 0  # reference instant for consumed-slot arithmetic
-        self.ready_time = 0
+        self.ready_time = 0  # when a packet last joined an empty queue
 
 
 # One DATA frame of an exchange's chain: `size` bytes of `packet`, and
@@ -398,7 +398,6 @@ class MacNode:
         if pkt in cat.queue:
             cat.queue.remove(pkt)
         self.recorder.on_sender_done(pkt)
-        cat.ready_time = self.sim.now
 
     # The only way back to IDLE.  Its callers have cancelled the response
     # timer, or run as it fired.
@@ -425,7 +424,6 @@ class MacNode:
             self.sim.trace(self.node_id, "drop", "pkt=%d", pkt.pid)
             self._complete_packet(cat, pkt)  # keeps backlogged sources fed
         cat.backoff_slots = dcf.draw_backoff(cat.cw, self.rng)
-        cat.ready_time = self.sim.now
         self._finish_exchange()
 
     # ------------------------------------------------------------------
@@ -445,7 +443,7 @@ class MacNode:
             if after is not None:
                 after()
 
-        return self.medium.transmit(self.node_id, frame, rate, on_end)
+        self.medium.transmit(self.node_id, frame, rate, on_end)
 
     def _reply(self, kind, frame, rate, after=None):
         """Send `frame` one SIFS from now, in an event named `kind`."""
@@ -683,17 +681,16 @@ class MacNode:
     def _ica_send_frag(self):
         if self.phase != ICA_WINDOW:
             return
-        if self.self_tx:  # a reply to a frame for this node took the air
-            self._ica_abort()
-            return
         elem = self._chain[0]
         pkt = elem.packet
-        # A CF response may have sent the packet since; book what goes out.
-        size = min(elem.size, pkt.remaining)
-        self._chain[0] = elem._replace(size=size)
+        # A reply to a frame for this node took the air, or a CF response
+        # has sent the packet since the window opened.
+        if self.self_tx or not pkt.remaining:
+            self._ica_abort()
+            return
         frame = Frame(DATA, self.node_id, pkt.dst,
                       duration=self.params.sifs_us + ACK_AIR,
-                      payload_bytes=size, packet=pkt, xid=self._new_xid(),
+                      payload_bytes=elem.size, packet=pkt, xid=self._new_xid(),
                       frag_offset=pkt.offset)
         self._transmit(frame, self.fixed_rate, self._await(
             ACK_AIR, "ica_ack_timeout", self._ica_abort))
@@ -708,7 +705,6 @@ class MacNode:
 
     def _ica_close(self):
         self.set_nav(self._ica_nav_end)
-        self.cats[0].ready_time = self.sim.now
         self._finish_exchange()
 
     # -- PCF responder ---------------------------------------------------

@@ -34,13 +34,15 @@ both sides; it is computed the first time frames of the two senders are
 on the air together and stored in both tables.  A table holds at most one
 entry per node, so the cache is bounded by N, not by run length.
 
-Each transmission keeps one concurrency list: the entries [txid, sender,
-start, sender's power map, episode link] of every other frame on the air
-at some point during it whose sender interacts with its own, in txid
-order.  Intervals are half-open, so a frame that ends at the instant
-another starts does not overlap it, even while its end event is still
-queued.  A frame left out is inaudible at every hearer and was sent by
-none of them.  Outcomes are resolved when a transmission ends:
+A node sends one frame at a time, so the medium keeps the frames on the
+air by sender, in start order.  Each transmission keeps one concurrency
+list: the entries [sender, start, sender's power map, episode link] of
+every other frame on the air at some point during it whose sender
+interacts with its own, in start order.  Intervals are half-open, so a
+frame that ends at the instant another starts does not overlap it, even
+while its end event is still queued.  A frame left out is inaudible at
+every hearer and was sent by none of them.  Outcomes are resolved when a
+transmission ends:
 
 - a frame with an empty list whose error rate is 0 at every hearer (sent
   at or below the clean rate, or a control frame exempt from errors) is
@@ -50,7 +52,7 @@ none of them.  Outcomes are resolved when a transmission ends:
   that sent one of the concurrent frames loses it (half duplex); then one
   loop over the concurrent frames collides it as soon as an audible one
   started earlier or is strictly stronger there, and else adds up the
-  audible powers left to right in txid order.  With none audible the
+  audible powers left to right in start order.  With none audible the
   frame error draw decides (a frame above a link's rate cap errors with
   probability 1 and still takes its draw); with some, the capture rule
   (`phy.resolve_capture`, called once for that hearer with the sum) does.
@@ -101,11 +103,10 @@ class _Reach:
 
 
 class _Tx:
-    __slots__ = ("txid", "sender", "frame", "rate", "start", "end", "reach",
-                 "entry", "concurrent")
+    __slots__ = ("sender", "frame", "rate", "start", "end", "reach", "entry",
+                 "concurrent")
 
-    def __init__(self, txid, sender, frame, rate, start, end, reach):
-        self.txid = txid
+    def __init__(self, sender, frame, rate, start, end, reach):
         self.sender = sender
         self.frame = frame
         self.rate = rate
@@ -113,9 +114,9 @@ class _Tx:
         self.end = end
         self.reach = reach
         # This frame's item in the concurrency lists of other frames.
-        self.entry = [txid, sender, start, reach.power, None]
+        self.entry = [sender, start, reach.power, None]
         # The entry of every frame on the air at some point during this one,
-        # in txid order; plain lists, so no _Tx holds another alive.
+        # in start order; plain lists, so no _Tx holds another alive.
         self.concurrent = []
 
 
@@ -132,11 +133,11 @@ class MediumStats:
 
     def _root(self, e):
         """The root entry of `e`'s episode; an entry in none starts one."""
-        if e[4] is None:
-            e[4] = True
+        if e[3] is None:
+            e[3] = True
             self.collision_events += 1
-        while e[4] is not True:
-            e = e[4]
+        while e[3] is not True:
+            e = e[3]
         return e
 
     def record_collision(self, entry, overlapping):
@@ -146,7 +147,7 @@ class MediumStats:
         for e in overlapping:
             r = self._root(e)
             if r is not root:
-                r[4] = root
+                r[3] = root
                 self.collision_events -= 1
 
 
@@ -200,8 +201,9 @@ class Medium:
         self.genie_tiebreak = genie_tiebreak
         self.macs = {}  # node id -> MacNode
         self.coordinator = None  # the PointCoordinator, set before any frame
-        self.active = {}  # txid -> _Tx
-        self._next_txid = 0
+        # sender id -> its _Tx, in start order: a node's next frame starts
+        # after this one's end event (see the module docstring).
+        self.active = {}
         self.stats = MediumStats()
         self._reach_of = {}  # sender id -> _Reach
         self.clean_rate = 0
@@ -262,14 +264,12 @@ class Medium:
     # -- transmission lifecycle --
 
     def transmit(self, sender_id, frame, rate, on_end=None):
-        """Put a frame on the air; returns its end time."""
+        """Put a frame on the air."""
         sim = self.sim
         now = sim.now
         reach = self.reach(sender_id)
         air = frame_airtime(frame, rate)
-        tx = _Tx(self._next_txid, sender_id, frame, rate, now, now + air,
-                 reach)
-        self._next_txid += 1
+        tx = _Tx(sender_id, frame, rate, now, now + air, reach)
         self.stats.total_transmissions += 1
         if sim.trace_lines is not None:
             sim.trace_lines.append(
@@ -286,7 +286,7 @@ class Medium:
         mine = tx.concurrent
         entry = tx.entry
         links = reach.links
-        for t2 in self.active.values():  # txid order
+        for t2 in self.active.values():  # start order
             if t2.end == now:
                 continue
             linked = links.get(t2.sender)
@@ -309,12 +309,11 @@ class Medium:
         if reach.pcf is not None:
             reach.pcf.on_sense_enter()
 
-        self.active[tx.txid] = tx
+        self.active[sender_id] = tx
         sim.schedule(tx.end, "tx_end", sender_id, lambda: self._end(tx, on_end))
-        return tx.end
 
     def _end(self, tx, on_end):
-        del self.active[tx.txid]
+        del self.active[tx.sender]
         if on_end is not None:
             on_end()
         pcf = self.coordinator
@@ -344,17 +343,17 @@ class Medium:
             dst = frame.dst
             ratio = self.capture_ratio
             start = tx.start
-            busy = {e[1] for e in concurrent}
+            busy = {e[0] for e in concurrent}
             # Per concurrent frame: whether it started before this one (then
             # it collides this frame wherever it is audible), its power map.
-            rivals = [(e[2] < start, e[3]) for e in concurrent]
+            rivals = [(e[1] < start, e[2]) for e in concurrent]
             for hearer, mac, p0 in tx.reach.hearers:  # by id
                 if hearer in busy:
                     outcome = NOT_HEARD  # half duplex: it was sending
                 else:
                     outcome = RECEIVED
                     rest = None  # the audible rivals' powers, summed
-                    for earlier, power in rivals:  # txid order
+                    for earlier, power in rivals:  # start order
                         p = power.get(hearer)
                         if p is not None:
                             # Capture fails outright if the other frame
@@ -380,7 +379,7 @@ class Medium:
                     if outcome == COLLIDED:
                         stats.collided_transmissions += 1
                         stats.record_collision(tx.entry, [
-                            e for e in concurrent if hearer in e[3]])
+                            e for e in concurrent if hearer in e[2]])
                         if kind == ACK:
                             stats.ack_collisions += 1
         now = sim.now

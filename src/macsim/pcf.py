@@ -98,7 +98,8 @@ class PointCoordinator:
     # -- polling loop --------------------------------------------------------
 
     # Runs SIFS after a beacon, a response or the node's own frame, all of
-    # which leave the state _POLLING, or at a poll's silence timeout.
+    # which leave the state _POLLING, or at a poll's silence timeout.  Each
+    # way out sets the state.
     def _next_poll(self):
         if self.mac.self_tx:  # the node's own frame; see on_tx_end
             self.state = _HELD
@@ -133,7 +134,6 @@ class PointCoordinator:
     def _on_poll_timeout(self):
         self._timer = None
         self.sim.trace(self.mac.node_id, "poll_silent")
-        self.state = _POLLING
         self._next_poll()
 
     def _send_cf_end(self):

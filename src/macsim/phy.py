@@ -158,7 +158,7 @@ def resolve_capture(power, rest, capture_ratio):
     The frame must beat that sum by the capture ratio.  The medium tests
     start order (preamble capture) and a strictly stronger rival itself,
     so the sum holds only frames that started no earlier and are no
-    stronger.  The medium folds it left to right in txid order with `+`,
+    stronger.  The medium folds it left to right in start order with `+`,
     never with `sum()`, which Python 3.12 made compensated, so the decision
     is the same on every version.
     """

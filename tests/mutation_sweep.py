@@ -9,7 +9,8 @@ Each mutant changes one site of one file:
 - a boolean operation's `and` into `or`, or `or` into `and`;
 - an integer constant plus one, or minus one;
 - one statement of a branch or loop body (`if`, `elif`, `else`, `for`,
-  `while`) replaced by `pass`.
+  `while`) replaced by `pass`;
+- one statement of a function body replaced by `pass`, but a docstring.
 
 The edit is made on the source text, at the site the `ast` module finds, so
 every other byte, comments and line numbers included, stays as it was.
@@ -20,7 +21,9 @@ worker; a worker writes each mutant into its copy, runs the tests
 there and puts the file back, so the tree the script reads is never
 written, and the copies are removed at the end.  Stage 1 runs
 `tests/test_golden.py`; stage 2 runs all of tier-1 on each mutant stage 1
-left alive.  Each run stops at its first failure.  A run that fails, or
+left alive, but `tests/test_mutation_sweep.py`: its check that each
+EQUIVALENT entry names a mutant of the source would fail on any mutant of
+a listed line.  Each run stops at its first failure.  A run that fails, or
 that outlasts three times the unmutated tree's run plus 30 s, kills the
 mutant.  At most two test processes run at once.
 
@@ -30,10 +33,11 @@ operator) is printed with its one-line reason: no input can tell it
 apart.  Any other
 survivor is a gap in the tests, or code that can go.
 
-    python tests/mutation_sweep.py            # the sweep: 80 min, 2 cores
+    python tests/mutation_sweep.py            # the sweep: 85 min, 2 cores
     python tests/mutation_sweep.py --list     # the mutants; runs nothing
 
-Either form ends with a Markdown table of mutants per file.  The script
+Either form ends with Markdown tables of mutants per file and per operator
+family; the sweep's also says how many each stage killed.  The script
 only reports: it fails only on an exception, or when the unmutated tree
 fails a stage.
 """
@@ -55,8 +59,10 @@ from concurrent.futures import ThreadPoolExecutor
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FILES = ("src/macsim/mac.py", "src/macsim/medium.py", "src/macsim/pcf.py")
 COPIED = ("src", "tests", "scenarios", "perfbench")
-# Each stage's pytest arguments: the golden digests, then all of tier-1.
-STAGES = (("tests/test_golden.py",), ("tests",))
+# Each stage's pytest arguments: the golden digests, then all of tier-1 but
+# the sweep's own tests (see the module docstring).
+STAGES = (("tests/test_golden.py",),
+          ("tests", "--ignore=tests/test_mutation_sweep.py"))
 WORKERS = 2
 
 # A mutant of `path` at `line`, inside the def or class named `scope`
@@ -69,6 +75,7 @@ _FLIP = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">",
          ast.In: "not in", ast.NotIn: "in"}
 _OP_WORDS = {"<", "<=", ">", ">=", "==", "!=", "is", "not", "in"}
 _BRANCHES = (ast.If, ast.For, ast.While)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 _MAC, _MEDIUM, _PCF = FILES
 # (file, scope, stripped source line, operator) -> why no input tells the
@@ -173,10 +180,14 @@ EQUIVALENT = {
      "0 -> -1"):
         "`_arm_now` sets it before a timer exists, and only a pending "
         "timer reads it",
-    (_MAC, "AccessCategory.__init__", "self.ready_time = 0", "0 -> 1"):
+    (_MAC, "AccessCategory.__init__",
+     "self.ready_time = 0  # when a packet last joined an empty queue",
+     "0 -> 1"):
         "`enqueue` sets it when the queue was empty, and only a queued "
         "packet arms a timer",
-    (_MAC, "AccessCategory.__init__", "self.ready_time = 0", "0 -> -1"):
+    (_MAC, "AccessCategory.__init__",
+     "self.ready_time = 0  # when a packet last joined an empty queue",
+     "0 -> -1"):
         "`enqueue` sets it when the queue was empty, and only a queued "
         "packet arms a timer",
     (_MAC, "MacNode.__init__", "self.nav_until = 0", "0 -> -1"):
@@ -256,12 +267,6 @@ EQUIVALENT = {
         "999,999 exchanges per node, as with 1,000,000",
     (_MAC, "MacNode._new_xid", "self._next_xid += 1", "1 -> 2"):
         "ids stay unique",
-    (_MEDIUM, "Medium.__init__", "self._next_txid = 0", "0 -> 1"):
-        "txids are only keys that grow; nothing reads their value",
-    (_MEDIUM, "Medium.__init__", "self._next_txid = 0", "0 -> -1"):
-        "txids are only keys that grow; nothing reads their value",
-    (_MEDIUM, "Medium.transmit", "self._next_txid += 1", "1 -> 2"):
-        "txids are only keys that grow; nothing reads their value",
     (_MAC, "MacNode._dcfp_send_reverse",
      "pkt = self._chain[0].packet",
      "0 -> -1"):
@@ -269,10 +274,6 @@ EQUIVALENT = {
     (_MAC, "MacNode._ica_cts_timeout", "self._chain_idx = 0", "0 -> -1"):
         "the chain holds one element",
     (_MAC, "MacNode._ica_send_frag", "elem = self._chain[0]", "0 -> -1"):
-        "the chain holds one element",
-    (_MAC, "MacNode._ica_send_frag",
-     "self._chain[0] = elem._replace(size=size)",
-     "0 -> -1"):
         "the chain holds one element",
     (_MAC, "MacNode._on_data",
      "and frame.src == self._chain[0].packet.dst):",
@@ -284,11 +285,6 @@ EQUIVALENT = {
      "0 -> -1"):
         "the traffic source always passes the category; on a one-category "
         "node -1 is 0",
-    (_MAC, "MacNode._ica_close",
-     "self.cats[0].ready_time = self.sim.now",
-     "0 -> -1"):
-        "`_finish_exchange` follows, and its idle edge, now or later, "
-        "counts from no earlier than this instant",
     (_MAC, "MacNode._dcfp_offer",
      "self._chain = [_ChainElem(pkt, pkt.size, 1)]",
      "1 -> 2"):
@@ -373,6 +369,52 @@ EQUIVALENT = {
      "<= -> <"):
         "at the clean rate every frame error rate is 0, so the general "
         "path draws nothing either",
+    (_MAC, "AccessCategory.__init__",
+     "self.count_start = 0  # reference instant for consumed-slot arithmetic",
+     "delete def statement"):
+        "`_arm_now` sets it before a timer exists, and only a pending "
+        "timer reads it",
+    (_MAC, "MacNode._finish_exchange", "self._timer = None",
+     "delete def statement"):
+        "only `_cancel_timer` reads `_timer`, cancelling a spent Event "
+        "does nothing, and the next exchange replaces it",
+    (_MAC, "MacNode._finish_exchange", "self._cur_cat = None",
+     "delete def statement"):
+        "each exchange sets it before reading it",
+    (_MAC, "MacNode._nav_reset", "self.nav_xid = -1",
+     "delete def statement"):
+        "the reset NAV has expired, so a frame of the old exchange can "
+        "only set it to now, or later as any frame can",
+    (_MAC, "MacNode._ica_cts_timeout", "self._ica_timer = None",
+     "delete def statement"):
+        "both readers only cancel it, and cancelling a spent Event does "
+        "nothing",
+    (_MEDIUM, "_later_neighbours",
+     "if (max(xs) // side - min(xs) // side <= 1",
+     "delete def statement"):
+        "the cells give the same pairs in range, in id order: the "
+        "all-pairs branch only saves time",
+    (_PCF, "PointCoordinator.__init__", "self.state = _CP",
+     "delete def statement"):
+        "the first boundary, at the run's first instant, sets it before "
+        "any frame can start",
+    (_PCF, "PointCoordinator.__init__", "self.cfp_end = 0",
+     "delete def statement"):
+        "each boundary sets it before its beacon and polls read it",
+    (_PCF, "PointCoordinator.__init__", "self._polled = 0",
+     "delete def statement"):
+        "each boundary resets it before its polls read it",
+    (_PCF, "PointCoordinator.__init__", "self._timer = None",
+     "delete def statement"):
+        "the first boundary finds the air idle at the run's first instant, "
+        "so `_try_beacon` sets it before any reader runs",
+    (_PCF, "PointCoordinator.__init__", "self._boundary = 0",
+     "delete def statement"):
+        "`start` sets it before the first boundary",
+    (_PCF, "PointCoordinator.start", "self._boundary = self.sim.now",
+     "delete def statement"):
+        "`harness.build` starts the coordinator at 0, the value "
+        "`__init__` gives",
 }
 
 
@@ -430,6 +472,14 @@ def _sites(source):
             for stmt in node.body + node.orelse:
                 if not isinstance(stmt, ast.Pass):
                     yield (stmt.lineno, "delete statement",
+                           [(_start(lines, stmt), _end(lines, stmt), "pass")])
+        elif isinstance(node, _DEFS):
+            for stmt in node.body:
+                if not isinstance(stmt, ast.Pass) and not (
+                        isinstance(stmt, ast.Expr)
+                        and isinstance(stmt.value, ast.Constant)
+                        and isinstance(stmt.value.value, str)):
+                    yield (stmt.lineno, "delete def statement",
                            [(_start(lines, stmt), _end(lines, stmt), "pass")])
 
 
@@ -536,8 +586,9 @@ class _Workers:
 
 
 def sweep(root, files, stages, copied=COPIED, log=None):
-    """{file: mutant count}, the kills of each stage, and the survivors of
-    every stage, from mutating `files` (paths relative to `root`)."""
+    """{file: mutant count}, the mutants each stage killed, and the
+    survivors of every stage, from mutating `files` (paths relative to
+    `root`)."""
     sources = {}
     for path in files:
         with open(os.path.join(root, path)) as fh:
@@ -557,12 +608,13 @@ def sweep(root, files, stages, copied=COPIED, log=None):
             results = pool.map(lambda m: workers.run(
                 stage, timeout, m.path, apply(sources[m.path], m.edits))[0],
                 alive)
-            survivors = [m for m, passed in zip(alive, results) if passed]
-            kills.append(len(alive) - len(survivors))
+            results = list(results)
+            kills.append([m for m, passed in zip(alive, results)
+                          if not passed])
             if log is not None:
                 log("%s: %d of %d mutants killed" % (
-                    " ".join(stage), kills[-1], len(alive)))
-            alive = survivors
+                    " ".join(stage), len(kills[-1]), len(alive)))
+            alive = [m for m, passed in zip(alive, results) if passed]
     finally:
         # On an interrupt, the runs already started end and no other starts.
         pool.shutdown(cancel_futures=True)
@@ -577,21 +629,48 @@ def _count_table(counts):
     return "\n".join(lines)
 
 
+def _family(operator):
+    """The operator family of a mutant's `operator` label."""
+    if operator.startswith("delete"):
+        return operator
+    old = operator.split(" -> ")[0]
+    if old in ("and", "or"):
+        return "and/or"
+    return "integer ±1" if old.lstrip("-").isdigit() else "comparison flip"
+
+
+def _family_table(columns):
+    """A Markdown table of mutants per operator family, with one column for
+    each (title, mutants) of `columns`."""
+    families = sorted({_family(m.operator) for _, found in columns
+                       for m in found})
+    lines = ["| operator | %s |" % " | ".join(t for t, _ in columns),
+             "|---|" + "---|" * len(columns)]
+    for family in families + ["all"]:
+        cells = [sum(family in ("all", _family(m.operator)) for m in found)
+                 for _, found in columns]
+        lines.append("| %s | %s |" % (family, " | ".join(map(str, cells))))
+    return "\n".join(lines)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--list", action="store_true",
                         help="print the mutants and run nothing")
     args = parser.parse_args()
     if args.list:
-        counts = {}
+        counts, every = {}, []
         for path in FILES:
             with open(os.path.join(ROOT, path)) as fh:
                 found = list(mutants(path, fh.read()))
             counts[path] = len(found)
+            every += found
             for m in found:
                 print("%s:%d: %s: %s" % (m.path, m.line, m.scope, m.operator))
         print()
         print(_count_table(counts))
+        print()
+        print(_family_table([("mutants", every)]))
         return
     t = time.perf_counter()
     counts, kills, survivors, sources = sweep(
@@ -600,11 +679,11 @@ def main():
     print()
     print(_count_table(counts))
     print()
-    print("| stage | killed |")
-    print("|---|---|")
-    for stage, n in zip(STAGES, kills):
-        print("| %s | %d |" % (" ".join(stage), n))
-    print("| survived | %d |" % len(survivors))
+    print(_family_table(
+        [("mutants", [m for killed in kills for m in killed] + survivors)]
+        + [("killed by %s" % " ".join(stage), killed)
+           for stage, killed in zip(STAGES, kills)]
+        + [("survived", survivors)]))
     for title, equivalent in (("Survivors", False),
                               ("Survivors listed as equivalent", True)):
         print()

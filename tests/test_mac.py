@@ -323,6 +323,27 @@ def test_ica_window_aborts_when_a_reply_holds_the_air_at_its_start():
     assert _node_lines_at(sim.trace_lines, 3, start) == [
         "ica_start\t", "ica_abort\t"]
     assert mac.phase == mac_mod.IDLE
+    # The aborted window still keeps node 3 quiet until the primary ACK ends.
+    assert mac.nav_until == mac._ica_nav_end > start
+
+
+def test_ica_window_whose_packet_a_cf_response_sent_closes_unsent():
+    # A CF-Poll for node 3 just after its window opens: the response sends
+    # the window's packet whole, and ends long before the window's start.
+    # The start sends no empty DATA, whose ACK would collide at node 3.
+    sim, mac, start = _first_ica_window()
+    opened, nav_end, pkt = sim.now, mac._ica_nav_end, mac._chain[0].packet
+    poll = Frame(CF_POLL, 4, 3, payload_bytes=CF_POLL_BYTES)
+    sim.schedule(opened + 1, "test_poll", 4, lambda: mac.on_frame(poll))
+    sim.run_until(start)
+    assert pkt.remaining == 0
+    assert _node_lines_at(sim.trace_lines, 3, start) == [
+        "ica_start\t", "ica_abort\t"]
+    assert mac.phase == mac_mod.IDLE and mac.nav_until == nav_end
+    sim.run_until(nav_end)
+    assert not [line for line in sim.trace_lines
+                if start <= int(line.split("\t")[0]) <= nav_end
+                and ("\t3\trx\tCOLLIDED" in line or "\t3->" in line)]
 
 
 def test_ica_window_closed_before_its_start_sends_nothing():

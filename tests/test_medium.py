@@ -667,6 +667,7 @@ class ReferenceMedium(Medium):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.stats = _ReferenceStats()
+        self._next_txid = 0  # keys its `active`, in start order
         self._ref_reach = {}  # sender id -> [(node id, MacNode, hears)]
         self.capture_questions = 0
 
@@ -714,7 +715,6 @@ class ReferenceMedium(Medium):
 
         self.active[tx.txid] = tx
         sim.schedule(tx.end, "tx_end", sender_id, lambda: self._end(tx, on_end))
-        return tx.end
 
     def _end(self, tx, on_end):
         del self.active[tx.txid]

@@ -8,8 +8,8 @@ from conftest import SCENARIOS
 from macsim import harness
 from macsim import pcf as pcf_mod
 from macsim.dcf import MacParams
-from macsim.frames import (BEACON, CF_END, CF_POLL, CF_POLL_BYTES,
-                           DATA_CF_ACK, MAX_MSDU_BYTES, Frame)
+from macsim.frames import (ACK_BYTES, BEACON, CF_ACK, CF_END, CF_POLL,
+                           CF_POLL_BYTES, DATA_CF_ACK, MAX_MSDU_BYTES, Frame)
 from macsim.mac import MacNode
 from macsim.pcf import BEACON_AIR, CF_END_AIR, POLL_AIR, min_cp_us
 from macsim.phy import airtime
@@ -260,17 +260,62 @@ def test_empty_queue_answers_cf_ack():
                for l in r.trace_lines)
 
 
+def _silent_station_text(pollable):
+    """_pcf_text with node 2 out of everyone's range and flow 1 to node 0."""
+    text = _pcf_text(extra_nodes="", pollable=pollable).replace("2 = -5 0",
+                                                                "2 = 100 0")
+    return text.replace("1 = 1 2 backlogged 500", "1 = 1 0 backlogged 500")
+
+
 def test_silent_station_recovered_after_pifs():
     # Node 2 is pollable but out of the coordinator's range: its polls go
     # unanswered and the coordinator moves on after a PIFS timeout.
-    text = _pcf_text(extra_nodes="", pollable="1 2").replace("2 = -5 0",
-                                                             "2 = 100 0")
-    text = text.replace("1 = 1 2 backlogged 500", "1 = 1 0 backlogged 500")
-    r = harness.run(parse_scenario(text), trace=True)
+    r = harness.run(parse_scenario(_silent_station_text("1 2")), trace=True)
     silent = _events(r.trace_lines, "poll_silent")
     assert silent
+    # At that instant the coordinator sends its next CF-Poll or its CF-END.
+    for t, _ in silent:
+        assert [line.split()[4] for line in r.trace_lines
+                if line.startswith("%d\t0\ttx_start\t" % t)] in (
+            [CF_POLL], [CF_END])
     # Progress still happens for the reachable node.
     assert r.metrics.flows[1].delivered_bits > 0
+
+
+def test_beacon_after_a_silent_poll_takes_the_first_pifs_of_idle_air():
+    # Node 2 alone is pollable and never answers: each CFP ends with a poll
+    # timeout and the CF-END.  A boundary that falls inside a frame the
+    # coordinator senses, or its own, is followed by the beacon one PIFS
+    # after the carrier first goes idle for a PIFS.
+    r = harness.run(parse_scenario(_silent_station_text("2")), trace=True)
+    pifs = MacParams().pifs_us
+    sensed = {str(mac.node_id) for mac in r.medium.reach(0).sensing} | {"0"}
+    frames, start = [], {}  # [start, end) of each frame node 0 senses
+    beacons, cf_kinds = [], []
+    for line in r.trace_lines:
+        t, node, kind, detail = line.split("\t")
+        if kind == "tx_start" and node in sensed:
+            start[node] = int(t)
+            if " BEACON " in detail:
+                beacons.append(int(t))
+            if node == "0" and detail.split()[1] in (BEACON, CF_POLL, CF_END):
+                cf_kinds.append(detail.split()[1])
+        elif kind == "tx_end" and node in sensed:
+            frames.append((start.pop(node), int(t)))
+    frames.sort()
+    inside = 0
+    for boundary, beacon in zip(range(0, 300_000, 60_000), beacons):
+        idle = boundary
+        inside += any(a < boundary < b for a, b in frames)
+        for a, b in frames:
+            if b > idle and a < idle + pifs:
+                idle = max(idle, b)
+            elif a >= idle + pifs:
+                break
+        assert beacon == idle + pifs, boundary
+    assert len(beacons) == 5 and inside >= 3
+    # The CF-END ends the CFP: no poll step follows it in the CP.
+    assert cf_kinds == [BEACON, CF_POLL, CF_END] * 5
 
 
 def test_contention_resumes_after_cf_end():
@@ -381,3 +426,44 @@ def test_overheard_cf_response_leaves_the_cfp_nav(monkeypatch):
             responses += 1
             assert before == after == cfp_nav
     assert responses >= 10
+
+
+# A SIFS longer than the shortest frame (a 192 us preamble), so a whole
+# frame fits in the gap before a poll step.
+_SLOW_SIFS = _pcf_text(duration=20_000).replace(
+    "variant = dcf+pcf", "variant = dcf+pcf\nsifs_us = 400")
+
+
+def _poll_steps(inject, until):
+    """Times of the coordinator's poll steps in the first `until` us of
+    _SLOW_SIFS, with `inject(sim, medium, macs)` called before the run."""
+    sim, medium, macs, _ = harness.build(parse_scenario(_SLOW_SIFS),
+                                         trace=True)
+    inject(sim, medium, macs)
+    sim.run_until(until)
+    return [t for t, _ in _events(sim.trace_lines, "cf_poll_gap")]
+
+
+def test_frame_inside_the_gap_after_a_response_adds_no_poll_step():
+    # Node 1's response ends at 2,720 and the next poll step falls due one
+    # SIFS later.  A frame of node 2 starts and ends at the coordinator in
+    # between (2,721-3,025): its end is not the end of another response.
+    frame = Frame(CF_ACK, 2, 0, payload_bytes=ACK_BYTES)
+
+    def inject(sim, medium, macs):
+        sim.schedule(2721, "test_tx", 2, lambda: medium.transmit(2, frame, 1))
+
+    assert _poll_steps(lambda *a: None, 4000) == [1412, 3120]
+    assert _poll_steps(inject, 4000) == [1412, 3120]
+
+
+def test_own_frame_inside_the_gap_after_a_held_poll_step_adds_none():
+    # The poll step due at 1,412 falls inside the coordinator node's own
+    # frame (1,212-1,516) and waits for its end and a SIFS: 1,916.  A second
+    # own frame (1,517-1,821) ends inside that SIFS and adds no step.
+    def inject(sim, medium, macs):
+        for t in (1212, 1517):
+            sim.schedule(t, "test_tx", 0, lambda: macs[0]._transmit(
+                Frame(CF_ACK, 0, 1, payload_bytes=ACK_BYTES), 1))
+
+    assert _poll_steps(inject, 3000) == [1412, 1916]

@@ -117,7 +117,7 @@ def _keeps_the_invariants(text, simulator):
     """Runs `text` twice on Simulators from `simulator` and checks the
     run-wide invariants."""
     generated, dropped = [], []
-    spans = {}  # txid -> (start, end)
+    spans = {}  # id of a live frame's entry -> (start, end)
     reassemble, mac_transmit = MacNode._reassemble, MacNode._transmit
     medium_transmit, medium_end = Medium.transmit, Medium._end
     on_generated, on_drop = Recorder.on_generated, Recorder.on_drop
@@ -149,18 +149,17 @@ def _keeps_the_invariants(text, simulator):
             == {nid: on_air[nid] for nid in medium.macs}
 
     def transmit(medium, *args):
-        end = medium_transmit(medium, *args)
+        medium_transmit(medium, *args)
         tx = next(reversed(medium.active.values()))
-        spans[tx.txid] = (tx.start, tx.end)
+        spans[id(tx.entry)] = (tx.start, tx.end)
         sense_counts(medium)
-        return end
 
     def end(medium, tx, *args):
         # Every frame in the concurrency list overlapped this one in time.
         for e in tx.concurrent:
-            start, stop = spans[e[0]]
+            start, stop = spans[id(e)]
             assert start < tx.end and stop > tx.start, \
-                "frames %d and %d do not overlap" % (e[0], tx.txid)
+                "frames of nodes %d and %d do not overlap" % (e[0], tx.sender)
         medium_end(medium, tx, *args)
         sense_counts(medium)
 
@@ -242,7 +241,7 @@ def _footprint(name, variant, duration_us):
         r = harness.run(shipped(name, duration_us, variant))
         medium = r.medium
         powers = {id(reach.power) for reach in medium._reach_of.values()}
-        entries = sum(type(o) is list and len(o) == 5 and id(o[3]) in powers
+        entries = sum(type(o) is list and len(o) == 4 and id(o[2]) in powers
                       for o in gc.get_objects())
     finally:
         gc.enable()
