@@ -37,10 +37,8 @@ class MacParams:
 
 
 def draw_backoff(cw, stream):
-    """Uniform slot count in [0, cw-1]."""
-    if cw < 1:
-        raise ValueError("cw must be >= 1")
-    return stream.uniform_int(0, cw - 1)
+    """Uniform slot count in [0, cw-1], via 64-bit modulo (portable)."""
+    return stream.next_u64() % cw
 
 
 def should_use_rts(payload_bytes, rts_threshold):
@@ -50,8 +48,6 @@ def should_use_rts(payload_bytes, rts_threshold):
 
 def fragment_plan(payload_bytes, frag_threshold):
     """Split a payload into fragment sizes, each at most `frag_threshold`."""
-    if frag_threshold < 1:
-        raise ValueError("frag_threshold must be >= 1")
     plan = []
     while payload_bytes > frag_threshold:
         plan.append(frag_threshold)

@@ -168,13 +168,6 @@ class RandomStream:
         self._state, out = _splitmix64(self._state)
         return out
 
-    def uniform_int(self, lo, hi):
-        """Integer in [lo, hi], via 64-bit modulo (documented, portable)."""
-        if lo > hi:
-            raise ValueError("uniform_int: lo %d > hi %d" % (lo, hi))
-        span = hi - lo + 1
-        return lo + self.next_u64() % span
-
     def uniform(self):
         """Float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)

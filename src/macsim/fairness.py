@@ -32,20 +32,12 @@ def fairness_index(shares, throughputs):
     pair; the worst pair is the reading consistent with maximizing the index
     toward 1.
     """
-    if len(shares) != len(throughputs) or len(shares) < 2:
-        raise ValueError("need matching share/throughput vectors of length >= 2")
-    if any(p <= 0 for p in shares):
-        raise ValueError("shares must be positive")
-    if all(w == 0 for w in throughputs):
-        raise ValueError("fairness index undefined when all throughputs are zero")
     norm = [w / p for w, p in zip(throughputs, shares)]
     return min(norm) / max(norm)
 
 
 def estimation_backoff_update(cw, w_self, w_others, phi_self, cw_min=16, cw_max=256):
     """Double the window when above fair share, halve when below, hold on a tie."""
-    if not 0.0 < phi_self < 1.0:
-        raise ValueError("phi_self must be in (0,1)")
     mine = w_self / phi_self
     theirs = w_others / (1.0 - phi_self)
     if mine > theirs:
@@ -63,8 +55,6 @@ def dfs_backoff(length_bits, phi, scaling, stream=None, compress_threshold=None)
     threshold + floor(threshold * log2(B / threshold)).  The compression map
     is continuous at the threshold and monotone.
     """
-    if phi <= 0 or scaling <= 0:
-        raise ValueError("phi and scaling must be positive")
     b = int(min(scaling * length_bits / phi, _MAX_SLOTS))  # never inf
     if stream is not None:
         b = int(b * (0.5 + stream.uniform()))

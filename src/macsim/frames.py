@@ -63,10 +63,6 @@ class Frame:
     rsh: int = 0  # RBAR reservation sub-header present on DATA
     adv_cw: int = 0  # MACAW shared contention window (0 = absent)
 
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("negative duration")
-
 
 def frame_airtime(frame, rate):
     """Time on air, including the RSH prefix when present."""

@@ -13,7 +13,7 @@ from .medium import Medium
 from .metrics import Recorder
 from .pcf import PointCoordinator, min_cp_us
 from .phy import LinkQualityProcess, Topology
-from .scenario import BACKLOG_DEPTH, CBR, ScenarioError, variant_flags
+from .scenario import BACKLOG_DEPTH, CBR, variant_flags
 
 _NO_RTS = 1 << 30  # rts_threshold that 2-way mode can never reach
 _PARAM_KEYS = [f.name for f in fields(MacParams)]  # [mac] keys MacParams takes
@@ -57,7 +57,8 @@ def _backoff_scheme(name, s, mac):
     if name == "dfs":
         scaling = mac.get("dfs_scaling")
         if scaling is None:
-            # By default a max-size packet at phi=1 maps to cw_min slots.
+            # By default a max-size packet at phi=1 maps to 16 slots, the
+            # default cw_min.
             scaling = 16.0 / max((f.packet_bytes * 8 for f in s.flows),
                                  default=12000)
         return partial(fairness.Dfs, mac.get("phi", 1.0), scaling,
@@ -246,7 +247,5 @@ def _run_built(s, sim, medium, macs, recorder):
 
 def compare(variants, s):
     """One isolated run per variant, same scenario and seed, built first."""
-    if not variants:
-        raise ScenarioError("compare needs at least one variant")
     built = {v: build(s, variant=v) for v in variants}
     return {v: _run_built(s, *b).metrics for v, b in built.items()}

@@ -73,7 +73,7 @@ class Arf(FixedRate):
         return self.rate
 
     def on_result(self, acked, now):
-        """Update after a data transmission attempt; returns the next rate.
+        """Update `rate` after a data transmission attempt.
 
         First missed ACK retries at the same rate; the second steps down and
         arms the recovery timer.  Ten straight successes step up; a failure
@@ -97,7 +97,6 @@ class Arf(FixedRate):
                 self.just_upgraded = False
                 self.consecutive_failures = 0
                 self.recovery_deadline = now + self.timer_us
-        return self.rate
 
 
 class Rbar(FixedRate):
@@ -141,8 +140,6 @@ def rbar_needs_rsh(tentative, selected):
 
 def oar_burst_len(selected, base=BASE_RATE):
     """Packets per burst: floor of sending rate over base rate, at least one."""
-    if base <= 0:
-        raise ValueError("base rate must be positive")
     return max(1, int(selected / base))
 
 

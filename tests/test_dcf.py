@@ -1,7 +1,9 @@
 """DCF building blocks: contention window, backoff, NAV, fragmentation."""
 
-import pytest
+from dcf_replay import replay
+from hypothesis import given, settings, strategies as st
 
+from macsim import harness
 from macsim.dcf import MacParams, draw_backoff, fragment_plan, should_use_rts
 from macsim.engine import RandomStream
 from macsim.fairness import Beb
@@ -9,6 +11,7 @@ from macsim.frames import ACK_BYTES, CTS_BYTES, RSH_BYTES, RTS_BYTES, Frame, \
     frame_airtime
 import macsim.frames as frames
 from macsim.mac import AccessCategory
+from macsim.scenario import parse_scenario
 
 
 def _beb_cw(cw, outcomes):
@@ -49,14 +52,18 @@ def test_backoff_bounds_and_mean():
     s = RandomStream(5, 0)
     draws = [draw_backoff(16, s) for _ in range(100_000)]
     assert all(0 <= d <= 15 for d in draws)
+    assert set(draws) == set(range(16))
     assert abs(sum(draws) / len(draws) - 7.5) < 0.1
 
 
 def test_backoff_golden_sequence():
-    a = RandomStream(31, 4)
-    b = RandomStream(31, 4)
-    assert [draw_backoff(16, a) for _ in range(20)] == \
-        [draw_backoff(16, b) for _ in range(20)]
+    # Every recorded trace rests on these draws: next_u64() % cw.
+    s = RandomStream(31, 4)
+    assert [draw_backoff(16, s) for _ in range(20)] == \
+        [3, 7, 5, 4, 1, 8, 9, 6, 11, 14, 0, 0, 5, 0, 10, 9, 11, 13, 2, 0]
+    s = RandomStream(31, 4)
+    assert [draw_backoff(cw, s) for cw in (1, 2, 7, 32, 1024, 1024)] == \
+        [0, 1, 3, 4, 161, 264]
 
 
 def test_rts_threshold_boundary_inclusive():
@@ -97,6 +104,51 @@ def test_rsh_prefix_adds_fixed_airtime():
     assert frame_airtime(with_rsh, 11) - frame_airtime(plain, 11) == RSH_BYTES * 8
 
 
-def test_frame_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        Frame("DATA", 1, 2, -5, payload_bytes=100)
+# -- exact schedule replay -----------------------------------------------------
+
+def _simulated_schedule(starts, seed, duration_us, packet_bytes, rts, cw_min,
+                        cw_max, retry_limit, slot_us, sifs_us):
+    """The simulator's frame starts and drops per node, from its trace, on
+    the cell `dcf_replay.replay` models: every node in range of every
+    other, error-free links, and a capture ratio no frame can beat."""
+    lines = ["[sim]", "seed = %d" % seed, "duration_us = %d" % duration_us,
+             "capture_ratio = 1e300", "[nodes]", "0 = 0 0"]
+    lines += ["%d = %d 0" % (i, i) for i in range(1, len(starts) + 1)]
+    lines += ["[links]", "hear_range = 50", "base_fer_high = 0", "[mac]",
+              "cw_min = %d" % cw_min, "cw_max = %d" % cw_max,
+              "retry_limit = %d" % retry_limit, "slot_us = %d" % slot_us,
+              "sifs_us = %d" % sifs_us,
+              "rts_threshold = %d" % (0 if rts else 3000),
+              "frag_threshold = 2304", "[flows]"]
+    lines += ["%d = %d 0 backlogged %d start=%d" % (i, i, packet_bytes, start)
+              for i, start in enumerate(starts, 1)]
+    res = harness.run(parse_scenario("\n".join(lines) + "\n"), trace=True)
+    sent = {i: [] for i in range(len(starts) + 1)}
+    drops = {i: [] for i in range(1, len(starts) + 1)}
+    for line in res.trace_lines:
+        time, node, kind, detail = line.split("\t")
+        if kind == "tx_start":
+            sent[int(node)].append((int(time), detail.split()[1]))
+        elif kind == "drop":
+            drops[int(node)].append(int(time))
+    return sent, drops
+
+
+@st.composite
+def _dcf_cells(draw):
+    n = draw(st.integers(1, 20))
+    cw_min = draw(st.integers(1, 64))
+    return dict(
+        starts=draw(st.lists(st.integers(0, 20_000), min_size=n, max_size=n)),
+        seed=draw(st.integers(0, 2**32)), duration_us=100_000,
+        packet_bytes=draw(st.integers(1, 2304)), rts=draw(st.booleans()),
+        cw_min=cw_min, cw_max=draw(st.integers(cw_min, 1024)),
+        retry_limit=draw(st.integers(0, 7)), slot_us=draw(st.integers(1, 50)),
+        sifs_us=draw(st.integers(1, 30)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_dcf_cells())
+def test_dcf_schedule_matches_the_exact_replay(cell):
+    # No tolerance: every frame start, to the microsecond, and every drop.
+    assert _simulated_schedule(**cell) == replay(**cell)

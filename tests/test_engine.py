@@ -268,26 +268,6 @@ def test_stream_substreams_differ_by_node():
     assert [a.next_u64() for _ in range(10)] != [b.next_u64() for _ in range(10)]
 
 
-def test_uniform_int_degenerate_range():
-    s = RandomStream(1, 0)
-    assert s.uniform_int(0, 0) == 0
-    assert s.uniform_int(5, 5) == 5
-
-
-def test_uniform_int_bounds_and_coverage():
-    s = RandomStream(9, 0)
-    draws = [s.uniform_int(0, 15) for _ in range(10_000)]
-    assert all(0 <= d <= 15 for d in draws)
-    assert set(draws) == set(range(16))
-    mean = sum(draws) / len(draws)
-    assert abs(mean - 7.5) < 0.15
-
-
-def test_uniform_int_rejects_inverted_range():
-    with pytest.raises(ValueError):
-        RandomStream(1, 0).uniform_int(3, 2)
-
-
 def test_uniform_in_unit_interval():
     s = RandomStream(4, 0)
     for _ in range(1000):

@@ -73,15 +73,6 @@ def test_fairness_index_best_pair_reading():
     assert fairness_index([0.5, 0.5, 0.5], [3, 3, 1]) == pytest.approx(1 / 3)
 
 
-def test_fairness_index_rejects_degenerate_inputs():
-    with pytest.raises(ValueError):
-        fairness_index([0.5], [1])
-    with pytest.raises(ValueError):
-        fairness_index([0.5, 0.0], [1, 1])
-    with pytest.raises(ValueError):
-        fairness_index([0.5, 0.5], [0, 0])
-
-
 # -- estimation-based backoff -----------------------------------------------
 
 def test_estimation_doubles_when_over_share():
@@ -106,13 +97,6 @@ def test_estimation_two_own_streams_share():
 def test_estimation_clamps_to_bounds():
     assert estimation_backoff_update(256, 9, 1, 0.5, cw_max=256) == 256
     assert estimation_backoff_update(16, 1, 9, 0.5, cw_min=16) == 16
-
-
-def test_estimation_rejects_bad_phi():
-    with pytest.raises(ValueError):
-        estimation_backoff_update(32, 1, 1, 0.0)
-    with pytest.raises(ValueError):
-        estimation_backoff_update(32, 1, 1, 1.0)
 
 
 def test_traffic_estimate_sliding_window():
@@ -222,10 +206,3 @@ def test_dfs_overflowing_quotient_gives_a_finite_backoff():
     for phi, scaling in ((1e-320, 1.0), (1.0, 1e308)):
         assert dfs_backoff(12000, phi, scaling) == int(1e300)
         assert dfs_backoff(12000, phi, scaling, stream, 1000) > 1000
-
-
-def test_dfs_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        dfs_backoff(100, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        dfs_backoff(100, 0.5, 0.0)

@@ -46,11 +46,6 @@ def test_compare_runs_are_isolated():
     assert format_csv({"dcf": table["dcf"]}) == format_csv({"dcf": solo})
 
 
-def test_compare_empty_variant_list_rejected():
-    with pytest.raises(ScenarioError):
-        harness.compare([], parse_scenario(single_cell(1, 500, 1, 1000)))
-
-
 def test_compare_invalid_variant_rejected():
     s = parse_scenario(single_cell(1, 500, 1, 1000))
     for variants, message in [

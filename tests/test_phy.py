@@ -36,11 +36,6 @@ def test_airtime_exact_ceilings():
     assert airtime(1000, 11) == 192 + 728  # ceil(8000/11)
 
 
-def test_airtime_rejects_unknown_rate():
-    with pytest.raises(ValueError):
-        airtime(100, 3)
-
-
 def test_airtime_monotone_in_size_and_rate():
     for rate in phy.RATES:
         prev = -1

@@ -1,5 +1,7 @@
 """Scenario text parsing and validation."""
 
+import ast
+import glob
 import os
 import re
 
@@ -7,6 +9,7 @@ import pytest
 from conftest import SCENARIOS, cli_main
 from hypothesis import given, settings, strategies as st
 
+import macsim
 from macsim import harness
 from macsim.scenario import (BACKLOGGED, CBR, ScenarioError, parse_scenario,
                              variant_flags)
@@ -330,6 +333,11 @@ _REJECTED = [
     ("5 = 5 0 backlogged 1500",
      "5 = 5 0 backlogged 1500\n[edcf]\ncat0 = 50 2 300 256",
      "category cw_min 300 above cw_max 256"),
+    # A virtual-collision loser's window grows by pf, so pf >= 1 keeps
+    # every EDCF window at or above its cw_min, which is >= 1.
+    ("5 = 5 0 backlogged 1500",
+     "5 = 5 0 backlogged 1500\n[edcf]\ncat0 = 50 0.5 16 256",
+     "category pf must be >= 1"),
     # The AIFS floor is DIFS under the node's MAC parameters, so
     # harness.build rejects it; `validate` builds too.
     ("rts_threshold = 500",
@@ -436,3 +444,40 @@ def test_damaged_scenario_bytes_validate_or_exit_2(tmp_path_factory, data):
     path.write_bytes(data)
     code, err = cli_main(["validate", str(path)])
     assert code in (0, 2), err
+
+
+# -- Where input conditions are checked ---------------------------------------
+
+def _raises(tree):
+    """Each `raise` in `tree`, with the name of its innermost function."""
+    todo = [(tree, None)]
+    while todo:
+        node, func = todo.pop()
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.Raise):
+            yield node, func
+        todo.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def test_only_the_boundary_raises():
+    # parse_scenario (or harness.build) rejects every bad input, naming its
+    # line, so a helper the model calls takes what its callers guarantee.
+    # Inside the model only phy.validate_matrix, which only the parser
+    # calls, and the engine's clock guard raise.
+    found = []
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(macsim.__file__), "*.py"))):
+        name = os.path.basename(path)
+        if name == "scenario.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node, func in sorted(_raises(tree), key=lambda r: r[0].lineno):
+            if name == "phy.py" and func == "validate_matrix":
+                continue
+            if (name == "engine.py" and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "SchedulingError"):
+                continue
+            found.append("%s:%d in %s" % (name, node.lineno, func))
+    assert not found, "\n".join(found)
