@@ -18,7 +18,7 @@ EST_WINDOW_US = 100_000
 _MAX_SLOTS = 1e300
 
 
-def mild_update(cw, collided, factor=MILD_FACTOR, cw_min=16, cw_max=256):
+def mild_update(cw, collided, factor, cw_min, cw_max):
     """MACAW backoff: multiply on collision, decrement by one on success."""
     if collided:
         return int(round(min(cw * factor, cw_max)))  # cw * factor may be inf
@@ -36,7 +36,7 @@ def fairness_index(shares, throughputs):
     return min(norm) / max(norm)
 
 
-def estimation_backoff_update(cw, w_self, w_others, phi_self, cw_min=16, cw_max=256):
+def estimation_backoff_update(cw, w_self, w_others, phi_self, cw_min, cw_max):
     """Double the window when above fair share, halve when below, hold on a tie."""
     mine = w_self / phi_self
     theirs = w_others / (1.0 - phi_self)

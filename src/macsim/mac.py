@@ -12,7 +12,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass
 
 from . import dcf, ext, rate as rate_mod
-from .engine import RandomStream
+from .engine import Event, RandomStream
 from .frames import (ACK, ACK_AIR, ACK_BYTES, BEACON, CF_ACK, CF_POLL,
                      CF_END, CTS, CTS_AIR, CTS_BYTES, DATA, DATA_CF_ACK,
                      RSH_AIR, RTS, RTS_BYTES, Frame)
@@ -82,7 +82,7 @@ class MacNode:
                  "fixed_rate", "rate_scheme", "backoff_scheme", "_on_hear",
                  "_on_transmit", "_on_overhear_cts", "dcfplus", "ica_wait",
                  "cats", "sense_count", "self_tx", "nav_until", "nav_xid",
-                 "_nav_event", "idle_since", "phase", "_chain", "_chain_idx",
+                 "_nav_timer", "idle_since", "phase", "_chain", "_chain_idx",
                  "_cur_cat", "_timer", "_data_rate", "_xid", "_next_xid",
                  "_ica_xid", "_ica_nav_end", "_ica_timer")
 
@@ -116,7 +116,7 @@ class MacNode:
         self.self_tx = False
         self.nav_until = 0
         self.nav_xid = -1
-        self._nav_event = None  # the NAV expiry Event last armed, kept for reuse
+        self._nav_timer = None  # the NAV expiry, built when first armed
         self.idle_since = 0
 
         # Exchange state.
@@ -146,12 +146,11 @@ class MacNode:
         return (self.sense_count == 0 and not self.self_tx
                 and self.nav_until <= self.sim.now)
 
-    # set_nav runs for nearly every overheard frame, and mostly extends a
-    # pending NAV, so the expiry Event is moved with Simulator.reschedule
-    # rather than cancelled and scheduled anew; it keeps its heap entry
-    # unless the NAV moves earlier.  A NAV only grows, but for a correction
-    # by the exchange that set it (`replace`); no caller that replaces
-    # passes an `until` earlier than now.
+    # set_nav runs for nearly every overheard frame, and every node that
+    # hears a frame sets its NAV to the same end, so the expiry is armed with
+    # Simulator.arm: one heap entry per instant, not one per node.  A NAV
+    # only grows, but for a correction by the exchange that set it
+    # (`replace`); no caller that replaces passes an `until` earlier than now.
     def set_nav(self, until, xid=-1, replace=False):
         now = self.sim.now
         nav = self.nav_until
@@ -160,17 +159,16 @@ class MacNode:
         was_idle = self.sense_count == 0 and not self.self_tx and nav <= now
         self.nav_until = until
         self.nav_xid = xid
-        ev = self._nav_event
+        timer = self._nav_timer
         if until > now:
             if was_idle:
                 self._on_busy_edge()
-            if ev is None:
-                self._nav_event = self.sim.schedule(
-                    until, "nav_expiry", self.node_id, self._maybe_idle_edge)
-            else:
-                self._nav_event = self.sim.reschedule(ev, until)
-        elif ev is not None:
-            ev.cancel()
+            if timer is None:
+                timer = Event(None, None, "nav_expiry", self.node_id,
+                              self._maybe_idle_edge)
+            self._nav_timer = self.sim.arm(timer, until)
+        elif timer is not None:
+            timer.cancel()
 
     # Runs when the NAV expires, and after anything else that may have left
     # the node virtually idle.
@@ -521,8 +519,8 @@ class MacNode:
     def _nav_reset(self):
         self.nav_until = self.sim.now
         self.nav_xid = -1
-        if self._nav_event is not None:
-            self._nav_event.cancel()
+        if self._nav_timer is not None:
+            self._nav_timer.cancel()
 
     def _ica_watch(self, frame):
         """An idle ICA node overheard an RTS: defer like DCF would, but only

@@ -59,11 +59,11 @@ def largest_payload(budget_us, rate):
     return max(0, (budget_us - PLCP_US) * den // num)
 
 
-def frame_error_prob(payload_bytes, base_fer, base_size=FER_BASE_SIZE):
-    """FER scaled from `base_fer` at `base_size`: doubles per 300 extra bytes."""
+def frame_error_prob(payload_bytes, base_fer):
+    """FER scaled from `base_fer` at FER_BASE_SIZE: doubles per 300 extra bytes."""
     if base_fer == 0.0:
         return 0.0
-    return min(1.0, base_fer * 2.0 ** ((payload_bytes - base_size) / 300.0))
+    return min(1.0, base_fer * 2.0 ** ((payload_bytes - FER_BASE_SIZE) / 300.0))
 
 
 @dataclass

@@ -138,14 +138,14 @@ def rbar_needs_rsh(tentative, selected):
     return selected != tentative
 
 
-def oar_burst_len(selected, base=BASE_RATE):
+def oar_burst_len(selected):
     """Packets per burst: floor of sending rate over base rate, at least one."""
-    return max(1, int(selected / base))
+    return max(1, int(selected / BASE_RATE))
 
 
-def oar_cap_burst(n, packet_bytes, rate, ref_bytes, base=BASE_RATE):
+def oar_cap_burst(n, packet_bytes, rate, ref_bytes):
     """Trim a burst so its data airtime stays within one max-size packet at base rate."""
-    cap = airtime(ref_bytes, base)
+    cap = airtime(ref_bytes, BASE_RATE)
     while n > 1 and n * airtime(packet_bytes, rate) > cap:
         n -= 1
     return n

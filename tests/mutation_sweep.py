@@ -1,5 +1,5 @@
 """Mutation sweep over the DCF model: which one-site changes to `mac.py`,
-`medium.py` and `pcf.py` no test tells apart from the source (mutation
+`medium.py`, `pcf.py` and `engine.py` no test tells apart from the source (mutation
 analysis, after DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978).
 
@@ -57,7 +57,8 @@ from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FILES = ("src/macsim/mac.py", "src/macsim/medium.py", "src/macsim/pcf.py")
+FILES = ("src/macsim/mac.py", "src/macsim/medium.py", "src/macsim/pcf.py",
+         "src/macsim/engine.py")
 COPIED = ("src", "tests", "scenarios", "perfbench")
 # Each stage's pytest arguments: the golden digests, then all of tier-1 but
 # the sweep's own tests (see the module docstring).
@@ -77,7 +78,7 @@ _OP_WORDS = {"<", "<=", ">", ">=", "==", "!=", "is", "not", "in"}
 _BRANCHES = (ast.If, ast.For, ast.While)
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-_MAC, _MEDIUM, _PCF = FILES
+_MAC, _MEDIUM, _PCF, _ENGINE = FILES
 # (file, scope, stripped source line, operator) -> why no input tells the
 # mutant apart from the source.  Two mutants with one key share the entry.
 EQUIVALENT = {
@@ -415,6 +416,27 @@ EQUIVALENT = {
      "delete def statement"):
         "`harness.build` starts the coordinator at 0, the value "
         "`__init__` gives",
+    (_ENGINE, "Simulator.__init__", "self._seq = 0", "0 -> 1"):
+        "seqs only order entries among themselves, and an offset keeps "
+        "every order",
+    (_ENGINE, "Simulator.__init__", "self._seq = 0", "0 -> -1"):
+        "seqs only order entries among themselves, and an offset keeps "
+        "every order",
+    (_ENGINE, "Simulator.schedule", "self._seq = seq + 1", "1 -> 2"):
+        "seqs stay unique and rising, so every order is kept",
+    (_ENGINE, "Simulator.reschedule", "self._seq = seq + 1", "1 -> 2"):
+        "seqs stay unique and rising, so every order is kept",
+    (_ENGINE, "Simulator.arm", "self._seq = seq + 1", "1 -> 2"):
+        "seqs stay unique and rising, so every order is kept",
+    (_ENGINE, "Simulator.arm",
+     "if seq < group[-1][0]:  # only if `_seq` is not monotone", "< -> <="):
+        "seqs are unique, so the two never compare equal",
+    (_ENGINE, "Simulator.arm", "if seq < group.key:", "< -> <="):
+        "seqs are unique, so the two never compare equal",
+    (_ENGINE, "RandomStream.bernoulli", "return self.uniform() < p",
+     "< -> <="):
+        "a draw is a multiple of 2**-53, so it equals `p` at most once in "
+        "2**53 draws",
 }
 
 

@@ -293,12 +293,12 @@ def test_criterion_12_frame_timing_unit_examples():
         airtime(0, 11) == 192,
         airtime(1500, 11) == 1283,
         airtime(1500, 1) == 12192,
-        frame_error_prob(300, 0.01, 300) == 0.01,
-        abs(frame_error_prob(600, 0.01, 300) - 0.02) < 1e-12,
-        abs(frame_error_prob(1200, 0.01, 300) - 0.08) < 1e-12,
-        oar_burst_len(11, 2) == 5,
-        oar_burst_len(2, 2) == 1,
-        oar_burst_len(5.5, 2) == 2,
+        frame_error_prob(300, 0.01) == 0.01,
+        abs(frame_error_prob(600, 0.01) - 0.02) < 1e-12,
+        abs(frame_error_prob(1200, 0.01) - 0.08) < 1e-12,
+        oar_burst_len(11) == 5,
+        oar_burst_len(2) == 1,
+        oar_burst_len(5.5) == 2,
         all(0 <= draw_backoff(16, RandomStream(1, n)) <= 15
             for n in range(100)),
         _nav_after(0, 500) == 600,

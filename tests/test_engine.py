@@ -1,12 +1,13 @@
-"""Event loop and PRNG contracts, and `Simulator.reschedule` against a
-reference that cancels the Event and schedules a new one."""
+"""Event loop and PRNG contracts, and `Simulator.reschedule` and
+`Simulator.arm` against a reference that cancels the Event and schedules a
+new one."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_medium import _output, small_scenarios
 
 from macsim import harness
-from macsim.engine import RandomStream, SchedulingError, Simulator
+from macsim.engine import Event, RandomStream, SchedulingError, Simulator
 
 
 def test_zero_delay_event_dispatches():
@@ -57,6 +58,25 @@ def test_run_until_empty_queue_advances_clock():
     assert sim.now == 100
 
 
+def test_run_until_before_the_clock_fails_loudly():
+    sim = Simulator()
+    sim.run_until(10)
+    with pytest.raises(SchedulingError):
+        sim.run_until(9)
+    assert sim.now == 10
+
+
+def test_dispatched_counts_every_run():
+    sim = Simulator()
+    for t in (10, 20, 30):
+        sim.schedule(t, "t", 0, lambda: None)
+    sim.arm(Event(None, None, "n", 0, lambda: None), 20)
+    sim.run_until(25)
+    assert sim.dispatched == 3
+    sim.run_until(30)
+    assert sim.dispatched == 4
+
+
 def test_run_until_dispatches_only_due_events():
     sim = Simulator()
     for t in (10, 20, 30):
@@ -97,11 +117,14 @@ def test_trace_line_format():
 # -- reschedule ---------------------------------------------------------------
 
 class ReferenceSimulator(Simulator):
-    """`reschedule` as it is specified: cancel, then schedule a new Event."""
+    """`reschedule` and `arm` as they are specified: cancel, then schedule a
+    new Event, so each arm has a plain Event and a heap entry of its own."""
 
     def reschedule(self, ev, time):
         ev.cancel()
         return self.schedule(time, ev.kind, ev.target, ev.fn)
+
+    arm = reschedule
 
 
 def test_reschedule_later_reuses_the_heap_entry():
@@ -130,6 +153,15 @@ def test_reschedule_earlier_than_the_entry_returns_a_new_handle():
     assert (new.kind, new.target, new.fn) == (ev.kind, ev.target, ev.fn)
     sim.run_until(30)
     assert hits == [10]
+
+
+def test_reschedule_to_its_entry_time_or_to_now_keeps_the_handle():
+    sim = Simulator()
+    ev = sim.schedule(10, "t", 0, lambda: None)
+    assert sim.reschedule(ev, 10) is ev  # as late as its entry
+    sim.run_until(10)
+    assert sim.reschedule(ev, 10) is ev  # dispatched, and due now
+    assert sim.run_until(10) == 1
 
 
 def test_reschedule_revives_a_cancelled_event_whose_entry_surfaced():
@@ -164,6 +196,103 @@ def test_reschedule_into_the_past_fails_loudly(sim_cls, pending):
     sim.run_until(10)
     with pytest.raises(SchedulingError):
         sim.reschedule(ev, 9)
+    assert ev.cancelled
+
+
+# -- arm ----------------------------------------------------------------------
+
+def _timer(name):
+    return Event(None, None, name, 0, lambda: None)
+
+
+def _kinds(sim):
+    return [line.split("\t")[2] for line in sim.trace_lines]
+
+
+def test_a_plain_event_between_two_arms_dispatches_between_them():
+    sim = Simulator()
+    sim.enable_trace()
+    sim.arm(_timer("a"), 10)
+    sim.schedule(10, "plain", 0, lambda: None)
+    sim.arm(_timer("b"), 10)
+    assert len(sim._queue) == 2  # one entry for both arms
+    assert sim.run_until(10) == 3
+    assert _kinds(sim) == ["a", "plain", "b"]
+
+
+@pytest.mark.parametrize("move, at_10, at_20", [
+    ("earlier", ["b", "plain", "c", "a"], ["d"]),
+    ("later", ["b", "plain", "c"], ["d", "a"]),
+    ("cancel", ["b", "plain", "c"], ["d"]),
+])
+def test_a_moved_timer_does_not_fire_from_its_old_group(move, at_10, at_20):
+    sim = Simulator()
+    sim.enable_trace()
+    a, b, c, d = (_timer(name) for name in "abcd")
+    sim.arm(a, 20 if move == "earlier" else 10)
+    sim.arm(b, 10)
+    sim.schedule(10, "plain", 0, lambda: None)
+    sim.arm(c, 10)
+    sim.arm(d, 20)
+    if move == "cancel":
+        a.cancel()
+    else:
+        assert sim.arm(a, 10 if move == "earlier" else 20) is a
+    sim.run_until(10)
+    assert _kinds(sim) == at_10
+    sim.run_until(30)
+    assert _kinds(sim) == at_10 + at_20
+    assert not sim._groups
+
+
+def test_a_group_yields_to_a_stale_entry_at_its_instant():
+    sim = Simulator()
+    sim.enable_trace()
+    sim.arm(_timer("a"), 10)
+    ev = sim.schedule(10, "moved", 0, lambda: None)
+    sim.arm(_timer("b"), 10)
+    assert sim.reschedule(ev, 10) is ev  # its entry keeps the older seq
+    sim.arm(_timer("c"), 10)
+    assert sim.run_until(10) == 4
+    assert _kinds(sim) == ["a", "b", "moved", "c"]
+
+
+class _GivenSeqs(Simulator):
+    """Takes its seqs from `seqs`, in order, instead of counting up."""
+
+    def __init__(self, seqs):
+        self._seqs = iter(seqs)
+        super().__init__()
+
+    @property
+    def _seq(self):
+        return self._next
+
+    @_seq.setter
+    def _seq(self, value):
+        self._next = next(self._seqs)
+
+
+def test_a_group_whose_seqs_fall_dispatches_each_member_once():
+    # The second arm files "c" ahead of "b": the group gets a second heap
+    # entry under the smaller seq, and walks from there.  At "b" it yields
+    # to the plain Event and goes back under b's seq, which its first entry
+    # also carries; that entry, surfacing after the walk, is dropped.
+    sim = _GivenSeqs([50, 40, 30, 60])
+    sim.enable_trace()
+    sim.arm(_timer("b"), 10)
+    sim.schedule(10, "plain", 0, lambda: None)
+    sim.arm(_timer("c"), 10)
+    assert sim.run_until(10) == 3
+    assert _kinds(sim) == ["c", "plain", "b"]
+
+
+def test_arm_into_the_past_fails_loudly():
+    sim = Simulator()
+    sim.run_until(10)
+    ev = _timer("t")
+    with pytest.raises(SchedulingError):
+        sim.arm(ev, 9)
     assert ev.cancelled
 
 
@@ -239,6 +368,62 @@ def test_reschedule_matches_cancel_and_schedule(ops):
         h.cancelled for h in want.handles]
 
 
+# The same operations over a shorter span, so that many fall on one instant,
+# and besides them ("arm", timer, delay) and ("disarm", timer) on four
+# timers.  Inside the loop an arm may file a timer for the instant being
+# dispatched.
+_ARM_INNER = st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 8), st.none()),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("reschedule"), st.integers(0, 63), st.integers(-1, 8)),
+    st.tuples(st.just("arm"), st.integers(0, 3), st.integers(-1, 8)),
+    st.tuples(st.just("disarm"), st.integers(0, 3)),
+)
+_ARM_OPS = st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 8),
+              st.one_of(st.none(), _ARM_INNER)),
+    _ARM_INNER,
+    st.tuples(st.just("run"), st.integers(0, 6)),
+)
+
+
+class _ArmDriver(_Driver):
+    """A _Driver that also arms and disarms four timers."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.timers = [Event(None, None, "n%d" % i, -1 - i, lambda: None)
+                       for i in range(4)]
+
+    def apply(self, op):
+        if op[0] == "disarm":
+            self.timers[op[1]].cancel()
+        elif op[0] == "arm":
+            try:
+                self.timers[op[1]] = self.sim.arm(self.timers[op[1]],
+                                                  self.sim.now + op[2])
+            except SchedulingError:
+                self.log.append(("past", "n%d" % op[1]))
+        else:
+            super().apply(op)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_ARM_OPS, max_size=60))
+def test_arm_matches_cancel_and_schedule(ops):
+    want, got = _ArmDriver(ReferenceSimulator()), _ArmDriver(Simulator())
+    for op in ops + [("run", 1000)]:
+        want.apply(op)
+        got.apply(op)
+    assert got.sim.trace_lines == want.sim.trace_lines
+    assert got.log == want.log
+    assert [(h.time, h.cancelled) for h in got.timers] == [
+        (h.time, h.cancelled) for h in want.timers]
+    assert not got.sim._groups
+
+
+# The model arms its NAV timers with `arm`: the reference gives each arm a
+# plain Event.
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(small_scenarios())
 def test_runs_match_the_reference_reschedule(text):

@@ -8,7 +8,7 @@ from scfq import ScfqTags, scfq_oracle
 
 from macsim.dcf import draw_backoff
 from macsim.engine import RandomStream
-from macsim.fairness import (Dfs, Est, Mild, dfs_backoff,
+from macsim.fairness import (MILD_FACTOR, Dfs, Est, Mild, dfs_backoff,
                              estimation_backoff_update, fairness_index,
                              mild_update)
 from macsim.frames import DATA, Frame
@@ -18,20 +18,20 @@ from macsim.mac import AccessCategory, Packet
 # -- MILD -------------------------------------------------------------------
 
 def test_mild_multiplicative_increase():
-    assert mild_update(16, True, 1.5) == 24
+    assert mild_update(16, True, 1.5, 16, 256) == 24
 
 
 def test_mild_linear_decrease():
-    assert mild_update(200, False) == 199
+    assert mild_update(200, False, MILD_FACTOR, 16, 256) == 199
 
 
 def test_mild_clamps_to_bounds():
-    assert mild_update(16, False) == 16
-    assert mild_update(250, True, 1.5, cw_max=256) == 256
+    assert mild_update(16, False, MILD_FACTOR, 16, 256) == 16
+    assert mild_update(250, True, 1.5, 16, 256) == 256
 
 
 def test_mild_overflowing_factor_clamps_to_cw_max():
-    assert mild_update(16, True, 1e308, cw_max=256) == 256
+    assert mild_update(16, True, 1e308, 16, 256) == 256
 
 
 def test_share_cw_copy_semantics():
@@ -76,27 +76,27 @@ def test_fairness_index_best_pair_reading():
 # -- estimation-based backoff -----------------------------------------------
 
 def test_estimation_doubles_when_over_share():
-    assert estimation_backoff_update(32, 2000, 1000, 0.5) == 64
+    assert estimation_backoff_update(32, 2000, 1000, 0.5, 16, 256) == 64
 
 
 def test_estimation_halves_when_under_share():
-    assert estimation_backoff_update(64, 1000, 2000, 0.5) == 32
+    assert estimation_backoff_update(64, 1000, 2000, 0.5, 16, 256) == 32
 
 
 def test_estimation_holds_on_tie():
-    assert estimation_backoff_update(64, 1500, 1500, 0.5) == 64
+    assert estimation_backoff_update(64, 1500, 1500, 0.5, 16, 256) == 64
 
 
 def test_estimation_two_own_streams_share():
     # phi = 0.67 weights own traffic against a third of the remainder:
     # 2000/0.67 < 1000/0.33 counts as under-share despite the 2:1 raw split.
-    assert estimation_backoff_update(32, 2000, 1000, 0.67) == 16
-    assert estimation_backoff_update(32, 2100, 1000, 0.67) == 64
+    assert estimation_backoff_update(32, 2000, 1000, 0.67, 16, 256) == 16
+    assert estimation_backoff_update(32, 2100, 1000, 0.67, 16, 256) == 64
 
 
 def test_estimation_clamps_to_bounds():
-    assert estimation_backoff_update(256, 9, 1, 0.5, cw_max=256) == 256
-    assert estimation_backoff_update(16, 1, 9, 0.5, cw_min=16) == 16
+    assert estimation_backoff_update(256, 9, 1, 0.5, 16, 256) == 256
+    assert estimation_backoff_update(16, 1, 9, 0.5, 16, 256) == 16
 
 
 def test_traffic_estimate_sliding_window():
@@ -202,7 +202,7 @@ def test_dfs_compression_continuous_and_monotone():
 
 
 def test_dfs_overflowing_quotient_gives_a_finite_backoff():
-    stream = RandomStream(1)
+    stream = RandomStream(1, 0)
     for phi, scaling in ((1e-320, 1.0), (1.0, 1e308)):
         assert dfs_backoff(12000, phi, scaling) == int(1e300)
         assert dfs_backoff(12000, phi, scaling, stream, 1000) > 1000

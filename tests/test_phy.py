@@ -62,20 +62,20 @@ def test_largest_payload_matches_airtime_scan(rate):
 # -- frame error probability ------------------------------------------------
 
 def test_fer_identity_at_base_size():
-    assert frame_error_prob(300, 0.01, 300) == pytest.approx(0.01)
+    assert frame_error_prob(300, 0.01) == pytest.approx(0.01)
 
 
 def test_fer_doubles_per_300_bytes():
-    assert frame_error_prob(600, 0.01, 300) == pytest.approx(0.02)
-    assert frame_error_prob(1200, 0.01, 300) == pytest.approx(0.08)
+    assert frame_error_prob(600, 0.01) == pytest.approx(0.02)
+    assert frame_error_prob(1200, 0.01) == pytest.approx(0.08)
 
 
 def test_fer_clamped_to_one():
-    assert frame_error_prob(30000, 0.5, 300) == 1.0
+    assert frame_error_prob(30000, 0.5) == 1.0
 
 
 def test_fer_fractional_exponent():
-    assert frame_error_prob(450, 0.01, 300) == pytest.approx(0.01 * 2 ** 0.5)
+    assert frame_error_prob(450, 0.01) == pytest.approx(0.01 * 2 ** 0.5)
 
 
 # -- topology ---------------------------------------------------------------

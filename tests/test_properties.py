@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 
 import macsim
 from macsim import harness, metrics
-from macsim.engine import Simulator
+from macsim.engine import Event, Simulator
 from macsim.mac import MacNode, Packet
 from macsim.medium import Medium
 from macsim.metrics import Recorder
@@ -111,6 +111,25 @@ def test_shuffled_ties_reorder_only_same_time_events():
     sim.run_until(6)
     assert sorted(order[:10]) == list(range(10)) != order[:10]
     assert sorted(order[10:]) == list(range(10, 20))
+
+
+def test_shuffled_ties_reorder_armed_timers_too():
+    # Timers armed for one instant share a group, which must follow the
+    # shuffled seqs as a heap entry of their own would, among plain Events.
+    sim = _ShuffledTies(1)
+    order = []
+    handles = []
+    for i in range(20):
+        fn = lambda i=i: order.append(i)
+        if i % 2:
+            handles.append(sim.schedule(5, "e", 0, fn))
+        else:
+            handles.append(sim.arm(Event(None, None, "t", 0, fn), 5))
+    sim.run_until(5)
+    by_seq = sorted(range(20), key=lambda i: handles[i].seq)
+    assert order == by_seq != list(range(20))
+    timers_first = sorted(order, key=lambda i: i % 2)
+    assert order != timers_first
 
 
 def _keeps_the_invariants(text, simulator):
@@ -235,10 +254,24 @@ def _footprint(name, variant, duration_us):
     coordinator, and the Recorder, after a run of shipped scenario `name`
     cut to `duration_us`.  Also the medium's live concurrency entries,
     counted before any cyclic collection: the run has the collector off,
-    so only reference counting frees them."""
+    so only reference counting frees them.
+
+    The Simulator's NAV groups hold only timers pending at some instant, so
+    the run's end samples them at a random point: they count at their
+    largest over the run, measured after each arm."""
+    peak = [0]
+    arm = Simulator.arm
+
+    def measured_arm(sim, ev, time):
+        handle = arm(sim, ev, time)
+        peak[0] = max(peak[0], _size(sim._groups))
+        return handle
+
     gc.disable()
     try:
-        r = harness.run(shipped(name, duration_us, variant))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Simulator, "arm", measured_arm)
+            r = harness.run(shipped(name, duration_us, variant))
         medium = r.medium
         powers = {id(reach.power) for reach in medium._reach_of.values()}
         entries = sum(type(o) is list and len(o) == 4 and id(o[2]) in powers
@@ -261,6 +294,8 @@ def _footprint(name, variant, duration_us):
         for key, value in fields(owner):
             if isinstance(value, (dict, list, set, deque)):
                 sizes["%s.%s" % (label, key)] = _size(value)
+    assert "sim._groups" in sizes
+    sizes["sim._groups"] = peak[0]
     return r, sizes
 
 

@@ -101,10 +101,10 @@ def test_rbar_rsh_only_on_change():
 # -- OAR --------------------------------------------------------------------
 
 def test_oar_burst_lengths():
-    assert oar_burst_len(11, 2) == 5
-    assert oar_burst_len(2, 2) == 1
-    assert oar_burst_len(5.5, 2) == 2
-    assert oar_burst_len(1, 2) == 1
+    assert oar_burst_len(11) == 5
+    assert oar_burst_len(2) == 1
+    assert oar_burst_len(5.5) == 2
+    assert oar_burst_len(1) == 1
 
 
 def test_oar_cap_respects_base_rate_budget():
