@@ -12,27 +12,14 @@ Cancelling an Event only marks it; the loop skips it when it surfaces.
 An Event's own `(time, seq)` is its dispatch key; its heap entry may carry
 an older, smaller key (the lazy-key rule).  `Simulator.reschedule` moves a
 pending Event later by rewriting its key in place, without a new entry.
-When an entry surfaces whose seq is not the Event's, the loop pushes the
-Event again under its own key, or drops the entry if the Event is
-cancelled.  An Event has at most one heap entry, and it never dispatches
-before its key, so every Event dispatches in exactly the order that
-cancelling it and scheduling a new one would give.
-
-A timer that many targets set to one instant (every node that overhears a
-frame sets its NAV to the same end) is armed with `Simulator.arm` instead.
-Each arm files the Event under a fresh seq in the group for its instant,
-and the group waits behind one heap entry, keyed by its first member's seq.
-Re-arming or cancelling a member rewrites only its seq or flag: the loop
-skips a member filed under a seq that is no longer its own, with no heap
-work.  The loop dispatches a group's live members in seq order, and before
-each one checks the heap: when the heap holds a smaller key at that
-instant, the group goes back under that member's key.  So every member
-dispatches in exactly the (time, seq) order that an Event of its own
-would.  An arm for the instant being walked starts a new group.
+When an entry reaches the top of the heap whose seq is not the Event's,
+the loop re-keys it where it lies, under the Event's own key, or drops it
+if the Event is cancelled.  An Event has at most one heap entry, and it
+never dispatches before its key, so every Event dispatches in exactly the
+order that cancelling it and scheduling a new one would give.
 """
 
-from bisect import insort
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 MASK64 = (1 << 64) - 1
 
@@ -64,21 +51,12 @@ class Event:
         self.cancelled = True
 
 
-class _Group(list):
-    """The `(seq, event)` members armed for one instant, in seq order.  `key`
-    is the seq of the group's live heap entry, None from when the loop
-    takes the group; an entry under any other seq is dropped."""
-
-    __slots__ = ("key",)
-
-
 class Simulator:
     """Single-threaded event loop owning the clock, queue and trace."""
 
     def __init__(self):
         self.now = 0  # [us]
         self._queue = []
-        self._groups = {}  # time -> the _Group that `arm` files into
         self._seq = 0
         self.dispatched = 0
         # "time\tnode\tkind\tdetail" lines when tracing: a list, or any
@@ -133,36 +111,6 @@ class Simulator:
             heappush(self._queue, (time, seq, ev))
         return ev
 
-    def arm(self, ev, time):
-        """File `ev` in the group for `time`.  Same as `ev.cancel()` then
-        `schedule(time, ev.kind, ev.target, ev.fn)`, and returns the handle
-        to keep: `ev` itself.  An Event armed here is moved only with `arm`
-        or `cancel`, never with `reschedule`."""
-        if time < self.now:
-            ev.cancelled = True
-            raise SchedulingError(
-                "arm at t=%d before clock t=%d (%s)" % (time, self.now, ev.kind))
-        seq = self._seq
-        self._seq = seq + 1
-        ev.time = time
-        ev.seq = seq
-        ev.cancelled = False
-        try:
-            group = self._groups[time]
-        except KeyError:
-            group = self._groups[time] = _Group(((seq, ev),))
-            group.key = seq
-            heappush(self._queue, (time, seq, group))
-            return ev
-        if seq < group[-1][0]:  # only if `_seq` is not monotone
-            insort(group, (seq, ev))
-            if seq < group.key:
-                group.key = seq
-                heappush(self._queue, (time, seq, group))
-        else:
-            group.append((seq, ev))
-        return ev
-
     def schedule_in(self, delay, kind, target, fn):
         return self.schedule(self.now + delay, kind, target, fn)
 
@@ -174,20 +122,19 @@ class Simulator:
         q = self._queue
         # The engine's own line per dispatched event, when tracing.
         emit = None if self.trace_lines is None else self.trace_lines.append
-        while q and q[0][0] <= t_end:
-            time, seq, ev = heappop(q)
-            if type(ev) is _Group:
-                if seq == ev.key:
-                    count += self._walk(ev, time, emit)
-                continue
-            if ev.cancelled:
-                ev.queued = None
-                continue
-            if seq != ev.seq:  # stale entry: requeue under the Event's key
+        while q:
+            time, seq, ev = q[0]
+            if time > t_end:
+                break
+            if seq != ev.seq and not ev.cancelled:
+                # A stale entry: re-key it under the Event's key.
                 ev.queued = ev.time
-                heappush(q, (ev.time, ev.seq, ev))
+                heapreplace(q, (ev.time, ev.seq, ev))
                 continue
+            heappop(q)
             ev.queued = None
+            if ev.cancelled:
+                continue
             self.now = time
             if emit is not None:
                 emit(f"{time}\t{ev.target}\t{ev.kind}\t")
@@ -195,34 +142,6 @@ class Simulator:
             count += 1
         self.dispatched += count
         self.now = t_end
-        return count
-
-    def _walk(self, group, time, emit):
-        """Dispatch `group`'s live members in seq order until the heap holds
-        a smaller key at `time`; returns how many dispatched.  The group
-        takes no new members from here on: an arm for `time` starts a new
-        group."""
-        q = self._queue
-        groups = self._groups
-        if groups.get(time) is group:
-            del groups[time]
-        group.key = None
-        self.now = time
-        count = 0
-        for i, (seq, ev) in enumerate(group):
-            if ev.seq != seq or ev.cancelled:
-                continue
-            if q:
-                top = q[0]
-                if top[0] == time and top[1] < seq:
-                    del group[:i]
-                    group.key = seq
-                    heappush(q, (time, seq, group))
-                    return count
-            if emit is not None:
-                emit(f"{time}\t{ev.target}\t{ev.kind}\t")
-            ev.fn()
-            count += 1
         return count
 
 

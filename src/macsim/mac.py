@@ -12,7 +12,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass
 
 from . import dcf, ext, rate as rate_mod
-from .engine import Event, RandomStream
+from .engine import RandomStream
 from .frames import (ACK, ACK_AIR, ACK_BYTES, BEACON, CF_ACK, CF_POLL,
                      CF_END, CTS, CTS_AIR, CTS_BYTES, DATA, DATA_CF_ACK,
                      RSH_AIR, RTS, RTS_BYTES, Frame)
@@ -116,7 +116,7 @@ class MacNode:
         self.self_tx = False
         self.nav_until = 0
         self.nav_xid = -1
-        self._nav_timer = None  # the NAV expiry, built when first armed
+        self._nav_timer = None  # the NAV expiry Event last armed, kept for reuse
         self.idle_since = 0
 
         # Exchange state.
@@ -146,11 +146,12 @@ class MacNode:
         return (self.sense_count == 0 and not self.self_tx
                 and self.nav_until <= self.sim.now)
 
-    # set_nav runs for nearly every overheard frame, and every node that
-    # hears a frame sets its NAV to the same end, so the expiry is armed with
-    # Simulator.arm: one heap entry per instant, not one per node.  A NAV
-    # only grows, but for a correction by the exchange that set it
-    # (`replace`); no caller that replaces passes an `until` earlier than now.
+    # set_nav runs for nearly every overheard frame, and mostly extends a
+    # pending NAV, so the expiry Event is moved with Simulator.reschedule
+    # rather than cancelled and scheduled anew; it keeps its heap entry
+    # unless the NAV moves earlier.  A NAV only grows, but for a correction
+    # by the exchange that set it (`replace`); no caller that replaces
+    # passes an `until` earlier than now.
     def set_nav(self, until, xid=-1, replace=False):
         now = self.sim.now
         nav = self.nav_until
@@ -164,9 +165,10 @@ class MacNode:
             if was_idle:
                 self._on_busy_edge()
             if timer is None:
-                timer = Event(None, None, "nav_expiry", self.node_id,
-                              self._maybe_idle_edge)
-            self._nav_timer = self.sim.arm(timer, until)
+                self._nav_timer = self.sim.schedule(
+                    until, "nav_expiry", self.node_id, self._maybe_idle_edge)
+            else:
+                self._nav_timer = self.sim.reschedule(timer, until)
         elif timer is not None:
             timer.cancel()
 

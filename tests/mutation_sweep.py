@@ -33,7 +33,7 @@ operator) is printed with its one-line reason: no input can tell it
 apart.  Any other
 survivor is a gap in the tests, or code that can go.
 
-    python tests/mutation_sweep.py            # the sweep: 85 min, 2 cores
+    python tests/mutation_sweep.py            # the sweep: 101 min, 2 cores
     python tests/mutation_sweep.py --list     # the mutants; runs nothing
 
 Either form ends with Markdown tables of mutants per file and per operator
@@ -426,13 +426,6 @@ EQUIVALENT = {
         "seqs stay unique and rising, so every order is kept",
     (_ENGINE, "Simulator.reschedule", "self._seq = seq + 1", "1 -> 2"):
         "seqs stay unique and rising, so every order is kept",
-    (_ENGINE, "Simulator.arm", "self._seq = seq + 1", "1 -> 2"):
-        "seqs stay unique and rising, so every order is kept",
-    (_ENGINE, "Simulator.arm",
-     "if seq < group[-1][0]:  # only if `_seq` is not monotone", "< -> <="):
-        "seqs are unique, so the two never compare equal",
-    (_ENGINE, "Simulator.arm", "if seq < group.key:", "< -> <="):
-        "seqs are unique, so the two never compare equal",
     (_ENGINE, "RandomStream.bernoulli", "return self.uniform() < p",
      "< -> <="):
         "a draw is a multiple of 2**-53, so it equals `p` at most once in "

@@ -6,7 +6,6 @@ import os
 from conftest import fields, ica_frag, shipped, single_cell
 from macsim import ext, harness
 from macsim import mac as mac_mod
-from macsim.engine import Event
 from macsim.frames import (ACK, ACK_AIR, ACK_BYTES, BEACON, BEACON_BYTES,
                            BROADCAST, CF_END, CF_END_BYTES, CF_POLL,
                            CF_POLL_BYTES, CTS, CTS_AIR, CTS_BYTES, DATA, RTS,
@@ -303,10 +302,8 @@ def _first_ica_window():
     mac = macs[3]
     while mac.phase != mac_mod.ICA_WINDOW:
         sim.run_until(sim.now + 1)
-    # The heap also holds NAV groups, which are not Events.
     start = next(ev.time for _, _, ev in sim._queue
-                 if isinstance(ev, Event) and ev.kind == "ica_start"
-                 and not ev.cancelled)
+                 if ev.kind == "ica_start" and not ev.cancelled)
     return sim, mac, start
 
 
